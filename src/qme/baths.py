@@ -23,6 +23,8 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
+from .quadrature import gauss_panels
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -510,11 +512,7 @@ class TabulatedBath(Bath):
              for k in range(len(widths))]
             + [edges[-1:]]
         )
-        x, wt = np.polynomial.legendre.leggauss(order)
-        mid = 0.5 * (sub_edges[:-1] + sub_edges[1:])
-        half = 0.5 * np.diff(sub_edges)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * wt[None, :]).ravel()
+        nodes, weights = gauss_panels(sub_edges, order)
         g = np.maximum(self._interp(nodes), 0.0)
         return complex(np.sum(weights * g * np.exp(-1j * nodes * t)))
 

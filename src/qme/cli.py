@@ -98,8 +98,10 @@ def _model(cfg: ExperimentConfig):
         raise ConfigError("this command requires a 'model' section")
     H = cfg.model.hamiltonian_operator()
     couplings = cfg.model.coupling_operators()
-    if not couplings:
-        raise ConfigError("model.coupling must list at least one operator")
+    if len(couplings) != 1:
+        raise ConfigError(
+            f"model.coupling must list exactly one operator, got {len(couplings)}; "
+            "several couplings are not supported")
     return H, couplings[0], cfg.model.initial_density()
 
 
@@ -313,10 +315,12 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
         averages,
     )
     if cfg.sweep is not None and cfg.sweep.parameter == "t_a":
-        reference = next(
-            (k for k, eq in enumerate(equations) if not eq.equation_kind.startswith("cgme")),
-            None,
-        )
+        # score against the time-local reference when listed, else against
+        # the first non-coarse-grained equation
+        candidates = [k for k, eq in enumerate(equations)
+                      if not eq.equation_kind.startswith("cgme")]
+        candidates.sort(key=lambda k: equations[k].equation_kind != "ore")
+        reference = candidates[0] if candidates else None
         if reference is not None:
             sweep_rows = []
             best = None

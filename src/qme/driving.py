@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from .operators import HermitianOperator
+from .quadrature import gauss_panels
 
 __all__ = [
     "DriveSchedule",
@@ -238,12 +239,6 @@ def _panels(sched: DriveSchedule, t: float, lo: float, hi: float) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _gauss_nodes(lo: float, hi: float, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
 def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps: float, T_a: float,
                  quadrature_order: int = 32) -> np.ndarray:
     """Time-dependent coarse-grained Lindblad operator at frequency eps:
@@ -262,7 +257,7 @@ def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps: float, T_a: float
     g = max(float(np.real(bath.gamma(eps))), 0.0)
     acc = np.zeros_like(A, dtype=complex)
     for lo, hi in _panels(sched, t, -T_a / 2.0, T_a / 2.0):
-        nodes, weights = _gauss_nodes(lo, hi, quadrature_order)
+        nodes, weights = gauss_panels((lo, hi), quadrature_order)
         for t1, w in zip(nodes, weights):
             acc += w * np.exp(1j * eps * t1) * heisenberg_A(sched, A, t + t1, t)
     return math.sqrt(g / (2.0 * math.pi * T_a)) * acc
@@ -286,12 +281,12 @@ def td_lamb(sched: DriveSchedule, A, bath, t: float, T_a: float,
     lo0, hi0 = -T_a / 2.0, T_a / 2.0
     outer_panels = _panels(sched, t, lo0, hi0)
     for lo, hi in outer_panels:
-        n1, w1 = _gauss_nodes(lo, hi, quadrature_order)
+        n1, w1 = gauss_panels((lo, hi), quadrature_order)
         for t1, wa in zip(n1, w1):
             A1 = heisenberg_A(sched, A, t + t1, t)
             # inner integral over t2 in [-T_a/2, t1)
             for ilo, ihi in _panels(sched, t, lo0, t1):
-                n2, w2 = _gauss_nodes(ilo, ihi, quadrature_order)
+                n2, w2 = gauss_panels((ilo, ihi), quadrature_order)
                 for t2, wb in zip(n2, w2):
                     c = bath.correlation(t2 - t1)
                     M += (wa * wb * c) * (
@@ -350,7 +345,7 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
         for k in range(nsub):
             slo = lo + (hi - lo) * k / nsub
             shi = lo + (hi - lo) * (k + 1) / nsub
-            nodes, weights = _gauss_nodes(slo, shi, 16)
+            nodes, weights = gauss_panels((slo, shi), 16)
             for tp, w in zip(nodes, weights):
                 acc += w * bath.correlation(-tp) * heisenberg_A(sched, A, t - tp, t)
     return acc
@@ -419,7 +414,9 @@ def _tan_sinc_factor(x: float, k_prime: int) -> float:
 
 
 def _xi_quad_halfline(func, W: float) -> float:
-    val, _ = quad(func, -W, W, limit=800)
+    # the integrand peaks at w = 0; without that breakpoint the first
+    # Gauss-Kronrod pass can miss the peak and report a tiny error
+    val, _ = quad(func, -W, W, limit=800, points=[0.0])
     return val
 
 

@@ -18,6 +18,13 @@ All coarse-grained coefficient integrals reduce the filter overlap
 
 to quadratures that are assembled as Gram matrices, so positivity of the
 resulting Lindblad weights is automatic up to roundoff.
+
+The coarse-grained Lamb shift H_LS = sum F_{w w'} A_{w'} A_w takes every
+coefficient F_{w w'} from one composite Gauss-Legendre grid on [0, T_a]:
+C(theta) is evaluated once per grid and F is one contraction over
+(Bohr pair, node).  Panels are halved until no coefficient moves by more
+than LAMB_EPSABS / LAMB_EPSREL; the last change is reported as the
+quadrature error estimate (``GeneratorSet.meta["lamb_quad_error"]``).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .operators import (
     vectorize_generator,
     vectorize_redfield,
 )
+from .quadrature import gauss_panels
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +62,7 @@ __all__ = [
     "cgme_gamma",
     "cgme_lamb_F",
     "cgme_lamb_shift",
+    "LambShift",
     "cgme_a_epsilon",
     "kossakowski_matrix",
     "discretization_params",
@@ -62,6 +71,16 @@ __all__ = [
 ]
 
 WEIGHT_CLIP_TOL = 1e-9
+
+# Lamb-coefficient grid: Gauss order per panel, largest phase per panel at
+# the highest Bohr frequency, convergence tolerances of the panel-halving
+# loop, its panel cap, and the entry cap of one (i, j, node) block.
+LAMB_ORDER = 16
+LAMB_PANEL_PHASE = 2.0
+LAMB_EPSABS = 1e-12
+LAMB_EPSREL = 1e-10
+LAMB_MAX_PANELS = 1 << 14
+LAMB_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -308,13 +327,74 @@ def _epsilon_grid(bath, T_a, freqs=(), tol=1e-12, order=24):
         W = max(W, 1.5 * max(abs(f) for f in freqs) + 10.0 / max(T_a, 1e-9))
     width = min(np.pi / max(T_a, 1e-9), max(W / 16.0, 1e-12))
     n_half = int(np.ceil(W / width))
-    edges = np.linspace(-n_half * width, n_half * width, 2 * n_half + 1)
-    x, wgt = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * wgt[None, :]).ravel()
-    return nodes, weights
+    return gauss_panels(np.linspace(-n_half * width, n_half * width, 2 * n_half + 1), order)
+
+
+class LambShift(np.ndarray):
+    """Hermitian Lamb-shift matrix H_LS carrying ``quad_error``, the largest
+    change of any coefficient F_{w w'} over the last grid refinement."""
+
+    def __new__(cls, matrix, quad_error):
+        obj = np.asarray(matrix).view(cls)
+        obj.quad_error = float(quad_error)
+        return obj
+
+    def __array_finalize__(self, obj):
+        self.quad_error = getattr(obj, "quad_error", None)
+
+
+def _lamb_on_grid(w, wp, T_a, bath, edges) -> np.ndarray:
+    """F[i, j] for the pairs (w_i, wp_j) by the Gauss rule on ``edges``.
+
+    Re[i e^{i w- th} C(th)] = -Im[e^{i w th/2} e^{-i w' th/2} C(th)], so the
+    phase factor is an outer product; the sinc term couples i and j and
+    forces the (i, j, node) tensor, built in chunks of at most
+    LAMB_CHUNK_ELEMENTS entries."""
+    nodes, weights = gauss_panels(edges, LAMB_ORDER)
+    x = nodes - T_a
+    scaled_corr = weights * x * np.asarray(bath.correlation(nodes), dtype=complex)
+    w_plus = 0.5 * (w[:, None] + wp[None, :])
+    F = np.zeros((len(w), len(wp)))
+    step = max(1, LAMB_CHUNK_ELEMENTS // F.size)
+    for lo in range(0, len(nodes), step):
+        k = slice(lo, lo + step)
+        left = np.exp(0.5j * np.outer(w, nodes[k]))
+        right = np.exp(-0.5j * np.outer(wp, nodes[k])) * scaled_corr[k]
+        phase = (left[:, None, :] * right[None, :, :]).imag
+        # sin(w+ x)/w+ written as x*sinc to stay analytic at w+ = 0
+        F -= np.einsum("ijk,ijk->ij", phase, np.sinc(w_plus[:, :, None] * x[k] / np.pi))
+    return F / T_a
+
+
+def _lamb_coefficients(w, wp, T_a, bath):
+    """All Lamb coefficients F[i, j] = F_{w_i, wp_j} on one shared grid.
+
+    The grid on [0, T_a] has panels of at most LAMB_PANEL_PHASE radians at
+    the largest |frequency| and an edge at the kink tau_c of a bath with a
+    finite-support correlation function.  Every panel is halved until no
+    coefficient moves by more than max(LAMB_EPSABS, LAMB_EPSREL |F|);
+    returns the finer estimate and the largest change.  Raises
+    ArithmeticError when the panel count would exceed LAMB_MAX_PANELS.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    wp = np.atleast_1d(np.asarray(wp, dtype=float))
+    w_max = max(float(np.max(np.abs(w))), float(np.max(np.abs(wp))))
+    n_panels = max(1, int(np.ceil(T_a * w_max / LAMB_PANEL_PHASE)))
+    edges = np.linspace(0.0, T_a, n_panels + 1)
+    tau_c = getattr(bath, "tau_c", None)
+    if tau_c is not None and 0.0 < tau_c < T_a:
+        edges = np.union1d(edges, [tau_c])
+    F = _lamb_on_grid(w, wp, T_a, bath, edges)
+    while 2 * (len(edges) - 1) <= LAMB_MAX_PANELS:
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+        F_fine = _lamb_on_grid(w, wp, T_a, bath, edges)
+        change = np.abs(F_fine - F)
+        if np.all(change <= np.maximum(LAMB_EPSABS, LAMB_EPSREL * np.abs(F_fine))):
+            return F_fine, float(np.max(change))
+        F = F_fine
+    raise ArithmeticError(
+        f"Lamb coefficients not converged within {LAMB_MAX_PANELS} panels "
+        f"on [0, {T_a:g}]")
 
 
 def cgme_lamb_F(w, wp, T_a, bath) -> float:
@@ -325,31 +405,27 @@ def cgme_lamb_F(w, wp, T_a, bath) -> float:
 
     evaluated through the identity
     (...) = 2i exp(i w- th) sin(w+ (th - T_a)), which makes the w+ -> 0
-    limit manifestly removable (sin(w+ x)/w+ -> x)."""
-    w_plus = 0.5 * (w + wp)
-    w_minus = 0.5 * (w - wp)
-
-    def integrand(th):
-        x = th - T_a
-        # sin(w+ x)/w+ written as x*sinc to stay analytic at w+ = 0
-        ratio = x * np.sinc(w_plus * x / np.pi)
-        return 1j * np.exp(1j * w_minus * th) * ratio * bath.correlation(th)
-
-    val = _complex_quad(integrand, 0.0, T_a, limit=400,
-                        epsabs=1e-12, epsrel=1e-10)
-    return float(val.real) / T_a
+    limit manifestly removable (sin(w+ x)/w+ -> x).  One pair of the
+    refined composite Gauss-Legendre grid of ``cgme_lamb_shift``."""
+    F, _ = _lamb_coefficients(w, wp, T_a, bath)
+    return float(F[0, 0])
 
 
-def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a) -> np.ndarray:
-    """H_LS = sum_{w w'} F_{w w'} A_{w'} A_w."""
-    H_LS = np.zeros((jd.dim, jd.dim), dtype=complex)
-    for w, Aw in jd.terms():
-        for wp, Awp in jd.terms():
-            H_LS += cgme_lamb_F(w, wp, T_a, bath) * (Awp @ Aw)
+def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a) -> LambShift:
+    """H_LS = sum_{w w'} F_{w w'} A_{w'} A_w.
+
+    Every F_{w w'} comes from one contraction over a shared composite
+    Gauss-Legendre grid on [0, T_a] (see ``_lamb_coefficients``), with C
+    evaluated once per grid; the result carries the grid's convergence
+    estimate as ``quad_error``."""
+    F, err = _lamb_coefficients(jd.frequencies, jd.frequencies, T_a, bath)
+    ops = np.array(jd.operators)
+    B = np.tensordot(F, ops, axes=(0, 0))          # B_j = sum_i F_ij A_i
+    H_LS = np.einsum("jab,jbc->ac", ops, B)       # sum_j A_j B_j
     sym = 0.5 * (H_LS + H_LS.conj().T)
     if np.max(np.abs(H_LS - sym)) > 1e-9 * max(1.0, np.max(np.abs(sym))):
         raise ArithmeticError("Lamb shift failed to come out Hermitian")
-    return sym
+    return LambShift(sym, err)
 
 
 def cgme_a_epsilon(jd: JumpDecomposition, eps, T_a, bath) -> np.ndarray:
@@ -445,14 +521,15 @@ def cgme_generator(jd: JumpDecomposition, bath, config: GeneratorConfig) -> Gene
     K = kossakowski_matrix(jd, bath, config.T_a, discretization=disc)
     ops = _lindblad_from_kossakowski(jd, K)
     if config.lambless:
-        H_LS = np.zeros((jd.dim, jd.dim), dtype=complex)
+        H_LS, lamb_err = np.zeros((jd.dim, jd.dim), dtype=complex), None
     else:
-        H_LS = cgme_lamb_shift(jd, bath, config.T_a)
+        shift = cgme_lamb_shift(jd, bath, config.T_a)
+        H_LS, lamb_err = np.asarray(shift), shift.quad_error
     return GeneratorSet(
         H_eff=jd.hamiltonian + H_LS, kind=config.equation_kind,
         lindblad_ops=ops,
         meta={"T_a": config.T_a, "lambless": config.lambless,
-              "H_LS": H_LS, "kossakowski": K,
+              "H_LS": H_LS, "lamb_quad_error": lamb_err, "kossakowski": K,
               "discretization": disc},
     )
 
@@ -495,12 +572,8 @@ def multi_coupling_generator(decompositions, gamma_matrix, config: GeneratorConf
     # grid on a symmetric window wide enough for every sinc center
     width = np.pi / T_a
     n_half = int(np.ceil(3.0 * first_bath_radius / width))
-    edges = np.linspace(-n_half * width, n_half * width, 2 * n_half + 1)
-    x, wgt = np.polynomial.legendre.leggauss(24)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * wgt[None, :]).ravel()
+    nodes, weights = gauss_panels(
+        np.linspace(-n_half * width, n_half * width, 2 * n_half + 1), 24)
 
     m = len(index)
     K = np.zeros((m, m), dtype=complex)

@@ -139,6 +139,15 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_several_couplings_refused(self, tmp_path, capsys):
+        doc = _base_doc()
+        doc["model"]["coupling"] = ["ZI", "IZ"]
+        code = main(["evolve", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "coupling" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trajectory_davies.csv").exists()
+
     def test_ohmic_without_cutoff_refused(self, tmp_path):
         doc = _base_doc()
         doc["bath"] = {"kind": "ohmic",
@@ -226,3 +235,20 @@ class TestCliOutputs:
         assert "T_a (formula)" in text
         assert "1.171" in text  # sqrt(tau_B tau_SB / 5) for the built-in bath
         assert "0.97" in text   # the quoted reference value being compared
+
+    def test_compare_sweep_scored_against_ore(self, tmp_path, capsys):
+        # the T_a sweep is scored against ore wherever it is listed
+        runs = []
+        for first, second in (("ore", "davies"), ("davies", "ore")):
+            doc = _base_doc()
+            doc["equations"] = [{"kind": first}, {"kind": second},
+                                {"kind": "cgme_frequency", "t_a": 1.0}]
+            doc["sweep"] = {"parameter": "t_a", "values": [0.5, 2.0]}
+            out = tmp_path / first
+            assert main(["compare", "--config", _write(tmp_path, doc, f"{first}.json"),
+                         "--out", str(out)]) == 0
+            argmin = [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("argmin")]
+            runs.append(((out / "ta_sweep.csv").read_bytes(), argmin))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 1

@@ -211,6 +211,24 @@ class TestSuppressionRatio:
             dt = 0.9 * (math.pi / 4.0) / omega_c
             assert dd_suppression_xi(bath, dt) < 1.0
 
+    def test_xi_matches_fixed_grid_integral(self):
+        # an input whose integrand peak at w = 0 adaptive quadrature over
+        # [-W, W] without a breakpoint there missed (it returned 1.6e-8)
+        kappa, omega_c, beta, dt = 1.0, 1.023, 0.4798, 0.6273
+        x, wx = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(-60.0, 60.0, 241)  # panels of 0.5, an edge at 0
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        w = (mid[:, None] + half[:, None] * x).ravel()
+        wt = (half[:, None] * wx).ravel()
+        gamma = 2.0 * np.pi * kappa * w * np.exp(-np.abs(w) / omega_c) \
+            / -np.expm1(-beta * w)
+        u = w * dt
+        # k' = 1: sinc(2u) tan(u) = sin(u)^2 / u
+        num = np.sum(wt * gamma * (np.sin(u) ** 2 / u) ** 2)
+        den = np.sum(wt * gamma * (np.sin(2.0 * u) / (2.0 * u)) ** 2)
+        bath = OhmicBath(kappa=kappa, omega_c=omega_c, beta=beta)
+        assert np.isclose(dd_suppression_xi(bath, dt), num / den, rtol=1e-8)
+
     def test_validation(self, ohmic_bath):
         with pytest.raises(ValueError):
             dd_suppression_xi(ohmic_bath, -0.1)

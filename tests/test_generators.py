@@ -1,9 +1,13 @@
 """Generator construction: jump decompositions, Redfield/Davies, coarse-grained
 coefficients against independent quadrature oracles, and limit relations."""
 
+import cmath
+
 import numpy as np
 import pytest
+from scipy import integrate
 
+from qme import generators
 from qme.generators import (
     DiscretizationParams,
     GeneratorConfig,
@@ -134,6 +138,74 @@ class TestCoarseGrainedCoefficients:
         at_zero = cgme_lamb_F(2.0, -2.0, self.T_A, toy_bath)
         nearby = cgme_lamb_F(2.0 + 1e-7, -2.0 + 1e-7, self.T_A, toy_bath)
         assert abs(at_zero - nearby) < 1e-5
+
+
+def _lamb_f_limit(w, t_a, corr):
+    """lamb_f_direct's integrand at w' = -w exactly: with w' = -w + 2 w+,
+    the phase difference is -2i w+ e^{iw theta} (T_a - theta) + O(w+^2),
+    so F_{w,-w} = (1/T_a) Re int_0^{T_a} i e^{iw theta} (theta - T_a)
+    C(theta) dtheta.  lamb_f_direct evaluates this point at an offset of
+    1e-6, which is off by up to ~5e-7."""
+    val = integrate.quad(
+        lambda th: (1j * cmath.exp(1j * w * th) * (th - t_a) * corr(th)).real,
+        0.0, t_a, limit=400, epsabs=1e-13, epsrel=1e-12)[0]
+    return val / t_a
+
+
+def _lamb_shift_oracle(jd, bath, t_a):
+    """sum_{w w'} F_{w w'} A_{w'} A_w with one scalar oracle call per pair."""
+    H = np.zeros((jd.dim, jd.dim), dtype=complex)
+    for w, Aw in jd.terms():
+        for wp, Awp in jd.terms():
+            if abs(w + wp) > 1e-9:
+                F = oracles.lamb_f_direct(w, wp, t_a, bath.correlation)
+            else:
+                F = _lamb_f_limit(w, t_a, bath.correlation)
+            H += F * (Awp @ Aw)
+    return 0.5 * (H + H.conj().T)
+
+
+class _HiddenJumpBath:
+    """C(t) jumps at |t| = 0.7 but the bath declares no tau_c, so the Lamb
+    grid has no edge there and panel halving converges only linearly."""
+
+    def correlation(self, t):
+        return np.where(np.abs(t) < 0.7, 0.25, 0.0).astype(complex)
+
+
+class TestLambShiftGrid:
+    @pytest.mark.parametrize("t_a", [0.5, 1.17, 5.25, 55.0])
+    def test_matches_pair_oracle_toy(self, benchmark_jd, toy_bath, t_a):
+        ours = cgme_lamb_shift(benchmark_jd, toy_bath, t_a)
+        ref = _lamb_shift_oracle(benchmark_jd, toy_bath, t_a)
+        assert np.max(np.abs(ours - ref)) < 1e-10
+
+    def test_matches_pair_oracle_ohmic(self, benchmark_jd, ohmic_bath):
+        ours = cgme_lamb_shift(benchmark_jd, ohmic_bath, 1.5)
+        ref = _lamb_shift_oracle(benchmark_jd, ohmic_bath, 1.5)
+        assert np.max(np.abs(ours - ref)) < 1e-10
+
+    def test_matches_pair_oracle_rectangle_kink(self, benchmark_jd, rectangle_bath):
+        # C(t) jumps at tau_c = 1, inside (0, T_a): the grid puts a panel edge there
+        ours = cgme_lamb_shift(benchmark_jd, rectangle_bath, 1.5)
+        ref = _lamb_shift_oracle(benchmark_jd, rectangle_bath, 1.5)
+        assert np.max(np.abs(ours - ref)) < 1e-10
+
+    def test_error_estimate_reported_below_tolerance(self, benchmark_jd, toy_bath):
+        cfg = GeneratorConfig(equation_kind="cgme_frequency", T_a=5.25)
+        gen = cgme_generator(benchmark_jd, toy_bath, cfg)
+        err = gen.meta["lamb_quad_error"]
+        assert err == cgme_lamb_shift(benchmark_jd, toy_bath, 5.25).quad_error
+        assert 0.0 <= err <= max(generators.LAMB_EPSABS, generators.LAMB_EPSREL)
+        lambless = cgme_generator(benchmark_jd, toy_bath, GeneratorConfig(
+            equation_kind="cgme_frequency", T_a=5.25, lambless=True))
+        assert lambless.meta["lamb_quad_error"] is None
+
+    def test_unresolved_kink_raises(self):
+        jd = decompose_coupling(eigensystem(HermitianOperator(PAULI_Z)),
+                                HermitianOperator(PAULI_X))
+        with pytest.raises(ArithmeticError, match="not converged"):
+            cgme_lamb_shift(jd, _HiddenJumpBath(), 2.0)
 
 
 class TestKossakowski:
