@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
-from .quadrature import gauss_panels
+from .quadrature import complex_quad, gauss_panels
 
 logger = logging.getLogger(__name__)
 
@@ -36,13 +36,12 @@ __all__ = [
     "TabulatedBath",
     "load_tabulated",
     "make_bath",
-    "gamma",
-    "correlation",
-    "lamb_amplitude_S",
-    "half_fourier_f",
-    "timescales",
-    "kms_report",
 ]
+
+# absolute tolerance of the inverse-Fourier correlation quadrature, and the
+# principal-value excision half-width relative to max(1, |omega|)
+CORRELATION_EPSABS = 1e-10
+PV_EXCISION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,6 @@ class BathTimescales:
             raise ValueError("tau_SB must be positive")
         if self.tau_B < 0 or self.epsilon_T < 0:
             raise ValueError("tau_B and epsilon_T must be nonnegative")
-
-
-def _complex_quad(func, a, b, **kwargs):
-    re, re_err = integrate.quad(lambda x: func(x).real, a, b, **kwargs)
-    im, im_err = integrate.quad(lambda x: func(x).imag, a, b, **kwargs)
-    return re + 1j * im, re_err + im_err
 
 
 class Bath:
@@ -108,18 +101,18 @@ class Bath:
 
     # -- correlation function --------------------------------------------
 
-    def correlation(self, t, abs_tol=1e-10):
+    def correlation(self, t):
         """Inverse-Fourier quadrature fallback; closed forms override this."""
         W = self.support_radius()
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty(t_arr.shape, dtype=complex)
         for i, ti in enumerate(t_arr.ravel()):
-            val, err = _complex_quad(
+            val, err = complex_quad(
                 lambda w: self.gamma(w) * np.exp(-1j * w * ti),
-                -W, W, limit=800, epsabs=abs_tol, epsrel=1e-10,
+                -W, W, limit=800, epsabs=CORRELATION_EPSABS, epsrel=1e-10,
                 points=[0.0] if -W < 0 < W else None,
             )
-            if err > max(abs_tol, 1e-8 * abs(val)) * 100:
+            if err > max(CORRELATION_EPSABS, 1e-8 * abs(val)) * 100:
                 raise ArithmeticError(
                     f"correlation quadrature achieved only {err:.2e} at t={ti}"
                 )
@@ -128,16 +121,17 @@ class Bath:
 
     # -- half-Fourier transform and Lamb amplitude ------------------------
 
-    def lamb_amplitude_S(self, w, excision_halfwidth=None):
+    def lamb_amplitude_S(self, w):
         """Dispersive part S(omega) via a principal-value transform.
 
         S(w) = (1/2pi) PV integral gamma(x)/(w - x) dx, computed with a
-        symmetric excision of half-width h around the pole plus the local
-        analytic contribution -2 h gamma'(w) of the excised window.
+        symmetric excision of half-width h = PV_EXCISION max(1, |w|) around
+        the pole plus the local analytic contribution -2 h gamma'(w) of the
+        excised window.
         """
         lo, hi = self._pv_bounds(w)
         scale = max(1.0, abs(w))
-        h = 1e-4 * scale if excision_halfwidth is None else excision_halfwidth
+        h = PV_EXCISION * scale
 
         def integrand(x):
             return self.gamma(x) / (w - x)
@@ -286,7 +280,7 @@ class OhmicBath(Bath):
         out[small] = (pref / b) * (1.0 + b * w[small] / 2.0)
         return float(out[0]) if scalar else out
 
-    def correlation(self, t, abs_tol=None):
+    def correlation(self, t):
         t = np.asarray(t, dtype=float)
         x = (1.0 / self.omega_c + 1j * t) / self.beta
         C = (self.kappa / self.beta ** 2) * (_trigamma(x) + _trigamma(np.conj(x) + 1.0))
@@ -298,13 +292,7 @@ class OhmicBath(Bath):
                 "Ohmic bath: t|C(t)| decays only like 1/t, so tau_B diverges "
                 "logarithmically; pass a finite T_cutoff"
             )
-        absC = lambda t: abs(self.correlation(t))
-        norm, _ = integrate.quad(absC, 0, np.inf, limit=800)
-        first, _ = integrate.quad(lambda t: t * absC(t), 0, T_cutoff, limit=800)
-        tail, _ = integrate.quad(absC, T_cutoff, np.inf, limit=800)
-        tau_SB = 1.0 / norm
-        return BathTimescales(tau_SB=tau_SB, tau_B=tau_SB * first,
-                              T_cutoff=T_cutoff, epsilon_T=tau_SB * tail)
+        return super()._compute_timescales(T_cutoff)
 
 
 class ToyBath(Bath):
@@ -366,7 +354,7 @@ class ToyBath(Bath):
         out = (self.gamma_prefactor / self.tau_SB) * g
         return out if out.ndim else float(out)
 
-    def correlation(self, t, abs_tol=None):
+    def correlation(self, t):
         return (self.gamma_prefactor / self.tau_SB) * self._c0(t)
 
     def _compute_timescales(self, T_cutoff):
@@ -408,7 +396,7 @@ class RectangleBath(Bath):
         out = 2.0 * self.g ** 2 * self.tau_c * np.sinc(w * self.tau_c / np.pi)
         return out if out.ndim else float(out)
 
-    def correlation(self, t, abs_tol=None):
+    def correlation(self, t):
         t = np.asarray(t, dtype=float)
         out = np.where(np.abs(t) < self.tau_c, self.g ** 2, 0.0).astype(complex)
         # half weight exactly on the edge, as the Fourier inversion gives
@@ -421,7 +409,7 @@ class RectangleBath(Bath):
             return complex(g2 * tc)
         return g2 * (np.exp(1j * w * tc) - 1.0) / (1j * w)
 
-    def lamb_amplitude_S(self, w, excision_halfwidth=None):
+    def lamb_amplitude_S(self, w):
         return float(self.half_fourier_f(w).imag)
 
     def _compute_timescales(self, T_cutoff):
@@ -489,7 +477,7 @@ class TabulatedBath(Bath):
         out = np.maximum(out, 0.0)
         return out if out.ndim else float(out)
 
-    def correlation(self, t, abs_tol=1e-10):
+    def correlation(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty(t_arr.shape, dtype=complex)
         for i, ti in enumerate(t_arr.ravel()):
@@ -590,28 +578,3 @@ def make_bath(kind, **params):
         return load_tabulated(params.pop("path"), **params)
     return _KINDS[kind](**params)
 
-
-# Functional aliases mirroring the class API.
-
-def gamma(bath, w):
-    return bath.gamma(w)
-
-
-def correlation(bath, t, abs_tol=1e-10):
-    return bath.correlation(t, abs_tol=abs_tol)
-
-
-def lamb_amplitude_S(bath, w, excision_halfwidth=None):
-    return bath.lamb_amplitude_S(w, excision_halfwidth=excision_halfwidth)
-
-
-def half_fourier_f(bath, w):
-    return bath.half_fourier_f(w)
-
-
-def timescales(bath, T_cutoff=np.inf):
-    return bath.timescales(T_cutoff)
-
-
-def kms_report(bath, w_grid):
-    return bath.kms_report(w_grid)

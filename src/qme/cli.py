@@ -23,13 +23,12 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .baths import Bath, OhmicBath
+from .baths import OhmicBath
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import (
     BoundParams,
@@ -51,10 +50,6 @@ from .generators import (
 from .operators import eigensystem
 
 logger = logging.getLogger(__name__)
-
-
-class NumericFailure(RuntimeError):
-    """Raised when integration or quadrature fails irrecoverably."""
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -289,11 +284,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
     if len(equations) < 2:
         raise ConfigError("compare requires at least two equations (after sweeps)")
 
-    def run(eq):
-        return _run_equation(eq, H, A, bath, rho0, grid)
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(run, equations))
+    results = [_run_equation(eq, H, A, bath, rho0, grid) for eq in equations]
 
     tags = [_equation_tag(eq) for eq in equations]
     rows = []
@@ -468,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: config outputs.directory)")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled quantities")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
         p.add_argument("--samples", type=int, default=2000, help="sample count for norm estimation")
         p.add_argument("-v", "--verbose", action="store_true")
     return parser
@@ -488,7 +478,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError, NumericFailure) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

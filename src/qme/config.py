@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -152,7 +152,6 @@ class DDSection:
 @dataclass(frozen=True)
 class OutputSection:
     directory: str = "out"
-    series: Tuple[str, ...] = ()
     gnuplot: bool = False
 
 
@@ -267,10 +266,9 @@ def parse_config(document: Mapping) -> ExperimentConfig:
     outputs = OutputSection()
     if "outputs" in document:
         o = document["outputs"]
-        _check_keys(o, {"directory", "series", "gnuplot"}, "outputs")
+        _check_keys(o, {"directory", "gnuplot"}, "outputs")
         outputs = OutputSection(
             directory=str(o.get("directory", "out")),
-            series=tuple(str(s) for s in o.get("series", ())),
             gnuplot=bool(o.get("gnuplot", False)),
         )
     return ExperimentConfig(
@@ -338,7 +336,6 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
         }
     doc["outputs"] = {
         "directory": cfg.outputs.directory,
-        "series": list(cfg.outputs.series),
         "gnuplot": cfg.outputs.gnuplot,
     }
     return doc

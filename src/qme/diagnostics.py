@@ -13,7 +13,6 @@ added to the value.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ __all__ = [
     "strongest_bound",
     "c_bm_bound",
     "bound_report_rows",
-    "format_bound_summary",
 ]
 
 
@@ -321,29 +319,13 @@ def bound_report_rows(
     bp: BoundParams,
     times: Sequence[float],
     delta_e: Optional[float] = None,
-    include_strongest: bool = True,
 ) -> Iterable[Tuple[float, str, float]]:
-    """Rows (t, bound_name, value) for CSV export."""
+    """Rows (t, bound_name, value) for CSV export, each time's bounds
+    followed by its ``strongest`` bound."""
     rows = []
     for t in times:
         for name, bound in bound_summary(bp, float(t), delta_e).items():
             rows.append((float(t), name, bound.value))
-        if include_strongest:
-            rows.append((float(t), "strongest", strongest_bound(bp, float(t))))
+        rows.append((float(t), "strongest", strongest_bound(bp, float(t))))
     return rows
 
-
-def format_bound_summary(
-    bp: BoundParams, t: float, delta_e: Optional[float] = None
-) -> str:
-    """Human-readable text summary of all bounds at time ``t``."""
-    lines = [
-        f"error bounds at t = {t:g} "
-        f"(tau_b = {bp.tau_b:g}, tau_sb = {bp.tau_sb:g}, T_a = {bp.t_a:g}, "
-        f"Lambda = {bp.lamb:g}, c_bm = {bp.c_bm:g}, epsilon_t = {bp.epsilon_t:g})"
-    ]
-    for name, bound in bound_summary(bp, t, delta_e).items():
-        note = f"  [remainder: {bound.unquantified_remainder}]" if bound.unquantified_remainder else ""
-        lines.append(f"  {name:14s} {bound.value:.6g}{note}")
-    lines.append(f"  {'strongest':14s} {strongest_bound(bp, t):.6g}")
-    return "\n".join(lines)

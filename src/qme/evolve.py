@@ -22,7 +22,6 @@ from .operators import (
     Superoperator,
     hamiltonian_superop,
     trace_norm,
-    vectorize_redfield,
     _sandwich,
     _left,
     _right,
@@ -41,6 +40,9 @@ __all__ = [
     "trace_distance_series",
 ]
 
+# spacing of the time-local filter tabulation: points per bath correlation time
+ORE_POINTS_PER_TAU_B = 400
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -55,18 +57,14 @@ class IntegratorConfig:
     step: float | None = None
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    positivity_tol: float = 1e-8
-    monitor_cadence: int = 1
 
     def __post_init__(self):
         if self.method not in ("rk45_adaptive", "rk4_fixed"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.positivity_tol <= 0:
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be > 0")
         if self.method == "rk4_fixed" and (self.step is None or self.step <= 0):
             raise ValueError("rk4_fixed requires step > 0")
-        if self.monitor_cadence < 1:
-            raise ValueError("monitor_cadence must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,6 @@ class EvolutionResult:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def state_at(self, i: int, positivity_tol: float = 1e-8) -> DensityMatrix:
-        return DensityMatrix(self.states[i], positivity_tol=positivity_tol)
 
 
 def _monitors(rho: np.ndarray):
@@ -233,10 +228,10 @@ def evolve(gen, rho0: DensityMatrix, grid, cfg: IntegratorConfig | None = None,
 # time-local equation with growing filter integral
 # ---------------------------------------------------------------------------
 
-def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float,
-                      points_per_tau_B: int = 400):
+def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float):
     """Cubic splines of g_w(t) = int_0^t C(-t') e^{i w t'} dt' for each jump
-    frequency w, tabulated by cumulative quadrature on a dense grid.
+    frequency w, tabulated by cumulative quadrature on a grid of
+    ORE_POINTS_PER_TAU_B points per tau_B.
 
     g_w(infinity) equals the half-range transform f(-w)* used by the
     stationary Redfield filter.
@@ -245,7 +240,7 @@ def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float,
     tau_B = ts.tau_B
     if not np.isfinite(tau_B) or tau_B <= 0:
         raise ValueError("bath correlation time unavailable for kernel tabulation")
-    h = tau_B / points_per_tau_B
+    h = tau_B / ORE_POINTS_PER_TAU_B
     n = int(math.ceil(t_max / h)) + 1
     tgrid = np.linspace(0.0, max(t_max, h), n + 1)
     C = np.array([bath.correlation(-x) for x in tgrid])
@@ -259,8 +254,7 @@ def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float,
 
 def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
                cfg: IntegratorConfig | None = None,
-               jd: JumpDecomposition | None = None,
-               points_per_tau_B: int = 400) -> EvolutionResult:
+               jd: JumpDecomposition | None = None) -> EvolutionResult:
     """Integrate the time-local equation
 
         d rho/dt = -i[H, rho] + (A rho A_f(t) - rho A_f(t) A) + h.c.,
@@ -279,7 +273,7 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
     if jd is None:
         jd = decompose_coupling(eigensystem(H), A)
     grid = np.asarray(grid, dtype=float)
-    splines = ore_filter_spline(jd, bath, grid[-1], points_per_tau_B)
+    splines = ore_filter_spline(jd, bath, grid[-1])
 
     d = H.dim
     H_sop = hamiltonian_superop(H.entries)
@@ -300,11 +294,8 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
             out += g * M + np.conj(g) * N
         return out
 
-    def provider(t):
-        return matrix_fn(t)
-
-    meta = {"equation_kind": "ore", "points_per_tau_B": points_per_tau_B}
-    return evolve(provider, rho0, grid, cfg, metadata=meta)
+    meta = {"equation_kind": "ore", "points_per_tau_B": ORE_POINTS_PER_TAU_B}
+    return evolve(matrix_fn, rho0, grid, cfg, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -34,18 +34,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .operators import (
     HermitianOperator,
     EigenSystem,
     Superoperator,
-    eigensystem,
     operator_norm,
     vectorize_generator,
     vectorize_redfield,
 )
-from .quadrature import gauss_panels
+from .quadrature import complex_quad, gauss_panels
 
 logger = logging.getLogger(__name__)
 
@@ -252,12 +250,6 @@ def davies_generator(jd: JumpDecomposition, bath, lambless=False) -> GeneratorSe
 # Coarse-grained coefficients
 # ---------------------------------------------------------------------------
 
-def _complex_quad(func, a, b, **kw):
-    re = integrate.quad(lambda x: func(x).real, a, b, **kw)[0]
-    im = integrate.quad(lambda x: func(x).imag, a, b, **kw)[0]
-    return re + 1j * im
-
-
 def cgme_x(w, wp, T_a, bath) -> complex:
     """Triangular-domain coefficient
 
@@ -275,8 +267,8 @@ def cgme_x(w, wp, T_a, bath) -> complex:
             inner = T_a + u
         return bath.correlation(u) * np.exp(-1j * wp * u) * inner
 
-    return _complex_quad(integrand, -T_a, 0.0, limit=400,
-                         epsabs=1e-12, epsrel=1e-10) / T_a
+    val, _ = complex_quad(integrand, -T_a, 0.0, limit=400, epsabs=1e-12, epsrel=1e-10)
+    return val / T_a
 
 
 def cgme_gamma(w, wp, T_a, bath, method="epsilon") -> float:
@@ -304,8 +296,8 @@ def cgme_gamma(w, wp, T_a, bath, method="epsilon") -> float:
                 inner = hi - lo
             return bath.correlation(u) * np.exp(-1j * wp * u) * inner
 
-        val = _complex_quad(integrand, -T_a, T_a, limit=800,
-                            epsabs=1e-12, epsrel=1e-10) / T_a
+        val, _ = complex_quad(integrand, -T_a, T_a, limit=800, epsabs=1e-12, epsrel=1e-10)
+        val = val / T_a
         if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
             raise ArithmeticError(
                 f"gamma_ww' should be real; got imaginary part {val.imag:.3e}")
@@ -319,15 +311,22 @@ def _filter(bath, T_a, eps, w):
     return np.sqrt(g * T_a / (2 * np.pi)) * np.sinc(T_a * (np.asarray(eps) - w) / (2 * np.pi))
 
 
-def _epsilon_grid(bath, T_a, freqs=(), tol=1e-12, order=24):
-    """Composite Gauss-Legendre grid resolving both gamma(eps) and the
-    sinc oscillation of period 4 pi / T_a; panel edges include eps = 0."""
-    W = bath.support_radius(tol=tol)
-    if freqs:
-        W = max(W, 1.5 * max(abs(f) for f in freqs) + 10.0 / max(T_a, 1e-9))
+def _symmetric_grid(W, T_a, order):
+    """Composite Gauss-Legendre grid on a window covering [-W, W] with equal
+    panels of width min(pi / T_a, W / 16), which resolve the sinc
+    oscillation of period 4 pi / T_a; panel edges include eps = 0."""
     width = min(np.pi / max(T_a, 1e-9), max(W / 16.0, 1e-12))
     n_half = int(np.ceil(W / width))
     return gauss_panels(np.linspace(-n_half * width, n_half * width, 2 * n_half + 1), order)
+
+
+def _epsilon_grid(bath, T_a, freqs=(), tol=1e-12, order=24):
+    """Filter grid covering the support of gamma(eps) and, with ``freqs``,
+    every sinc centre with 10 / T_a to spare."""
+    W = bath.support_radius(tol=tol)
+    if freqs:
+        W = max(W, 1.5 * max(abs(f) for f in freqs) + 10.0 / max(T_a, 1e-9))
+    return _symmetric_grid(W, T_a, order)
 
 
 class LambShift(np.ndarray):
@@ -460,7 +459,10 @@ def kossakowski_matrix(jd: JumpDecomposition, bath, T_a,
     return (F * wt[:, None]).T @ F
 
 
-def _lindblad_from_kossakowski(jd: JumpDecomposition, K):
+def _lindblad_from_kossakowski(operators, K):
+    """Lindblad terms (weight, L_mu = sum_i v_i^mu operators[i]) from the
+    eigenpairs of the Hermitian part of K; raises ArithmeticError when an
+    eigenvalue falls below -WEIGHT_CLIP_TOL and drops the clipped ones."""
     K = 0.5 * (K + np.conj(K).T)
     vals, vecs = np.linalg.eigh(K)
     if np.min(vals) < -WEIGHT_CLIP_TOL:
@@ -472,15 +474,14 @@ def _lindblad_from_kossakowski(jd: JumpDecomposition, K):
         wgt = max(float(vals[mu]), 0.0)
         if wgt == 0.0:
             continue
-        L = np.zeros((jd.dim, jd.dim), dtype=complex)
-        for i, Aw in enumerate(jd.operators):
+        L = np.zeros(operators[0].shape, dtype=complex)
+        for i, Aw in enumerate(operators):
             L += vecs[i, mu] * Aw
         ops.append((wgt, L))
     return tuple(ops)
 
 
-def discretization_params(bath_timescales, commutator_norm,
-                          error_target_mode="default") -> DiscretizationParams:
+def discretization_params(bath_timescales, commutator_norm) -> DiscretizationParams:
     """Filter-grid spacing and half-count for the discretized generator:
 
     delta_eps = (1/tau_SB) sqrt(tau_B/tau_SB) / (2 + ||[H,A]|| T_a)^2
@@ -492,8 +493,6 @@ def discretization_params(bath_timescales, commutator_norm,
     guarantees; much coarser grids are usually accurate, so callers may
     override via GeneratorConfig.discretization.
     """
-    if error_target_mode != "default":
-        raise ValueError("only the default error-target mode is defined")
     tau_SB, tau_B = bath_timescales.tau_SB, bath_timescales.tau_B
     if tau_B <= 0:
         raise ValueError("discretization undefined for tau_B = 0")
@@ -519,7 +518,7 @@ def cgme_generator(jd: JumpDecomposition, bath, config: GeneratorConfig) -> Gene
         if disc is None:
             raise ValueError("cgme_discrete requires discretization parameters")
     K = kossakowski_matrix(jd, bath, config.T_a, discretization=disc)
-    ops = _lindblad_from_kossakowski(jd, K)
+    ops = _lindblad_from_kossakowski(jd.operators, K)
     if config.lambless:
         H_LS, lamb_err = np.zeros((jd.dim, jd.dim), dtype=complex), None
     else:
@@ -544,8 +543,8 @@ def multi_coupling_generator(decompositions, gamma_matrix, config: GeneratorConf
         K[(i,w),(j,v)] = integral (T_a/2pi) sinc[T_a(eps-w)/2]
                          sinc[T_a(eps-v)/2] gamma_ij(eps) d eps,
 
-    assembled as a weighted sum of PSD blocks and diagonalized into
-    Lindblad operators.  Only the dissipator is built (pass lambless=True);
+    one contraction over the nodes of the symmetric filter grid,
+    diagonalized into Lindblad operators like the single-coupling K.  Only the dissipator is built (pass lambless=True);
     cross-coupling Lamb shifts would need the time-domain cross
     correlations, which gamma_ij alone does not supply.
     """
@@ -561,25 +560,16 @@ def multi_coupling_generator(decompositions, gamma_matrix, config: GeneratorConf
         if jd.dim != dim or np.max(np.abs(jd.hamiltonian - H)) > 1e-10:
             raise ValueError("all decompositions must share one Hamiltonian")
 
-    index = [(i, w, Aw) for i, jd in enumerate(decompositions)
-             for w, Aw in jd.terms()]
+    # combined index p = (coupling c_p, Bohr frequency w_p)
+    coupling = np.concatenate([np.full(len(jd.frequencies), i)
+                               for i, jd in enumerate(decompositions)])
+    freqs = np.concatenate([jd.frequencies for jd in decompositions])
     n_c = len(decompositions)
 
-    # probe grid: union of per-coupling grids
-    all_freqs = tuple(w for _, w, _ in index)
-    first_bath_radius = max(abs(f) for f in all_freqs) + 10.0 / T_a
+    # a symmetric window wide enough for every sinc centre
+    nodes, weights = _symmetric_grid(3.0 * (np.max(np.abs(freqs)) + 10.0 / T_a), T_a, 24)
 
-    # grid on a symmetric window wide enough for every sinc center
-    width = np.pi / T_a
-    n_half = int(np.ceil(3.0 * first_bath_radius / width))
-    nodes, weights = gauss_panels(
-        np.linspace(-n_half * width, n_half * width, 2 * n_half + 1), 24)
-
-    m = len(index)
-    K = np.zeros((m, m), dtype=complex)
-    sinc_cols = np.empty((len(nodes), m))
-    for p, (_, w, _) in enumerate(index):
-        sinc_cols[:, p] = np.sinc(T_a * (nodes - w) / (2 * np.pi))
+    sinc = np.sinc(T_a * (nodes[:, None] - freqs[None, :]) / (2 * np.pi))
     gm_stack = np.empty((len(nodes), n_c, n_c), dtype=complex)
     for n, eps in enumerate(nodes):
         gm = np.asarray(gamma_matrix(eps), dtype=complex)
@@ -589,26 +579,11 @@ def multi_coupling_generator(decompositions, gamma_matrix, config: GeneratorConf
         if np.min(np.linalg.eigvalsh(herm)) < -1e-9 * max(1.0, np.max(np.abs(herm))):
             raise ValueError(f"gamma_matrix({eps:.4g}) is not PSD")
         gm_stack[n] = herm
-    pref = T_a / (2 * np.pi)
-    for p, (i, _, _) in enumerate(index):
-        for q, (j, _, _) in enumerate(index):
-            K[p, q] = pref * np.sum(
-                weights * sinc_cols[:, p] * sinc_cols[:, q] * gm_stack[:, i, j])
-
-    K = 0.5 * (K + K.conj().T)
-    vals, vecs = np.linalg.eigh(K)
-    if np.min(vals) < -WEIGHT_CLIP_TOL:
-        raise ArithmeticError(
-            f"multi-coupling coefficient matrix eigenvalue {np.min(vals):.3e} "
-            "is negative beyond tolerance")
-    ops = []
-    for mu in range(m):
-        wv = max(float(vals[mu]), 0.0)
-        if wv == 0.0:
-            continue
-        L = np.zeros((dim, dim), dtype=complex)
-        for p, (_, _, Aw) in enumerate(index):
-            L += vecs[p, mu] * Aw
-        ops.append((wv, L))
-    return GeneratorSet(H_eff=H, kind="cgme_multi", lindblad_ops=tuple(ops),
+    # K[p, q] = pref sum_n weights_n sinc[n, p] sinc[n, q] gamma_{c_p c_q}(eps_n),
+    # contracted over (node n, coupling j) with the one-hot j = c_q
+    left = (weights[:, None] * sinc)[:, :, None] * gm_stack[:, coupling, :]
+    right = sinc[:, :, None] * np.eye(n_c)[coupling][None, :, :]
+    K = T_a / (2 * np.pi) * np.tensordot(left, right, axes=([0, 2], [0, 2]))
+    ops = _lindblad_from_kossakowski([Aw for jd in decompositions for Aw in jd.operators], K)
+    return GeneratorSet(H_eff=H, kind="cgme_multi", lindblad_ops=ops,
                         meta={"T_a": T_a, "lambless": True})

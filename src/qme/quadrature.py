@@ -1,12 +1,14 @@
-"""Composite Gauss-Legendre rules shared by every fixed-grid integral."""
+"""Composite Gauss-Legendre rules shared by every fixed-grid integral, and
+the adaptive complex-valued ``quad`` the remaining scalar integrals use."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
+from scipy import integrate
 
-__all__ = ["gauss_panels"]
+__all__ = ["gauss_panels", "complex_quad"]
 
 
 @lru_cache(maxsize=None)
@@ -27,3 +29,11 @@ def gauss_panels(edges, order: int):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def complex_quad(func, a, b, **kwargs):
+    """Adaptive ``quad`` of a complex integrand, real part first, then
+    imaginary part; returns (value, summed abserr of the two)."""
+    re, re_err = integrate.quad(lambda x: func(x).real, a, b, **kwargs)
+    im, im_err = integrate.quad(lambda x: func(x).imag, a, b, **kwargs)
+    return re + 1j * im, re_err + im_err

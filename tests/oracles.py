@@ -120,13 +120,18 @@ def cgme_x_nested(w, wp, t_a, corr):
 
 def lamb_f_direct(w, wp, t_a, corr):
     """F_{w w'} = (1/(2 T_a w+)) Re int_0^{T_a} (e^{i(w theta - T_a w+)}
-    - e^{-i(w' theta - T_a w+)}) C(theta) dtheta, with the removable w+ = 0
-    point evaluated at a small offset."""
+    - e^{-i(w' theta - T_a w+)}) C(theta) dtheta.
+
+    At the removable point w+ = 0 it integrates the exact limit: with
+    w' = -w + 2 w+ the phase difference is -2i w+ e^{iw theta} (T_a - theta)
+    + O(w+^2), so F_{w,-w} = (1/T_a) Re int_0^{T_a} i e^{iw theta}
+    (theta - T_a) C(theta) dtheta."""
     wplus = 0.5 * (w + wp)
     if abs(wplus) < 1e-9:
-        wplus = 1e-6
-        w = w + 1e-6
-        wp = wp + 1e-6
+        val = integrate.quad(
+            lambda th: (1j * cmath.exp(1j * w * th) * (th - t_a) * corr(th)).real,
+            0.0, t_a, limit=400, epsabs=1e-13, epsrel=1e-12)[0]
+        return val / t_a
 
     def integrand(theta):
         phase = (

@@ -17,6 +17,9 @@ from qme.config import (
 
 from conftest import IDENT, PAULI_X, PAULI_Y, PAULI_Z
 
+BENCHMARK_CONFIG = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos", "benchmark.json")
+
 
 def _base_doc():
     return {
@@ -148,6 +151,13 @@ class TestCliExitCodes:
         assert "coupling" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trajectory_davies.csv").exists()
 
+    def test_threads_option_rejected(self, tmp_path):
+        # compare runs its equations one after another; there is no worker pool
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", _write(tmp_path, _base_doc()),
+                  "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_ohmic_without_cutoff_refused(self, tmp_path):
         doc = _base_doc()
         doc["bath"] = {"kind": "ohmic",
@@ -252,3 +262,20 @@ class TestCliOutputs:
             runs.append(((out / "ta_sweep.csv").read_bytes(), argmin))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == 1
+
+    def test_bounds_table(self, tmp_path):
+        # the benchmark model on a coarse grid: the strongest bound starts at
+        # zero and stays above the measured coarse-graining error
+        with open(BENCHMARK_CONFIG, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["grid"]["points"] = 17
+        out = tmp_path / "o"
+        assert main(["bounds", "--config", _write(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        lines = (out / "bounds.csv").read_text().splitlines()
+        assert lines[0] == ("t[abs],measured_trace_distance,strongest_bound,"
+                            "cgme_simple,redfield_log")
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (17, 5)
+        assert rows[0, 0] == 0.0 and rows[0, 2] == 0.0
+        assert np.all(rows[:, 2] >= rows[:, 1])

@@ -1,11 +1,8 @@
 """Generator construction: jump decompositions, Redfield/Davies, coarse-grained
 coefficients against independent quadrature oracles, and limit relations."""
 
-import cmath
-
 import numpy as np
 import pytest
-from scipy import integrate
 
 from qme import generators
 from qme.generators import (
@@ -140,27 +137,12 @@ class TestCoarseGrainedCoefficients:
         assert abs(at_zero - nearby) < 1e-5
 
 
-def _lamb_f_limit(w, t_a, corr):
-    """lamb_f_direct's integrand at w' = -w exactly: with w' = -w + 2 w+,
-    the phase difference is -2i w+ e^{iw theta} (T_a - theta) + O(w+^2),
-    so F_{w,-w} = (1/T_a) Re int_0^{T_a} i e^{iw theta} (theta - T_a)
-    C(theta) dtheta.  lamb_f_direct evaluates this point at an offset of
-    1e-6, which is off by up to ~5e-7."""
-    val = integrate.quad(
-        lambda th: (1j * cmath.exp(1j * w * th) * (th - t_a) * corr(th)).real,
-        0.0, t_a, limit=400, epsabs=1e-13, epsrel=1e-12)[0]
-    return val / t_a
-
-
 def _lamb_shift_oracle(jd, bath, t_a):
     """sum_{w w'} F_{w w'} A_{w'} A_w with one scalar oracle call per pair."""
     H = np.zeros((jd.dim, jd.dim), dtype=complex)
     for w, Aw in jd.terms():
         for wp, Awp in jd.terms():
-            if abs(w + wp) > 1e-9:
-                F = oracles.lamb_f_direct(w, wp, t_a, bath.correlation)
-            else:
-                F = _lamb_f_limit(w, t_a, bath.correlation)
+            F = oracles.lamb_f_direct(w, wp, t_a, bath.correlation)
             H += F * (Awp @ Aw)
     return 0.5 * (H + H.conj().T)
 
