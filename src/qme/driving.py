@@ -4,6 +4,17 @@ Propagators for piecewise-constant Hamiltonians interrupted by instantaneous
 pulses, the time-dependent coarse-grained Lindblad operators and Lamb shift
 (coarse-graining window sliding with t), the time-dependent Redfield filter,
 and the dynamical-decoupling suppression-ratio analysis.
+
+The window coefficients share one stack: the window is cut into panels at
+pulse instants and segment boundaries, so H is constant inside each panel and
+no pulse lies strictly inside one.  Per panel, one propagator call to its
+midpoint m and one ``eigh`` of its H give U(t + tau, t) =
+V e^{-i Lambda (tau - m)} V^+ U(t + m, t) for all its Gauss nodes at once, and
+the (n, d, d) stack A(t + tau, t) follows.  A_eps(t) for every eps is then
+one (eps x node) phase-matrix contraction with the stack, the Lamb shift is a
+contraction with the correlation on node differences, and the Redfield
+filter one weighted sum over the stack.  ``heisenberg_A`` and ``propagator``
+stay as the per-point API.
 """
 
 from __future__ import annotations
@@ -222,24 +233,78 @@ def propagator(sched: DriveSchedule, t_from: float, t_to: float) -> np.ndarray:
     return _propagator_forward(sched, t_to, t_from).conj().T
 
 
+def _propagator_either(sched: DriveSchedule, t_prime: float, t: float) -> np.ndarray:
+    """U(t', t) for t' on either side of t, boundary segments extended."""
+    if t_prime >= t:
+        return _propagator_forward(sched, t, t_prime)
+    return _propagator_forward(sched, t_prime, t).conj().T
+
+
 def heisenberg_A(sched: DriveSchedule, A, t_prime: float, t: float) -> np.ndarray:
     """A(t', t) = U(t', t)^dagger A U(t', t), boundary segments extended."""
-    A = _as_matrix(A)
-    if t_prime >= t:
-        U = _propagator_forward(sched, t, t_prime)
-    else:
-        U = _propagator_forward(sched, t_prime, t).conj().T
-    return U.conj().T @ A @ U
+    U = _propagator_either(sched, t_prime, t)
+    return U.conj().T @ _as_matrix(A) @ U
 
 
-def _panels(sched: DriveSchedule, t: float, lo: float, hi: float) -> list:
-    """Quadrature panels for the window integrand t1 -> A(t + t1, t)."""
+def _panels(sched: DriveSchedule, t: float, lo: float, hi: float) -> np.ndarray:
+    """Panel edges for the window integrand t1 -> A(t + t1, t) on [lo, hi]:
+    H is constant inside each panel and no pulse lies strictly inside one."""
     inner = [x - t for x in sched.breakpoints(t + lo, t + hi)]
-    edges = sorted({lo, hi, *inner})
-    return list(zip(edges[:-1], edges[1:]))
+    return np.array(sorted({lo, hi, *inner}))
 
 
-def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps: float, T_a: float,
+def _panel_basis(sched: DriveSchedule, t: float, lo: float, hi: float):
+    """(m, V, lam, W) for the panel [lo, hi] of offsets from t: with m its
+    midpoint, H = V diag(lam) V^+ the panel's Hamiltonian and
+    W = V^+ U(t + m, t), every offset tau inside the panel has
+    U(t + tau, t) = V diag(e^{-i lam (tau - m)}) W."""
+    m = 0.5 * (lo + hi)
+    lam, V = np.linalg.eigh(sched.hamiltonian_at(t + m))
+    return m, V, lam, V.conj().T @ _propagator_either(sched, t + m, t)
+
+
+def _heisenberg_stack(basis, A: np.ndarray, taus) -> np.ndarray:
+    """A(t + tau, t) for offsets ``taus`` (any shape) inside one panel,
+    stacked as taus.shape + (d, d)."""
+    m, V, lam, W = basis
+    phase = np.exp(-1j * np.multiply.outer(np.asarray(taus) - m, lam))
+    U = V @ (phase[..., None] * W)
+    return U.conj().swapaxes(-1, -2) @ A @ U
+
+
+@dataclass(frozen=True)
+class _Window:
+    """Gauss nodes (offsets from t) and weights on a window's panels, each
+    node's panel index, the (n, d, d) stack A(t + tau, t) and the per-panel
+    bases that extend the stack to further offsets."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    panel: np.ndarray
+    stack: np.ndarray
+    bases: list
+
+
+def _window(sched: DriveSchedule, A: np.ndarray, t: float, edges, order: int) -> _Window:
+    """One propagator call and one ``eigh`` per panel between ``edges``; the
+    Heisenberg operators at the panel's Gauss nodes follow in one batch."""
+    edges = np.asarray(edges, dtype=float)
+    nodes, weights = gauss_panels(edges, order)
+    bases = [_panel_basis(sched, t, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    by_panel = nodes.reshape(len(bases), order)
+    stack = np.concatenate([_heisenberg_stack(b, A, x) for b, x in zip(bases, by_panel)])
+    panel = np.repeat(np.arange(len(bases)), order)
+    return _Window(nodes, weights, panel, stack, bases)
+
+
+def _check_window_args(T_a: float, quadrature_order: int):
+    if quadrature_order < 2:
+        raise ValueError("quadrature order must be >= 2")
+    if T_a <= 0:
+        raise ValueError("T_a must be > 0")
+
+
+def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps, T_a: float,
                  quadrature_order: int = 32) -> np.ndarray:
     """Time-dependent coarse-grained Lindblad operator at frequency eps:
 
@@ -247,20 +312,19 @@ def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps: float, T_a: float
                    * int_{-T_a/2}^{T_a/2} e^{i eps t1} A(t + t1, t) dt1
 
     Per-panel Gauss-Legendre quadrature, subdivided where the integrand is
-    non-smooth (pulse instants and segment boundaries).
+    non-smooth (pulse instants and segment boundaries).  ``eps`` may be an
+    array: the stack A(t + t1, t) is built once and every A_eps is one row
+    of the (eps x node) phase matrix contracted with it, so the result has
+    shape eps.shape + (d, d).
     """
-    if quadrature_order < 2:
-        raise ValueError("quadrature order must be >= 2")
-    if T_a <= 0:
-        raise ValueError("T_a must be > 0")
+    _check_window_args(T_a, quadrature_order)
     A = _as_matrix(A)
-    g = max(float(np.real(bath.gamma(eps))), 0.0)
-    acc = np.zeros_like(A, dtype=complex)
-    for lo, hi in _panels(sched, t, -T_a / 2.0, T_a / 2.0):
-        nodes, weights = gauss_panels((lo, hi), quadrature_order)
-        for t1, w in zip(nodes, weights):
-            acc += w * np.exp(1j * eps * t1) * heisenberg_A(sched, A, t + t1, t)
-    return math.sqrt(g / (2.0 * math.pi * T_a)) * acc
+    eps = np.asarray(eps, dtype=float)
+    win = _window(sched, A, t, _panels(sched, t, -T_a / 2.0, T_a / 2.0), quadrature_order)
+    phase = win.weights * np.exp(1j * np.multiply.outer(eps, win.nodes))
+    g = np.maximum(np.real(np.asarray(bath.gamma(eps))), 0.0)
+    scale = np.sqrt(g / (2.0 * math.pi * T_a))
+    return scale[..., None, None] * np.tensordot(phase, win.stack, axes=1)
 
 
 def td_lamb(sched: DriveSchedule, A, bath, t: float, T_a: float,
@@ -271,27 +335,44 @@ def td_lamb(sched: DriveSchedule, A, bath, t: float, T_a: float,
                                   A(t + t2, t) A(t + t1, t) dt1 dt2
 
     The sgn kernel makes the double integral equal M - M^dagger with M the
-    t1 > t2 triangle, so the result is Hermitian by construction.
+    t1 > t2 triangle, so the result is Hermitian by construction.  For an
+    outer node t1 the inner range [-T_a/2, t1) is the outer panels before
+    t1's own plus the partial panel [edge, t1):
+
+    - full earlier panels reuse the outer nodes: with
+      W_ij = w_i w_j C(t_j - t_i) for node j in a panel before node i's,
+      B_i = sum_j W_ij A_j;
+    - each partial panel takes its own Gauss rule of the same order, whose
+      Heisenberg operators come from the basis of the panel holding t1, and
+      adds its weighted operators to B_i;
+
+    then M = sum_i B_i A_i.  C is evaluated in one vectorised call per part.
     """
-    if quadrature_order < 2:
-        raise ValueError("quadrature order must be >= 2")
+    _check_window_args(T_a, quadrature_order)
     A = _as_matrix(A)
-    dim = A.shape[0]
-    M = np.zeros((dim, dim), dtype=complex)
-    lo0, hi0 = -T_a / 2.0, T_a / 2.0
-    outer_panels = _panels(sched, t, lo0, hi0)
-    for lo, hi in outer_panels:
-        n1, w1 = gauss_panels((lo, hi), quadrature_order)
-        for t1, wa in zip(n1, w1):
-            A1 = heisenberg_A(sched, A, t + t1, t)
-            # inner integral over t2 in [-T_a/2, t1)
-            for ilo, ihi in _panels(sched, t, lo0, t1):
-                n2, w2 = gauss_panels((ilo, ihi), quadrature_order)
-                for t2, wb in zip(n2, w2):
-                    c = bath.correlation(t2 - t1)
-                    M += (wa * wb * c) * (
-                        heisenberg_A(sched, A, t + t2, t) @ A1
-                    )
+    edges = _panels(sched, t, -T_a / 2.0, T_a / 2.0)
+    win = _window(sched, A, t, edges, quadrature_order)
+    nodes, weights, panel = win.nodes, win.weights, win.panel
+
+    # full earlier panels
+    i, j = np.nonzero(panel[None, :] < panel[:, None])
+    W = np.zeros((len(nodes), len(nodes)), dtype=complex)
+    if len(i):  # a one-panel window has none; OhmicBath rejects empty arrays
+        W[i, j] = weights[i] * weights[j] * np.asarray(bath.correlation(nodes[j] - nodes[i]))
+    B = np.tensordot(W, win.stack, axes=1)
+
+    # the partial panel [edge, t1) of every outer node t1
+    x, wx = gauss_panels((-1.0, 1.0), quadrature_order)
+    mid, half = 0.5 * (edges[panel] + nodes), 0.5 * (nodes - edges[panel])
+    inner = mid[:, None] + half[:, None] * x
+    c = np.asarray(bath.correlation((inner - nodes[:, None]).ravel())).reshape(inner.shape)
+    W_part = (weights * half)[:, None] * wx * c
+    for k, basis in enumerate(win.bases):
+        rows = panel == k
+        B[rows] += np.einsum("ik,ikab->iab", W_part[rows],
+                             _heisenberg_stack(basis, A, inner[rows]))
+
+    M = np.einsum("iab,ibc->ac", B, win.stack)
     H = (1j / (2.0 * T_a)) * (M - M.conj().T)
     residual = float(np.max(np.abs(H - H.conj().T)))
     if residual > 1e-9 * max(1.0, float(np.max(np.abs(H)))):
@@ -305,8 +386,10 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
 
         A_f(t) = int_0^cutoff C(-t') A(t - t', t) dt'
 
-    by pulse-subdivided Gauss quadrature.  A cutoff shorter than ~3 bath
-    correlation times truncates the memory integral; that triggers a warning.
+    by pulse-subdivided Gauss quadrature on the same Heisenberg stack as the
+    coarse-grained coefficients (offsets tau = -t'), with C evaluated in one
+    vectorised call.  A cutoff shorter than ~3 bath correlation times
+    truncates the memory integral; that triggers a warning.
     """
     if history_cutoff <= 0:
         raise ValueError("history_cutoff must be > 0")
@@ -332,7 +415,6 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
         edges.add(float(tau_c))
     edges = sorted(e for e in edges if 0.0 <= e <= history_cutoff)
 
-    acc = np.zeros_like(A, dtype=complex)
     # A(t - t', t) oscillates at Bohr frequencies up to the spectral spread
     # of H; cap the panel width so each carries at most ~2 radians of phase
     spread = 0.0
@@ -340,15 +422,13 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
         ev = np.linalg.eigvalsh(H)
         spread = max(spread, float(ev[-1] - ev[0]))
     max_width = min(history_cutoff / 16.0, 2.0 / max(spread, 1e-12))
+    sub = [edges[0]]
     for lo, hi in zip(edges[:-1], edges[1:]):
         nsub = max(1, int(math.ceil((hi - lo) / max_width)))
-        for k in range(nsub):
-            slo = lo + (hi - lo) * k / nsub
-            shi = lo + (hi - lo) * (k + 1) / nsub
-            nodes, weights = gauss_panels((slo, shi), 16)
-            for tp, w in zip(nodes, weights):
-                acc += w * bath.correlation(-tp) * heisenberg_A(sched, A, t - tp, t)
-    return acc
+        sub.extend(lo + (hi - lo) * (k + 1) / nsub for k in range(nsub))
+    win = _window(sched, A, t, -np.array(sub[::-1]), 16)
+    c = np.asarray(bath.correlation(win.nodes))
+    return np.tensordot(win.weights * c, win.stack, axes=1)
 
 
 # ---------------------------------------------------------------------------

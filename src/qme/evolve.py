@@ -310,18 +310,24 @@ def td_cgme_superoperator(sched: "drv.DriveSchedule", A, bath, t: float, T_a: fl
         L(t) rho = -i[H(t) + H_LS(t), rho]
                    + int d_eps (A_eps(t) rho A_eps(t)^+ - 1/2 {A_eps^+ A_eps, rho})
 
-    with the frequency integral discretized on a composite Gauss grid.
+    with the frequency integral discretized on a composite Gauss grid of
+    order ``grid_order``.  The window's Heisenberg stack A(t + t1, t) is built
+    once at ``quadrature_order`` nodes per panel; every A_eps is one row of
+    the (eps x node) phase contraction with it, and the dissipator is one
+    weighted sum over eps.  The Lamb shift uses ``td_lamb`` at its own
+    default order 16; ``quadrature_order`` does not reach it.
     """
     from .generators import _epsilon_grid
 
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
     eps_nodes, eps_weights = _epsilon_grid(bath, T_a, order=grid_order)
     d = sched.dim
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for eps, w in zip(eps_nodes, eps_weights):
-        L = drv.td_a_epsilon(sched, A.entries, bath, t, eps, T_a, quadrature_order)
-        LdL = L.conj().T @ L
-        mat += w * (_sandwich(L, L.conj().T) - 0.5 * _left(LdL) - 0.5 * _right(LdL))
+    L = drv.td_a_epsilon(sched, A.entries, bath, t, eps_nodes, T_a, quadrature_order)
+    Lc = L.conj()
+    # sum_eps w (conj(L) kron L) and sum_eps w L^+ L
+    mat = np.einsum("e,eab,eij->aibj", eps_weights, Lc, L).reshape(d * d, d * d)
+    LdL = np.einsum("e,eba,ebc->ac", eps_weights, Lc, L)
+    mat -= 0.5 * (_left(LdL) + _right(LdL))
     H_eff = np.asarray(sched.hamiltonian_at(t), dtype=complex)
     if not lambless:
         H_eff = H_eff + drv.td_lamb(sched, A.entries, bath, t, T_a).entries

@@ -208,6 +208,98 @@ def expm_propagator(hamiltonians, durations, pulses=()):
     return u
 
 
+def schedule_propagator_direct(sched, t_from, t_to):
+    """U(t_to, t_from) for t_to >= t_from of a drive schedule (its
+    ``segments`` (t0, t1, H) and ``pulses`` (t_p, U_p)): one matrix
+    exponential per stretch between consecutive segment boundaries and pulse
+    instants.  A pulse at t_from acts, one at t_to does not; the first and
+    last segments extend beyond the schedule."""
+    segments = sched.segments
+    pulses = dict(sched.pulses)
+    inside = [x for t0, t1, _ in segments for x in (t0, t1)] + list(pulses)
+    cuts = sorted({t_from, t_to, *(x for x in inside if t_from < x < t_to)})
+    u = np.eye(segments[0][2].shape[0], dtype=complex)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if a in pulses:
+            u = pulses[a] @ u
+        h = segments[0][2] if a < segments[0][1] else segments[-1][2]
+        for t0, t1, hs in segments:
+            if t0 <= a < t1:
+                h = hs
+        u = expm(-1j * h * (b - a)) @ u
+    return u
+
+
+def heisenberg_direct(sched, a, t_prime, t):
+    """A(t', t) = U(t', t)^+ A U(t', t), U(t', t) = U(t, t')^+ for t' < t."""
+    if t_prime >= t:
+        u = schedule_propagator_direct(sched, t, t_prime)
+    else:
+        u = schedule_propagator_direct(sched, t_prime, t).conj().T
+    return u.conj().T @ a @ u
+
+
+def _window_panels_direct(sched, t, lo, hi):
+    """Panels of offsets from t on [lo, hi], cut where t + offset is a
+    segment boundary or a pulse instant."""
+    times = [x for t0, t1, _ in sched.segments for x in (t0, t1)]
+    times += [tp for tp, _ in sched.pulses]
+    edges = sorted({lo, hi, *(x - t for x in times if t + lo < x < t + hi)})
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def td_a_epsilon_direct(sched, a, bath, t, eps, t_a, order):
+    """A_eps(t) = sqrt(gamma(eps) / (2 pi T_a)) int e^{i eps t1} A(t + t1, t) dt1
+    over [-T_a/2, T_a/2], node by node with one propagator product per node,
+    for every eps of the 1-d array ``eps`` (shape (n_eps, d, d))."""
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    acc = np.zeros((len(eps),) + a.shape, dtype=complex)
+    for lo, hi in _window_panels_direct(sched, t, -t_a / 2.0, t_a / 2.0):
+        nodes, weights = _gauss_nodes(order, lo, hi)
+        for t1, w in zip(nodes, weights):
+            a1 = heisenberg_direct(sched, a, t + t1, t)
+            acc += (w * np.exp(1j * eps * t1))[:, None, None] * a1
+    g = np.array([max(float(np.real(bath.gamma(e))), 0.0) for e in eps])
+    return np.sqrt(g / (2.0 * math.pi * t_a))[:, None, None] * acc
+
+
+def td_lamb_direct(sched, a, bath, t, t_a, order):
+    """H_LS(t) = (i / 2 T_a)(M - M^+), M = int_{t2 < t1} C(t2 - t1)
+    A(t + t2, t) A(t + t1, t), by a double loop over the outer nodes and the
+    inner nodes on [-T_a/2, t1), one scalar C call per pair."""
+    m = np.zeros(a.shape, dtype=complex)
+    lo0 = -t_a / 2.0
+    for lo, hi in _window_panels_direct(sched, t, lo0, t_a / 2.0):
+        n1, w1 = _gauss_nodes(order, lo, hi)
+        for t1, wa in zip(n1, w1):
+            a1 = heisenberg_direct(sched, a, t + t1, t)
+            for ilo, ihi in _window_panels_direct(sched, t, lo0, t1):
+                n2, w2 = _gauss_nodes(order, ilo, ihi)
+                for t2, wb in zip(n2, w2):
+                    c = bath.correlation(t2 - t1)
+                    m += (wa * wb * c) * (heisenberg_direct(sched, a, t + t2, t) @ a1)
+    return (1j / (2.0 * t_a)) * (m - m.conj().T)
+
+
+def td_cgme_direct(sched, a, bath, t, t_a, eps_nodes, eps_weights, order):
+    """Column-stacked time-dependent coarse-grained generator: one Kronecker
+    dissipator term per eps node, plus -i[H(t) + H_LS(t), .] with the Lamb
+    shift at order 16."""
+    d = a.shape[0]
+    eye = np.eye(d)
+    ls = td_a_epsilon_direct(sched, a, bath, t, eps_nodes, t_a, order)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for w, l in zip(eps_weights, ls):
+        ldl = l.conj().T @ l
+        mat += w * (np.kron(l.conj(), l) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye))
+    h = sched.segments[0][2] if t < sched.segments[0][1] else sched.segments[-1][2]
+    for t0, t1, hs in sched.segments:
+        if t0 <= t < t1:
+            h = hs
+    h = h + td_lamb_direct(sched, a, bath, t, t_a, 16)
+    return mat - 1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
 def rk4_reference(rhs, v0, t0, t1, steps):
     """Classical fixed-step RK4 for dv/dt = rhs(t, v)."""
     v = np.array(v0, dtype=complex)

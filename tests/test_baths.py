@@ -1,13 +1,11 @@
 """Bath layer: spectral densities, correlation functions, timescales, KMS."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qme.baths import OhmicBath, RectangleBath, TabulatedBath, ToyBath, make_bath
+from qme.baths import OhmicBath, TabulatedBath, ToyBath, make_bath
 
 import oracles
 

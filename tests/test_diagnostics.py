@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qme.diagnostics import (
-    Bound,
     BoundParams,
     bound_report_rows,
     bound_summary,
@@ -18,7 +17,6 @@ from qme.diagnostics import (
 )
 from qme.operators import HermitianOperator, trace_norm
 
-from conftest import PAULI_X, PAULI_Z
 import oracles
 
 

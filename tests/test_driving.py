@@ -23,10 +23,18 @@ from qme.driving import (
     td_redfield_filter,
 )
 from qme.baths import OhmicBath
-from qme.generators import cgme_a_epsilon, cgme_lamb_shift, decompose_coupling, redfield_filtered
-from qme.operators import HermitianOperator, eigensystem
+from qme.evolve import td_cgme_superoperator
+from qme.generators import (
+    GeneratorConfig,
+    _epsilon_grid,
+    cgme_a_epsilon,
+    cgme_generator,
+    cgme_lamb_shift,
+    redfield_filtered,
+)
+from qme.operators import Superoperator, choi_matrix
 
-from conftest import IDENT, PAULI_X, PAULI_Y, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z
 import oracles
 
 
@@ -145,6 +153,75 @@ class TestSlidingWindowCoefficients:
         td = td_redfield_filter(sched, PAULI_Z, rectangle_bath, 5.0,
                                 history_cutoff=3.0)
         assert np.max(np.abs(td - 0.25 * 1.0 * PAULI_Z)) < 1e-10
+
+
+DD_BATH = OhmicBath(kappa=0.1, omega_c=1.0, beta=2.0)
+DD_DT = 0.25
+DD_SCHEDULE = dd_schedule(DDSequence(DD_DT), 4.0)
+# three non-commuting segment Hamiltonians and three pulses on [0, 2.2]
+PIECEWISE = DriveSchedule(
+    segments=((0.0, 0.7, PAULI_Z), (0.7, 1.5, 0.3 * PAULI_X + PAULI_Z),
+              (1.5, 2.2, 0.5 * PAULI_Y - 0.2 * PAULI_Z)),
+    pulses=((0.4, -1j * PAULI_X), (1.1, -1j * PAULI_Y),
+            (1.8, (PAULI_X + PAULI_Z) / math.sqrt(2.0))),
+)
+PIECEWISE_A = PAULI_X + 0.5 * PAULI_Y + 0.3 * PAULI_Z
+CONSTANT = DriveSchedule(segments=((0.0, 5.0, 0.7 * PAULI_Z + 0.2 * PAULI_X),))
+
+
+class TestDrivenGenerator:
+    """The time-dependent CGME built from one Heisenberg stack per window
+    against the node-by-node loops, and its invariants."""
+
+    # the benchmark's Ohmic DD point, then ToyBath, whose scalar C calls in
+    # the oracle's pair loop are ~30x cheaper than the Ohmic trigamma
+    @pytest.mark.parametrize("bath, sched, A, t, t_a, orders", [
+        ("ohmic", DD_SCHEDULE, PAULI_Z, 1.1, 4 * DD_DT, (6, 6)),
+        ("toy", DD_SCHEDULE, PAULI_Z, 1.35, 4 * DD_DT, (32, 24)),
+        ("toy", PIECEWISE, PIECEWISE_A, 1.0, 1.6, (8, 8)),
+        ("toy", PIECEWISE, PIECEWISE_A, 1.1, 1.6, (8, 8)),   # t at a pulse instant
+        ("toy", PIECEWISE, PIECEWISE_A, 0.3, 1.6, (8, 8)),   # window starts before 0
+        ("toy", PIECEWISE, PIECEWISE_A, 2.0, 1.6, (8, 8)),   # window ends after 2.2
+        ("ohmic", CONSTANT, PAULI_X, 2.0, 1.0, (8, 8)),      # one panel
+    ], ids=["dd-6-6", "dd-default", "piecewise", "at-pulse", "before-0", "after-end",
+            "one-panel"])
+    def test_matches_loop_oracle(self, toy_bath, bath, sched, A, t, t_a, orders):
+        bath = DD_BATH if bath == "ohmic" else toy_bath
+        q, g = orders
+        got = td_cgme_superoperator(sched, A, bath, t, t_a,
+                                    quadrature_order=q, grid_order=g).matrix
+        eps, w = _epsilon_grid(bath, t_a, order=g)
+        ref = oracles.td_cgme_direct(sched, A, bath, t, t_a, eps, w, q)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("t_a", [0.5, 1.12])
+    def test_pulse_free_equals_stationary(self, toy_bath, benchmark_hamiltonian,
+                                          benchmark_coupling, benchmark_jd, t_a):
+        sched = DriveSchedule(segments=((0.0, 10.0, benchmark_hamiltonian),))
+        got = td_cgme_superoperator(sched, benchmark_coupling, toy_bath, 4.3, t_a).matrix
+        stationary = cgme_generator(benchmark_jd, toy_bath,
+                                    GeneratorConfig("cgme_frequency", T_a=t_a))
+        assert np.max(np.abs(got - stationary.to_superoperator().matrix)) < 1e-10
+
+    @pytest.mark.parametrize("t", [1.1, 1.5])
+    def test_dd_generator_preserves_trace_and_hermiticity(self, t):
+        M = td_cgme_superoperator(DD_SCHEDULE, PAULI_Z, DD_BATH, t, 4 * DD_DT).matrix
+        scale = np.max(np.abs(M))
+        assert np.max(np.abs(np.eye(2).reshape(-1, order="F") @ M)) < 1e-12 * scale
+        C = choi_matrix(Superoperator(M, 2))
+        assert np.max(np.abs(C - C.conj().T)) < 1e-12 * scale
+
+    def test_dd_generator_periodic(self):
+        t_a = 4 * DD_DT
+        a = td_cgme_superoperator(DD_SCHEDULE, PAULI_Z, DD_BATH, 1.1, t_a).matrix
+        b = td_cgme_superoperator(DD_SCHEDULE, PAULI_Z, DD_BATH, 1.1 + 2 * DD_DT, t_a).matrix
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("t_a, order", [(0.0, 8), (-1.0, 8), (1.0, 1)])
+    def test_rejects_bad_window(self, t_a, order):
+        with pytest.raises(ValueError):
+            td_cgme_superoperator(DD_SCHEDULE, PAULI_Z, DD_BATH, 1.1, t_a,
+                                  quadrature_order=order, grid_order=8)
 
 
 class TestPulseParity:

@@ -22,13 +22,12 @@ from qme.generators import (
 )
 from qme.operators import (
     DensityMatrix,
-    HermitianOperator,
     Superoperator,
     hamiltonian_superop,
     vectorize_generator,
 )
 
-from conftest import IDENT, PAULI_X, PAULI_Z
+from conftest import PAULI_X, PAULI_Z
 import oracles
 
 

@@ -19,12 +19,10 @@ from qme.generators import (
     kossakowski_matrix,
     multi_coupling_generator,
     redfield_filtered,
-    redfield_generator,
 )
 from qme.operators import HermitianOperator, eigensystem, operator_norm
-from scipy.linalg import expm
 
-from conftest import IDENT, PAULI_X, PAULI_Z
+from conftest import PAULI_X, PAULI_Z
 import oracles
 
 

@@ -19,7 +19,7 @@ from qme.operators import (
     vectorize_redfield,
 )
 
-from conftest import IDENT, PAULI_X, PAULI_Y, PAULI_Z
+from conftest import PAULI_X
 
 
 def _random_hermitian(rng, dim):

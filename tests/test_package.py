@@ -1,6 +1,9 @@
-"""Package surface: every name a module exports exists."""
+"""Package surface: every name a module exports exists, and no module
+imports a name it never uses."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -15,3 +18,36 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"qme.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("src/qme/*.py"))
+
+
+def unused_imports(path: pathlib.Path) -> list:
+    """Names a module imports but never reads; ``__future__`` imports and the
+    package ``__init__`` re-exports are exempt."""
+    if path.name == "__init__.py":
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a string in __all__ re-exports the name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
