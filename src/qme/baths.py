@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
-from .quadrature import complex_quad, gauss_panels
+from .quadrature import gauss_panels, refine
 
 logger = logging.getLogger(__name__)
 
@@ -37,12 +37,6 @@ __all__ = [
     "load_tabulated",
     "make_bath",
 ]
-
-# absolute tolerance of the inverse-Fourier correlation quadrature, and the
-# principal-value excision half-width relative to max(1, |omega|)
-CORRELATION_EPSABS = 1e-10
-PV_EXCISION = 1e-4
-
 
 @dataclass(frozen=True)
 class BathTimescales:
@@ -61,7 +55,7 @@ class BathTimescales:
 
 
 class Bath:
-    """Base class; subclasses implement gamma() and usually correlation()."""
+    """Base class; subclasses implement gamma() and correlation()."""
 
     kind = "abstract"
     thermal_flag = False
@@ -75,10 +69,6 @@ class Bath:
 
     def gamma(self, w):
         raise NotImplementedError
-
-    def gamma_prime(self, w, h=1e-6):
-        """Central finite difference of gamma."""
-        return (self.gamma(np.asarray(w) + h) - self.gamma(np.asarray(w) - h)) / (2 * h)
 
     def support_radius(self, tol=1e-12):
         """Half-width W such that gamma is negligible outside [-W, W]."""
@@ -102,61 +92,60 @@ class Bath:
     # -- correlation function --------------------------------------------
 
     def correlation(self, t):
-        """Inverse-Fourier quadrature fallback; closed forms override this."""
-        W = self.support_radius()
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(t_arr.shape, dtype=complex)
-        for i, ti in enumerate(t_arr.ravel()):
-            val, err = complex_quad(
-                lambda w: self.gamma(w) * np.exp(-1j * w * ti),
-                -W, W, limit=800, epsabs=CORRELATION_EPSABS, epsrel=1e-10,
-                points=[0.0] if -W < 0 < W else None,
-            )
-            if err > max(CORRELATION_EPSABS, 1e-8 * abs(val)) * 100:
-                raise ArithmeticError(
-                    f"correlation quadrature achieved only {err:.2e} at t={ti}"
-                )
-            out.ravel()[i] = val / (2 * np.pi)
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        raise NotImplementedError
 
     # -- half-Fourier transform and Lamb amplitude ------------------------
 
     def lamb_amplitude_S(self, w):
-        """Dispersive part S(omega) via a principal-value transform.
+        """Dispersive part S(w) = (1/2pi) PV int gamma(x)/(w - x) dx for a
+        scalar or an array of w, and the grid's error estimate.
 
-        S(w) = (1/2pi) PV integral gamma(x)/(w - x) dx, computed with a
-        symmetric excision of half-width h = PV_EXCISION max(1, |w|) around
-        the pole plus the local analytic contribution -2 h gamma'(w) of the
-        excised window.
+        The pole is subtracted on one refined Gauss grid over [lo, hi] (the
+        edges of ``_pv_edges``), with gamma evaluated once per grid:
+
+            S(w_k) = (1/2pi) [sum_n w_n (gamma(x_n) - gamma(w_k))/(w_k - x_n)
+                              + gamma(w_k) ln((w_k - lo)/(hi - w_k))].
+
+        Returns (S with the shape of w, the largest change of any S over the
+        last panel halving).
         """
-        lo, hi = self._pv_bounds(w)
-        scale = max(1.0, abs(w))
-        h = PV_EXCISION * scale
+        w = np.asarray(w, dtype=float)
+        flat = w.ravel()
+        edges = self._pv_edges(flat)
+        lo, hi = edges[0], edges[-1]
+        g_w = np.asarray(self.gamma(flat), dtype=float)
 
-        def integrand(x):
-            return self.gamma(x) / (w - x)
+        def term(x, wt, g_x):
+            d = flat[:, None] - x[None, :]
+            # a node exactly on some w_k adds the removable limit's weight
+            # w_n gamma'(w_k) / 2pi; leaving it out costs no more than that
+            ratio = np.divide(g_x[None, :] - g_w[:, None], d,
+                              out=np.zeros(d.shape), where=d != 0.0)
+            return ratio @ wt / (2 * np.pi)
 
-        total = 0.0
-        for a, b in ((lo, w - h), (w + h, hi)):
-            if b <= a:
-                continue
-            pts = [p for p in (0.0,) if a < p < b]
-            val, _ = integrate.quad(integrand, a, b, limit=1000,
-                                    points=pts or None, epsabs=1e-12, epsrel=1e-10)
-            total += val
-        total -= 2.0 * h * float(self.gamma_prime(w, h=max(1e-6, 1e-6 * scale)))
-        return total / (2 * np.pi)
+        total, err = refine(term, self.gamma, edges)
+        S = total + g_w * np.log((flat - lo) / (hi - flat)) / (2 * np.pi)
+        return (float(S[0]) if w.ndim == 0 else S.reshape(w.shape)), err
 
-    def _pv_bounds(self, w):
-        """Integration window for the principal-value transform."""
+    def _pv_edges(self, w):
+        """Starting panel edges of the principal-value grid: [-W, W] wide
+        enough for every w, with an edge at 0, where gamma has a kink.  The
+        subtracted integrand of a w near the kink varies on the scale |w|,
+        so the edges are graded geometrically toward 0 (W 2^-k) down to the
+        smallest nonzero |w|, at most to the float resolution of W."""
+        a = np.abs(w)
         W = self.support_radius()
-        if abs(w) >= W:
-            W = 2.0 * abs(w) + W
-        return -W, W
+        if np.max(a) >= W:
+            W = 2.0 * np.max(a) + W
+        near = a[a > 0.0]
+        depth = 0 if near.size == 0 else int(min(
+            np.finfo(float).nmant, np.ceil(np.log2(W / near.min()))))
+        graded = W * 2.0 ** -np.arange(1, depth + 1)
+        return np.concatenate([[-W], -graded, [0.0], graded[::-1], [W]])
 
     def half_fourier_f(self, w):
         """f(w) = integral_0^inf C(t) exp(i w t) dt = gamma(w)/2 + i S(w)."""
-        return 0.5 * float(self.gamma(w)) + 1j * self.lamb_amplitude_S(w)
+        return 0.5 * self.gamma(w) + 1j * self.lamb_amplitude_S(w)[0]
 
     # -- timescales -------------------------------------------------------
 
@@ -230,7 +219,7 @@ def _trigamma(z):
     psi_1(z) ~ 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1) finishes the job.
     """
     z = np.asarray(z, dtype=complex)
-    K = max(0, int(np.ceil(24 - np.min(np.abs(z)))))
+    K = max(0, int(np.ceil(24 - np.min(np.abs(z))))) if z.size else 0
     acc = np.zeros_like(z)
     for k in range(K):
         acc += 1.0 / (z + k) ** 2
@@ -264,21 +253,14 @@ class OhmicBath(Bath):
         return max(self.omega_c, 1.0 / self.beta, 1.0)
 
     def gamma(self, w):
-        scalar = np.asarray(w).ndim == 0
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        pref = 2 * np.pi * self.kappa
-        b, wc = self.beta, self.omega_c
-        small = np.isclose(w, 0.0, atol=1e-10)
-        pos = (w > 0) & ~small
-        neg = (w < 0) & ~small
-        out = np.empty(w.shape, dtype=float)
-        wp = np.where(pos, w, 1.0)
-        out[pos] = (pref * wp * np.exp(-wp / wc) / (1.0 - np.exp(-b * wp)))[pos]
-        u = np.where(neg, -w, 1.0)
-        out[neg] = (pref * u * np.exp(-u / wc) * np.exp(-b * u)
-                    / (1.0 - np.exp(-b * u)))[neg]
-        out[small] = (pref / b) * (1.0 + b * w[small] / 2.0)
-        return float(out[0]) if scalar else out
+        w = np.asarray(w, dtype=float)
+        # expm1 keeps w / (1 - e^{-beta w}) accurate near 0, where the exact
+        # limit 1/beta is taken; far below 0 it overflows to a harmless 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratio = w / -np.expm1(-self.beta * w)
+        ratio = np.where(w == 0.0, 1.0 / self.beta, ratio)
+        out = 2 * np.pi * self.kappa * ratio * np.exp(-np.abs(w) / self.omega_c)
+        return out if out.ndim else float(out)
 
     def correlation(self, t):
         t = np.asarray(t, dtype=float)
@@ -403,14 +385,12 @@ class RectangleBath(Bath):
         out[np.isclose(np.abs(t), self.tau_c)] = 0.5 * self.g ** 2
         return out if out.ndim else complex(out)
 
-    def half_fourier_f(self, w):
-        g2, tc = self.g ** 2, self.tau_c
-        if np.isclose(w, 0.0):
-            return complex(g2 * tc)
-        return g2 * (np.exp(1j * w * tc) - 1.0) / (1j * w)
-
     def lamb_amplitude_S(self, w):
-        return float(self.half_fourier_f(w).imag)
+        """Closed form S(w) = g^2 (1 - cos(w tau_c))/w, written with sinc to
+        stay analytic at w = 0; exact, so its error estimate is 0."""
+        x = np.asarray(w, dtype=float) * self.tau_c
+        S = self.g ** 2 * self.tau_c * 0.5 * x * np.sinc(x / (2 * np.pi)) ** 2
+        return (S if S.ndim else float(S)), 0.0
 
     def _compute_timescales(self, T_cutoff):
         g2, tc = self.g ** 2, self.tau_c
@@ -455,16 +435,12 @@ class TabulatedBath(Bath):
     def gamma_scale(self):
         return float(np.max(self.gamma_values))
 
-    def _pv_bounds(self, w):
-        lo, hi = float(self.omega_grid[0]), float(self.omega_grid[-1])
-        if not lo < w < hi:
+    def _pv_edges(self, w):
+        """The knots: the interpolant is smooth between them."""
+        lo, hi = self.omega_grid[0], self.omega_grid[-1]
+        if not np.all((lo < w) & (w < hi)):
             raise ValueError("principal-value point outside tabulated grid")
-        return lo, hi
-
-    def gamma_prime(self, w, h=1e-6):
-        lo, hi = float(self.omega_grid[0]), float(self.omega_grid[-1])
-        h = min(h, 0.5 * (hi - w), 0.5 * (w - lo))
-        return super().gamma_prime(w, h=h)
+        return self.omega_grid
 
     def gamma(self, w):
         w = np.asarray(w, dtype=float)

@@ -7,14 +7,16 @@ and the dynamical-decoupling suppression-ratio analysis.
 
 The window coefficients share one stack: the window is cut into panels at
 pulse instants and segment boundaries, so H is constant inside each panel and
-no pulse lies strictly inside one.  Per panel, one propagator call to its
-midpoint m and one ``eigh`` of its H give U(t + tau, t) =
-V e^{-i Lambda (tau - m)} V^+ U(t + m, t) for all its Gauss nodes at once, and
-the (n, d, d) stack A(t + tau, t) follows.  A_eps(t) for every eps is then
+no pulse lies strictly inside one, and each panel is split further until it
+carries at most ~2 radians of the fastest Bohr oscillation.  Per panel, one
+propagator call to its midpoint m and one ``eigh`` of its H give
+U(t + tau, t) = V e^{-i Lambda (tau - m)} V^+ U(t + m, t) for all its Gauss
+nodes at once, and the (n, d, d) stack A(t + tau, t) follows.  A_eps(t) for every eps is then
 one (eps x node) phase-matrix contraction with the stack, the Lamb shift is a
 contraction with the correlation on node differences, and the Redfield
 filter one weighted sum over the stack.  ``heisenberg_A`` and ``propagator``
-stay as the per-point API.
+stay as the per-point API.  The DD suppression ratios integrate over
+frequency on the refined Gauss grid of ``quadrature.refine``.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from .operators import HermitianOperator
-from .quadrature import gauss_panels
+from .quadrature import PANEL_PHASE, gauss_panels, refine
 
 __all__ = [
     "DriveSchedule",
@@ -246,11 +247,21 @@ def heisenberg_A(sched: DriveSchedule, A, t_prime: float, t: float) -> np.ndarra
     return U.conj().T @ _as_matrix(A) @ U
 
 
-def _panels(sched: DriveSchedule, t: float, lo: float, hi: float) -> np.ndarray:
-    """Panel edges for the window integrand t1 -> A(t + t1, t) on [lo, hi]:
-    H is constant inside each panel and no pulse lies strictly inside one."""
+def _panels(sched: DriveSchedule, t: float, lo: float, hi: float, kinks,
+            max_width: float) -> np.ndarray:
+    """Panel edges for the integrand tau -> A(t + tau, t) on [lo, hi]: cut at
+    pulse instants, segment boundaries and the ``kinks`` inside, so H is
+    constant inside each panel and no pulse lies strictly inside one, then
+    split into equal parts at most ``max_width`` wide and carrying at most
+    PANEL_PHASE radians of the fastest oscillation of A(t + tau, t), the
+    spectral spread of the schedule's Hamiltonians."""
+    spread = max(float(np.ptp(np.linalg.eigvalsh(H))) for _, _, H in sched.segments)
+    max_width = min(max_width, PANEL_PHASE / max(spread, 1e-12))
     inner = [x - t for x in sched.breakpoints(t + lo, t + hi)]
-    return np.array(sorted({lo, hi, *inner}))
+    edges = np.array(sorted({lo, hi, *inner, *(k for k in kinks if lo < k < hi)}))
+    counts = np.maximum(1, np.ceil(np.diff(edges) / max_width)).astype(int)
+    parts = [np.linspace(a, b, n + 1)[:-1] for a, b, n in zip(edges[:-1], edges[1:], counts)]
+    return np.concatenate(parts + [edges[-1:]])
 
 
 def _panel_basis(sched: DriveSchedule, t: float, lo: float, hi: float):
@@ -320,7 +331,8 @@ def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps, T_a: float,
     _check_window_args(T_a, quadrature_order)
     A = _as_matrix(A)
     eps = np.asarray(eps, dtype=float)
-    win = _window(sched, A, t, _panels(sched, t, -T_a / 2.0, T_a / 2.0), quadrature_order)
+    edges = _panels(sched, t, -T_a / 2.0, T_a / 2.0, (), np.inf)
+    win = _window(sched, A, t, edges, quadrature_order)
     phase = win.weights * np.exp(1j * np.multiply.outer(eps, win.nodes))
     g = np.maximum(np.real(np.asarray(bath.gamma(eps))), 0.0)
     scale = np.sqrt(g / (2.0 * math.pi * T_a))
@@ -350,15 +362,14 @@ def td_lamb(sched: DriveSchedule, A, bath, t: float, T_a: float,
     """
     _check_window_args(T_a, quadrature_order)
     A = _as_matrix(A)
-    edges = _panels(sched, t, -T_a / 2.0, T_a / 2.0)
+    edges = _panels(sched, t, -T_a / 2.0, T_a / 2.0, (), np.inf)
     win = _window(sched, A, t, edges, quadrature_order)
     nodes, weights, panel = win.nodes, win.weights, win.panel
 
     # full earlier panels
     i, j = np.nonzero(panel[None, :] < panel[:, None])
     W = np.zeros((len(nodes), len(nodes)), dtype=complex)
-    if len(i):  # a one-panel window has none; OhmicBath rejects empty arrays
-        W[i, j] = weights[i] * weights[j] * np.asarray(bath.correlation(nodes[j] - nodes[i]))
+    W[i, j] = weights[i] * weights[j] * np.asarray(bath.correlation(nodes[j] - nodes[i]))
     B = np.tensordot(W, win.stack, axes=1)
 
     # the partial panel [edge, t1) of every outer node t1
@@ -404,29 +415,12 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
             stacklevel=2,
         )
     A = _as_matrix(A)
-    # breakpoints in t' where the integrand loses smoothness: pulse/segment
-    # times crossed by t - t', plus a correlation-function support edge if the
-    # bath has one (sharp-cutoff correlation functions are discontinuous there)
-    edges = {0.0, history_cutoff}
-    for x in sched.breakpoints(t - history_cutoff, t):
-        edges.add(t - x)
+    # offsets tau = -t'; a sharp-cutoff correlation function is
+    # discontinuous at t' = tau_c, so that is a panel edge too
     tau_c = getattr(bath, "tau_c", None)
-    if tau_c is not None and 0.0 < tau_c < history_cutoff:
-        edges.add(float(tau_c))
-    edges = sorted(e for e in edges if 0.0 <= e <= history_cutoff)
-
-    # A(t - t', t) oscillates at Bohr frequencies up to the spectral spread
-    # of H; cap the panel width so each carries at most ~2 radians of phase
-    spread = 0.0
-    for t0, t1, H in sched.segments:
-        ev = np.linalg.eigvalsh(H)
-        spread = max(spread, float(ev[-1] - ev[0]))
-    max_width = min(history_cutoff / 16.0, 2.0 / max(spread, 1e-12))
-    sub = [edges[0]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nsub = max(1, int(math.ceil((hi - lo) / max_width)))
-        sub.extend(lo + (hi - lo) * (k + 1) / nsub for k in range(nsub))
-    win = _window(sched, A, t, -np.array(sub[::-1]), 16)
+    kinks = () if tau_c is None else (-float(tau_c),)
+    edges = _panels(sched, t, -history_cutoff, 0.0, kinks, history_cutoff / 16.0)
+    win = _window(sched, A, t, edges, 16)
     c = np.asarray(bath.correlation(win.nodes))
     return np.tensordot(win.weights * c, win.stack, axes=1)
 
@@ -448,9 +442,10 @@ def dd_sign(t_prime: float, t: float, dt: float) -> int:
     return -1 if count % 2 else 1
 
 
-def dd_window_filter(eps: float, dt: float, T_a: float, t: float = 0.0) -> complex:
+def dd_window_filter(eps, dt: float, T_a: float, t: float = 0.0):
     """Exact window integral (1/T_a) int_{-T_a/2}^{T_a/2} e^{i eps t1} s(t1) dt1
-    with s(t1) the DD parity sign of the stretch between t and t + t1.
+    with s(t1) the DD parity sign of the stretch between t and t + t1, for a
+    scalar or an array of eps.
 
     This models the bi-infinite periodic protocol (pulses at every integer
     multiple of dt, negative ones included), so the ratio is invariant under
@@ -463,41 +458,52 @@ def dd_window_filter(eps: float, dt: float, T_a: float, t: float = 0.0) -> compl
         count = math.ceil(b_ / dt - 1e-9) - math.ceil(a_ / dt - 1e-9)
         return -1 if count % 2 else 1
 
+    eps = np.asarray(eps, dtype=float)
     lo, hi = t - T_a / 2.0, t + T_a / 2.0
     j_lo = math.floor(lo / dt - 1e-9) + 1
     j_hi = math.ceil(hi / dt + 1e-9) - 1
     cuts = [lo] + [j * dt for j in range(j_lo, j_hi + 1) if lo < j * dt < hi] + [hi]
-    total = 0.0 + 0.0j
+    total = np.zeros(eps.shape, dtype=complex)
     for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        sign = parity_sign(mid)
-        if abs(eps) * (abs(a) + abs(b)) < 1e-12:
-            seg = b - a
-        else:
-            seg = (np.exp(1j * eps * (b - t)) - np.exp(1j * eps * (a - t))) / (1j * eps)
-        total += sign * seg
-    return total / T_a
+        # (e^{i eps (b-t)} - e^{i eps (a-t)}) / (i eps), analytic at eps = 0
+        seg = (b - a) * np.exp(1j * eps * (0.5 * (a + b) - t)) \
+            * np.sinc(eps * (b - a) / (2 * math.pi))
+        total += parity_sign(0.5 * (a + b)) * seg
+    out = total / T_a
+    return out if out.ndim else complex(out)
 
 
-def _tan_sinc_factor(x: float, k_prime: int) -> float:
-    """Stable evaluation of sinc(2 k' x) * tan(x).
+def _tan_sinc_factor(x, k_prime: int):
+    """Stable evaluation of sinc(2 k' x) * tan(x), elementwise over x.
 
     tan's poles are removable against sinc's zeros; the identity
     sin(2k'x)/cos(x) = 2 * sum_{j=1}^{k'} (-1)^(j+1) sin((2(k'-j)+1) x)
     removes them analytically.
     """
-    s = 0.0
-    for j in range(1, k_prime + 1):
-        s += (-1) ** (j + 1) * math.sin((2 * (k_prime - j) + 1) * x)
+    x = np.asarray(x, dtype=float)
+    j = np.arange(1, k_prime + 1)
+    s = np.sum((-1.0) ** (j + 1) * np.sin(np.multiply.outer(x, 2 * (k_prime - j) + 1)), axis=-1)
     # sinc(2k'x) tan(x) = [sin(2k'x)/cos(x)] * sin(x)/(2k'x)
-    return 2.0 * s * float(np.sinc(x / math.pi)) / (2.0 * k_prime)
+    return 2.0 * s * np.sinc(x / math.pi) / (2.0 * k_prime)
 
 
-def _xi_quad_halfline(func, W: float) -> float:
-    # the integrand peaks at w = 0; without that breakpoint the first
-    # Gauss-Kronrod pass can miss the peak and report a tiny error
-    val, _ = quad(func, -W, W, limit=800, points=[0.0])
-    return val
+def _xi_ratio(bath, num_filter, den_filter) -> float:
+    """int gamma num_filter / int gamma den_filter over [-W, W], both on one
+    refined Gauss grid (``quadrature.refine``) with an edge at w = 0, where
+    the integrands peak and gamma has a kink.  gamma is scaled by its
+    maximum, which leaves the ratio unchanged and keeps the absolute
+    tolerance of the refinement negligible against both integrals."""
+    W = bath.support_radius()
+    scale = bath.gamma_scale()
+
+    def term(w, wt, g):
+        return np.array([np.sum(wt * g * num_filter(w)), np.sum(wt * g * den_filter(w))])
+
+    (numerator, denominator), _ = refine(
+        term, lambda w: np.real(np.asarray(bath.gamma(w))) / scale, (-W, 0.0, W))
+    if denominator <= 0:
+        raise ArithmeticError("vanishing reference decoherence rate")
+    return float(numerator / denominator)
 
 
 def dd_suppression_xi(bath, dt: float, k_prime: int = 1) -> float:
@@ -507,43 +513,27 @@ def dd_suppression_xi(bath, dt: float, k_prime: int = 1) -> float:
         xi = int gamma(w) |sinc(2k' w dt) tan(w dt)|^2 dw
            / int gamma(w) |sinc(2k' w dt)|^2 dw
 
-    xi < 1 is guaranteed when the bath's high-frequency cutoff satisfies
-    omega_c * dt < pi/4.
+    over the bath's support [-W, W], both integrals on one refined
+    composite Gauss grid.  xi < 1 is guaranteed when the bath's
+    high-frequency cutoff satisfies omega_c * dt < pi/4.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if int(k_prime) != k_prime or k_prime < 1:
         raise ValueError("k_prime must be an integer >= 1")
-    W = bath.support_radius()
-
-    def num(w):
-        return float(np.real(bath.gamma(w))) * _tan_sinc_factor(w * dt, k_prime) ** 2
-
-    def den(w):
-        return float(np.real(bath.gamma(w))) * float(np.sinc(2 * k_prime * w * dt / math.pi)) ** 2
-
-    numerator = _xi_quad_halfline(num, W)
-    denominator = _xi_quad_halfline(den, W)
-    if denominator <= 0:
-        raise ArithmeticError("vanishing reference decoherence rate")
-    return numerator / denominator
+    return _xi_ratio(
+        bath,
+        lambda w: _tan_sinc_factor(w * dt, k_prime) ** 2,
+        lambda w: np.sinc(2 * k_prime * w * dt / math.pi) ** 2)
 
 
 def dd_suppression_xi_general(bath, dt: float, T_a: float, t: float = 0.0) -> float:
     """DD suppression ratio from the general window-filter form, valid for any
-    averaging time and evaluation time (not just T_a = 4 k' dt, t = l dt)."""
+    averaging time and evaluation time (not just T_a = 4 k' dt, t = l dt),
+    on the same refined grid as ``dd_suppression_xi``."""
     if dt <= 0 or T_a <= 0:
         raise ValueError("dt and T_a must be > 0")
-    W = bath.support_radius()
-
-    def num(w):
-        return float(np.real(bath.gamma(w))) * abs(dd_window_filter(w, dt, T_a, t)) ** 2
-
-    def den(w):
-        return float(np.real(bath.gamma(w))) * float(np.sinc(w * T_a / (2 * math.pi))) ** 2
-
-    numerator = _xi_quad_halfline(num, W)
-    denominator = _xi_quad_halfline(den, W)
-    if denominator <= 0:
-        raise ArithmeticError("vanishing reference decoherence rate")
-    return numerator / denominator
+    return _xi_ratio(
+        bath,
+        lambda w: np.abs(dd_window_filter(w, dt, T_a, t)) ** 2,
+        lambda w: np.sinc(w * T_a / (2 * math.pi)) ** 2)

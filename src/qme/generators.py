@@ -22,9 +22,11 @@ resulting Lindblad weights is automatic up to roundoff.
 The coarse-grained Lamb shift H_LS = sum F_{w w'} A_{w'} A_w takes every
 coefficient F_{w w'} from one composite Gauss-Legendre grid on [0, T_a]:
 C(theta) is evaluated once per grid and F is one contraction over
-(Bohr pair, node).  Panels are halved until no coefficient moves by more
-than LAMB_EPSABS / LAMB_EPSREL; the last change is reported as the
-quadrature error estimate (``GeneratorSet.meta["lamb_quad_error"]``).
+(Bohr pair, node).  Panels are halved by ``quadrature.refine`` until no
+coefficient moves by more than its tolerances; the last change is reported
+as the quadrature error estimate (``GeneratorSet.meta["lamb_quad_error"]``).
+Davies and Redfield generators take S(w) for every Bohr frequency from one
+call on the bath's refined grid and report its error the same way.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .operators import (
     vectorize_generator,
     vectorize_redfield,
 )
-from .quadrature import complex_quad, gauss_panels
+from .quadrature import PANEL_PHASE, gauss_panels, refine
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +58,6 @@ __all__ = [
     "redfield_filtered",
     "redfield_generator",
     "davies_generator",
-    "cgme_x",
     "cgme_gamma",
     "cgme_lamb_F",
     "cgme_lamb_shift",
@@ -69,16 +70,6 @@ __all__ = [
 ]
 
 WEIGHT_CLIP_TOL = 1e-9
-
-# Lamb-coefficient grid: Gauss order per panel, largest phase per panel at
-# the highest Bohr frequency, convergence tolerances of the panel-halving
-# loop, its panel cap, and the entry cap of one (i, j, node) block.
-LAMB_ORDER = 16
-LAMB_PANEL_PHASE = 2.0
-LAMB_EPSABS = 1e-12
-LAMB_EPSREL = 1e-10
-LAMB_MAX_PANELS = 1 << 14
-LAMB_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -213,96 +204,55 @@ class GeneratorSet:
 # Redfield and Davies
 # ---------------------------------------------------------------------------
 
+def _filtered_with_error(jd: JumpDecomposition, bath, lambless):
+    """(A_f, error estimate of the S grid or None when Lambless)."""
+    w = -jd.frequencies
+    S, err = (np.zeros(len(w)), None) if lambless else bath.lamb_amplitude_S(w)
+    return np.tensordot(0.5 * bath.gamma(w) - 1j * S, np.array(jd.operators), axes=1), err
+
+
 def redfield_filtered(jd: JumpDecomposition, bath, lambless=False) -> np.ndarray:
-    """Filtered coupling A_f = sum_w f*(-w) A_w (Lambless: (1/2) gamma(-w))."""
-    A_f = np.zeros((jd.dim, jd.dim), dtype=complex)
-    for w, Aw in jd.terms():
-        coeff = 0.5 * bath.gamma(-w) if lambless else np.conj(bath.half_fourier_f(-w))
-        A_f += coeff * Aw
-    return A_f
+    """Filtered coupling A_f = sum_w f*(-w) A_w with f = gamma/2 + i S
+    (Lambless: (1/2) gamma(-w)), S(w) for every Bohr frequency from one call
+    on the bath's grid."""
+    return _filtered_with_error(jd, bath, lambless)[0]
 
 
 def redfield_generator(jd: JumpDecomposition, bath, lambless=False) -> GeneratorSet:
-    A_f = redfield_filtered(jd, bath, lambless=lambless)
+    A_f, err = _filtered_with_error(jd, bath, lambless)
     return GeneratorSet(H_eff=jd.hamiltonian, kind="redfield",
                         redfield_pair=(jd.coupling, A_f),
-                        meta={"lambless": lambless})
+                        meta={"lambless": lambless, "lamb_quad_error": err})
 
 
 def davies_generator(jd: JumpDecomposition, bath, lambless=False) -> GeneratorSet:
     """One Lindblad term per Bohr frequency, weight gamma(w);
     H_LS = sum_w S(w) A_w^dag A_w (the secular projection of the Redfield
     drift term, and the large-averaging-time limit of the coarse-grained
-    Lamb shift)."""
-    ops = []
-    H_LS = np.zeros((jd.dim, jd.dim), dtype=complex)
-    for w, Aw in jd.terms():
-        ops.append((float(bath.gamma(w)), Aw))
-        if not lambless:
-            H_LS += bath.lamb_amplitude_S(w) * (Aw.conj().T @ Aw)
+    Lamb shift), with every S(w) from one call on the bath's grid."""
+    w, A = jd.frequencies, np.array(jd.operators)
+    ops = tuple((float(g), Aw) for g, Aw in zip(bath.gamma(w), jd.operators))
+    S, err = (np.zeros(len(w)), None) if lambless else bath.lamb_amplitude_S(w)
+    H_LS = np.einsum("k,kba,kbc->ac", S, A.conj(), A)
     H_LS = 0.5 * (H_LS + H_LS.conj().T)
     return GeneratorSet(H_eff=jd.hamiltonian + H_LS, kind="davies",
-                        lindblad_ops=tuple(ops),
-                        meta={"lambless": lambless, "H_LS": H_LS})
+                        lindblad_ops=ops,
+                        meta={"lambless": lambless, "H_LS": H_LS,
+                              "lamb_quad_error": err})
 
 
 # ---------------------------------------------------------------------------
 # Coarse-grained coefficients
 # ---------------------------------------------------------------------------
 
-def cgme_x(w, wp, T_a, bath) -> complex:
-    """Triangular-domain coefficient
-
-    x_{w w'} = (1/T_a) int_{-T_a/2}^{T_a/2} dt' int_{-T_a/2}^{t'} dtau'
-               C(tau' - t') exp(-i(w t' + w' tau')),
-
-    reduced exactly to one dimension in u = tau' - t' (the inner integral
-    over t' is elementary)."""
-    s = w + wp
-
-    def integrand(u):
-        if abs(s) > 1e-12:
-            inner = (np.exp(1j * s * (T_a / 2.0 + u)) - np.exp(-1j * s * T_a / 2.0)) / (1j * s)
-        else:
-            inner = T_a + u
-        return bath.correlation(u) * np.exp(-1j * wp * u) * inner
-
-    val, _ = complex_quad(integrand, -T_a, 0.0, limit=400, epsabs=1e-12, epsrel=1e-10)
-    return val / T_a
-
-
-def cgme_gamma(w, wp, T_a, bath, method="epsilon") -> float:
-    """Square-domain coefficient gamma_{w w'} (always real).
-
-    method="epsilon" (default): filter factorization
-        integral f(eps, w) f(eps, -w') d eps
-    on a composite Gauss grid.  method="time": the exact one-dimensional
-    reduction of the direct double integral over [-T_a/2, T_a/2]^2.
-    """
-    if method == "epsilon":
-        nodes, wt = _epsilon_grid(bath, T_a, (w, -wp))
-        F1 = _filter(bath, T_a, nodes, w)
-        F2 = _filter(bath, T_a, nodes, -wp)
-        return float(np.sum(wt * F1 * F2))
-    if method == "time":
-        s = w + wp
-
-        def integrand(u):
-            lo = max(-T_a / 2.0, -T_a / 2.0 - u)
-            hi = min(T_a / 2.0, T_a / 2.0 - u)
-            if abs(s) > 1e-12:
-                inner = (np.exp(-1j * s * lo) - np.exp(-1j * s * hi)) / (1j * s)
-            else:
-                inner = hi - lo
-            return bath.correlation(u) * np.exp(-1j * wp * u) * inner
-
-        val, _ = complex_quad(integrand, -T_a, T_a, limit=800, epsabs=1e-12, epsrel=1e-10)
-        val = val / T_a
-        if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
-            raise ArithmeticError(
-                f"gamma_ww' should be real; got imaginary part {val.imag:.3e}")
-        return float(val.real)
-    raise ValueError(f"unknown method {method!r}")
+def cgme_gamma(w, wp, T_a, bath) -> float:
+    """Square-domain coefficient gamma_{w w'} (always real), by the filter
+    factorization integral f(eps, w) f(eps, -w') d eps on a composite Gauss
+    grid."""
+    nodes, wt = _epsilon_grid(bath, T_a, (w, -wp))
+    F1 = _filter(bath, T_a, nodes, w)
+    F2 = _filter(bath, T_a, nodes, -wp)
+    return float(np.sum(wt * F1 * F2))
 
 
 def _filter(bath, T_a, eps, w):
@@ -342,58 +292,39 @@ class LambShift(np.ndarray):
         self.quad_error = getattr(obj, "quad_error", None)
 
 
-def _lamb_on_grid(w, wp, T_a, bath, edges) -> np.ndarray:
-    """F[i, j] for the pairs (w_i, wp_j) by the Gauss rule on ``edges``.
+def _lamb_coefficients(w, wp, T_a, bath):
+    """All Lamb coefficients F[i, j] = F_{w_i, wp_j} on one refined grid.
+
+    The starting grid on [0, T_a] has panels of at most PANEL_PHASE radians
+    at the largest |frequency| and an edge at the kink tau_c of a bath with
+    a finite-support correlation function; ``refine`` halves it until no
+    coefficient moves by more than its tolerances.  Returns F and the
+    largest change of the last halving.
 
     Re[i e^{i w- th} C(th)] = -Im[e^{i w th/2} e^{-i w' th/2} C(th)], so the
     phase factor is an outer product; the sinc term couples i and j and
-    forces the (i, j, node) tensor, built in chunks of at most
-    LAMB_CHUNK_ELEMENTS entries."""
-    nodes, weights = gauss_panels(edges, LAMB_ORDER)
-    x = nodes - T_a
-    scaled_corr = weights * x * np.asarray(bath.correlation(nodes), dtype=complex)
-    w_plus = 0.5 * (w[:, None] + wp[None, :])
-    F = np.zeros((len(w), len(wp)))
-    step = max(1, LAMB_CHUNK_ELEMENTS // F.size)
-    for lo in range(0, len(nodes), step):
-        k = slice(lo, lo + step)
-        left = np.exp(0.5j * np.outer(w, nodes[k]))
-        right = np.exp(-0.5j * np.outer(wp, nodes[k])) * scaled_corr[k]
-        phase = (left[:, None, :] * right[None, :, :]).imag
-        # sin(w+ x)/w+ written as x*sinc to stay analytic at w+ = 0
-        F -= np.einsum("ijk,ijk->ij", phase, np.sinc(w_plus[:, :, None] * x[k] / np.pi))
-    return F / T_a
-
-
-def _lamb_coefficients(w, wp, T_a, bath):
-    """All Lamb coefficients F[i, j] = F_{w_i, wp_j} on one shared grid.
-
-    The grid on [0, T_a] has panels of at most LAMB_PANEL_PHASE radians at
-    the largest |frequency| and an edge at the kink tau_c of a bath with a
-    finite-support correlation function.  Every panel is halved until no
-    coefficient moves by more than max(LAMB_EPSABS, LAMB_EPSREL |F|);
-    returns the finer estimate and the largest change.  Raises
-    ArithmeticError when the panel count would exceed LAMB_MAX_PANELS.
+    forces the (i, j, node) tensor, which ``refine`` builds in chunks.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     wp = np.atleast_1d(np.asarray(wp, dtype=float))
     w_max = max(float(np.max(np.abs(w))), float(np.max(np.abs(wp))))
-    n_panels = max(1, int(np.ceil(T_a * w_max / LAMB_PANEL_PHASE)))
+    n_panels = max(1, int(np.ceil(T_a * w_max / PANEL_PHASE)))
     edges = np.linspace(0.0, T_a, n_panels + 1)
     tau_c = getattr(bath, "tau_c", None)
     if tau_c is not None and 0.0 < tau_c < T_a:
         edges = np.union1d(edges, [tau_c])
-    F = _lamb_on_grid(w, wp, T_a, bath, edges)
-    while 2 * (len(edges) - 1) <= LAMB_MAX_PANELS:
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        F_fine = _lamb_on_grid(w, wp, T_a, bath, edges)
-        change = np.abs(F_fine - F)
-        if np.all(change <= np.maximum(LAMB_EPSABS, LAMB_EPSREL * np.abs(F_fine))):
-            return F_fine, float(np.max(change))
-        F = F_fine
-    raise ArithmeticError(
-        f"Lamb coefficients not converged within {LAMB_MAX_PANELS} panels "
-        f"on [0, {T_a:g}]")
+    w_plus = 0.5 * (w[:, None] + wp[None, :])
+
+    def term(theta, wt, scaled_corr):
+        left = np.exp(0.5j * np.outer(w, theta))
+        right = np.exp(-0.5j * np.outer(wp, theta)) * (wt * scaled_corr)
+        phase = (left[:, None, :] * right[None, :, :]).imag
+        # sin(w+ x)/w+ written as x*sinc to stay analytic at w+ = 0
+        sinc = np.sinc(w_plus[:, :, None] * (theta - T_a) / np.pi)
+        return -np.einsum("ijk,ijk->ij", phase, sinc) / T_a
+
+    return refine(term, lambda theta: (theta - T_a) * np.asarray(
+        bath.correlation(theta), dtype=complex), edges)
 
 
 def cgme_lamb_F(w, wp, T_a, bath) -> float:

@@ -1,14 +1,25 @@
-"""Composite Gauss-Legendre rules shared by every fixed-grid integral, and
-the adaptive complex-valued ``quad`` the remaining scalar integrals use."""
+"""Composite Gauss-Legendre rules and the one panel-halving loop every
+refined fixed-grid integral runs on: the coarse-grained Lamb coefficients,
+the dispersive part S(omega) and the DD suppression ratio."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
-__all__ = ["gauss_panels", "complex_quad"]
+__all__ = ["gauss_panels", "refine"]
+
+# Gauss order per panel, the largest phase one panel carries at the highest
+# frequency of an oscillating integrand, the convergence tolerances of the
+# panel-halving loop, its panel cap, and the entry cap of one chunk of
+# (result entry x node) terms.
+ORDER = 16
+PANEL_PHASE = 2.0
+EPSABS = 1e-12
+EPSREL = 1e-10
+MAX_PANELS = 1 << 14
+CHUNK_ELEMENTS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -31,9 +42,40 @@ def gauss_panels(edges, order: int):
     return nodes, weights
 
 
-def complex_quad(func, a, b, **kwargs):
-    """Adaptive ``quad`` of a complex integrand, real part first, then
-    imaginary part; returns (value, summed abserr of the two)."""
-    re, re_err = integrate.quad(lambda x: func(x).real, a, b, **kwargs)
-    im, im_err = integrate.quad(lambda x: func(x).imag, a, b, **kwargs)
-    return re + 1j * im, re_err + im_err
+def _on_grid(term, factor, edges):
+    """sum over chunks of term(nodes, weights, factor(nodes)) on the
+    order-ORDER rule over ``edges``; ``factor`` is evaluated once."""
+    nodes, weights = gauss_panels(edges, ORDER)
+    f = factor(nodes)
+    total = term(nodes[:1], weights[:1], f[:1])
+    step = max(1, CHUNK_ELEMENTS // max(1, np.size(total)))
+    for lo in range(1, len(nodes), step):
+        k = slice(lo, lo + step)
+        total = total + term(nodes[k], weights[k], f[k])
+    return total
+
+
+def refine(term, factor, edges):
+    """An integral on the composite Gauss rule over ``edges``, refined by
+    halving every panel until no entry moves by more than
+    max(EPSABS, EPSREL |value|).
+
+    ``factor(nodes)`` is the per-node function (a bath's gamma or C),
+    evaluated once per grid; ``term(nodes, weights, factor_values)`` returns
+    the contribution of a chunk of nodes, an array of any fixed shape, and is
+    summed over chunks of at most CHUNK_ELEMENTS (entry x node) terms.
+    Returns the finer value and the largest change of the last halving;
+    raises ArithmeticError when the panel count would exceed MAX_PANELS.
+    """
+    edges = np.asarray(edges, dtype=float)
+    value = _on_grid(term, factor, edges)
+    while 2 * (len(edges) - 1) <= MAX_PANELS:
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+        fine = _on_grid(term, factor, edges)
+        change = np.abs(fine - value)
+        if np.all(change <= np.maximum(EPSABS, EPSREL * np.abs(fine))):
+            return fine, float(np.max(change))
+        value = fine
+    raise ArithmeticError(
+        f"quadrature not converged within {MAX_PANELS} panels on "
+        f"[{edges[0]:g}, {edges[-1]:g}]")

@@ -144,6 +144,80 @@ def lamb_f_direct(w, wp, t_a, corr):
     return val / (2.0 * t_a * wplus)
 
 
+def _reduced_quad(wp, t_a, corr, inner, a, b, limit):
+    """(1/T_a) int_a^b C(u) e^{-i w' u} inner(u) du by adaptive quadrature,
+    real part first, then imaginary part."""
+    def f(u):
+        return corr(u) * np.exp(-1j * wp * u) * inner(u)
+
+    opts = dict(limit=limit, epsabs=1e-12, epsrel=1e-10)
+    re = integrate.quad(lambda u: f(u).real, a, b, **opts)[0]
+    im = integrate.quad(lambda u: f(u).imag, a, b, **opts)[0]
+    return (re + 1j * im) / t_a
+
+
+def cgme_x_reduced(w, wp, t_a, corr):
+    """x_{w w'} = (1/T_a) int_{-T_a/2}^{T_a/2} dt' int_{-T_a/2}^{t'} dtau'
+    C(tau' - t') e^{-i(w t' + w' tau')}, reduced exactly to one dimension in
+    u = tau' - t' (the inner integral over t' is elementary)."""
+    s = w + wp
+
+    def inner(u):
+        if abs(s) > 1e-12:
+            return (np.exp(1j * s * (t_a / 2.0 + u)) - np.exp(-1j * s * t_a / 2.0)) / (1j * s)
+        return t_a + u
+
+    return _reduced_quad(wp, t_a, corr, inner, -t_a, 0.0, 400)
+
+
+def cgme_gamma_reduced(w, wp, t_a, corr):
+    """gamma_{w w'} = (1/T_a) iint_{[-T_a/2,T_a/2]^2} C(tau'-t')
+    e^{-i(w t' + w' tau')} dt' dtau', reduced exactly to one dimension in
+    u = tau' - t'; raises when the imaginary part, zero in exact arithmetic,
+    is not negligible."""
+    s = w + wp
+
+    def inner(u):
+        lo = max(-t_a / 2.0, -t_a / 2.0 - u)
+        hi = min(t_a / 2.0, t_a / 2.0 - u)
+        if abs(s) > 1e-12:
+            return (np.exp(-1j * s * lo) - np.exp(-1j * s * hi)) / (1j * s)
+        return hi - lo
+
+    val = _reduced_quad(wp, t_a, corr, inner, -t_a, t_a, 800)
+    if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
+        raise ArithmeticError(
+            f"gamma_ww' should be real; got imaginary part {val.imag:.3e}")
+    return float(val.real)
+
+
+def lamb_s_cauchy(gamma, w, lo, hi, kinks=(0.0,)):
+    """S(w) = (1/2pi) PV int_lo^hi gamma(x)/(w - x) dx by adaptive
+    quadrature split at the ``kinks`` of gamma (0 for a thermal bath, the
+    knots of a tabulated one): the piece holding the pole with quad's Cauchy
+    weight (QAWC), the others plainly.  At w = 0 (a symmetric window,
+    lo = -hi) it uses the regular symmetric form
+    int_0^hi (gamma(-x) - gamma(x))/x dx."""
+    opts = dict(limit=800, epsabs=1e-14, epsrel=1e-13)
+    inner = sorted({k for k in kinks if lo < k < hi})
+    if w == 0.0:
+        if lo != -hi:
+            raise ValueError("the w = 0 form needs a symmetric window")
+        pts = sorted({abs(k) for k in inner if k != 0.0})
+        val = integrate.quad(lambda x: (gamma(-x) - gamma(x)) / x, 0.0, hi,
+                             points=pts or None, **opts)[0]
+        return val / (2.0 * math.pi)
+    total = 0.0
+    edges = [lo, *inner, hi]
+    for a, b in zip(edges[:-1], edges[1:]):
+        if a < w < b:
+            # QAWC returns PV int f(x)/(x - w) dx
+            total -= integrate.quad(gamma, a, b, weight="cauchy", wvar=w, **opts)[0]
+        else:
+            total += integrate.quad(lambda x: gamma(x) / (w - x), a, b, **opts)[0]
+    return total / (2.0 * math.pi)
+
+
 # ---------------------------------------------------------------------------
 # pulse sequences
 

@@ -41,6 +41,7 @@ from qme.operators import (
     operator_norm,
 )
 
+import oracles
 
 TAU_SB = 10.0
 
@@ -246,8 +247,8 @@ def test_criterion_09_coefficient_and_limit_equivalences(
     for _ in range(20):
         w, wp = rng.uniform(-4.0, 4.0, size=2)
         t_a = rng.uniform(0.4, 3.0)
-        a = cgme_gamma(w, wp, t_a, toy_bath, method="epsilon")
-        b = cgme_gamma(w, wp, t_a, toy_bath, method="time")
+        a = cgme_gamma(w, wp, t_a, toy_bath)
+        b = oracles.cgme_gamma_reduced(w, wp, t_a, toy_bath.correlation)
         assert abs(a - b) < 1e-6 * max(1.0, abs(a))
 
     # worst-case discretized filter grid reproduces the exact-integral

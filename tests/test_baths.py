@@ -69,6 +69,19 @@ class TestOhmicBath:
     def test_gamma_zero_frequency_limit(self, ohmic_bath):
         assert np.isclose(float(ohmic_bath.gamma(1e-9)), float(ohmic_bath.gamma(0.0)), rtol=1e-6)
 
+    @pytest.mark.parametrize("w", [1e-9, -1e-9, 1e-6, -1e-6])
+    def test_gamma_near_zero_matches_series(self, w):
+        # w / (1 - e^{-beta w}) = (1/beta)(1 + beta w/2 + (beta w)^2/12) + O(w^4)
+        kappa, omega_c, beta = 1.0, 1.0, 2.0
+        bath = OhmicBath(kappa=kappa, omega_c=omega_c, beta=beta)
+        x = beta * w
+        ref = 2 * np.pi * kappa * np.exp(-abs(w) / omega_c) * (1 + x / 2 + x * x / 12) / beta
+        assert abs(float(bath.gamma(w)) - ref) <= 1e-14 * ref
+
+    def test_correlation_of_empty_array(self, ohmic_bath):
+        out = ohmic_bath.correlation(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
     def test_correlation_matches_inverse_transform(self, ohmic_bath):
         radius = ohmic_bath.support_radius(tol=1e-12)
         for t in (0.3, 1.0, 2.5):
@@ -131,6 +144,52 @@ class TestTabulatedBath:
             tab.timescales()
         ts = tab.timescales(T_cutoff=30.0)
         assert np.isfinite(ts.tau_B)
+
+
+class TestLambAmplitude:
+    """S(w) from the refined grid against the adaptive Cauchy-weight oracle
+    on the same window, at the benchmark's Bohr frequencies, 0 and +-1e-3
+    (next to the kink of gamma at 0)."""
+
+    @staticmethod
+    def frequencies(benchmark_jd):
+        return np.union1d(benchmark_jd.frequencies, [0.0, 1e-3, -1e-3])
+
+    @pytest.mark.parametrize("bath", [
+        ToyBath(),
+        OhmicBath(kappa=1.0, omega_c=1.0, beta=1.0),
+        OhmicBath(kappa=0.1, omega_c=2.0, beta=0.5),
+    ], ids=["toy", "ohmic-1-1-1", "ohmic-0.1-2-0.5"])
+    def test_grid_matches_cauchy_oracle(self, bath, benchmark_jd):
+        w = self.frequencies(benchmark_jd)
+        S, err = bath.lamb_amplitude_S(w)
+        W = bath.support_radius()
+        ref = np.array([oracles.lamb_s_cauchy(bath.gamma, x, -W, W) for x in w])
+        assert np.all(np.abs(S - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+        assert 0.0 <= err <= 1e-10
+
+    def test_tabulated_grid_matches_cauchy_oracle(self, toy_bath, benchmark_jd):
+        knots = np.linspace(-20.0, 20.0, 201)
+        tab = TabulatedBath(knots, np.asarray(toy_bath.gamma(knots)), beta=4.0)
+        w = self.frequencies(benchmark_jd)
+        S, _ = tab.lamb_amplitude_S(w)
+        ref = np.array([oracles.lamb_s_cauchy(tab.gamma, x, -20.0, 20.0, kinks=knots)
+                        for x in w])
+        assert np.all(np.abs(S - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+        with pytest.raises(ValueError):
+            tab.lamb_amplitude_S(np.array([0.0, 25.0]))
+
+    def test_rectangle_closed_form_matches_cauchy_oracle(self, rectangle_bath, benchmark_jd):
+        # gamma = 2 g^2 sin(w tau_c)/w decays only like 1/w; gamma is even, so
+        # cutting the window at W leaves (1/2pi) int_W^inf gamma 2w/(x^2 - w^2),
+        # which integration by parts bounds by 4 g^2 |w| / (pi tau_c W (W^2 - w^2))
+        g2, tau_c, W = 0.25, 1.0, 200.0 * np.pi
+        w = self.frequencies(benchmark_jd)
+        S, err = rectangle_bath.lamb_amplitude_S(w)
+        ref = np.array([oracles.lamb_s_cauchy(rectangle_bath.gamma, x, -W, W) for x in w])
+        bound = 4 * g2 * np.abs(w) / (np.pi * tau_c * W * (W ** 2 - w ** 2)) + 1e-12
+        assert np.all(np.abs(S - ref) <= bound)
+        assert err == 0.0
 
 
 class TestFactoryAndProperties:

@@ -194,7 +194,7 @@ class TestDrivenGenerator:
         ref = oracles.td_cgme_direct(sched, A, bath, t, t_a, eps, w, q)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("t_a", [0.5, 1.12])
+    @pytest.mark.parametrize("t_a", [0.5, 1.12, 5.25, 12.0])
     def test_pulse_free_equals_stationary(self, toy_bath, benchmark_hamiltonian,
                                           benchmark_coupling, benchmark_jd, t_a):
         sched = DriveSchedule(segments=((0.0, 10.0, benchmark_hamiltonian),))

@@ -4,7 +4,7 @@ coefficients against independent quadrature oracles, and limit relations."""
 import numpy as np
 import pytest
 
-from qme import generators
+from qme import quadrature
 from qme.generators import (
     DiscretizationParams,
     GeneratorConfig,
@@ -12,13 +12,13 @@ from qme.generators import (
     cgme_generator,
     cgme_lamb_F,
     cgme_lamb_shift,
-    cgme_x,
     davies_generator,
     decompose_coupling,
     discretization_params,
     kossakowski_matrix,
     multi_coupling_generator,
     redfield_filtered,
+    redfield_generator,
 )
 from qme.operators import HermitianOperator, eigensystem, operator_norm
 
@@ -83,6 +83,12 @@ class TestRedfieldAndDavies:
         H_LS = davies_generator(benchmark_jd, toy_bath).meta["H_LS"]
         assert np.max(np.abs(0.5 * (secular + secular.conj().T) - H_LS)) < 1e-10
 
+    def test_s_error_estimate_reported(self, benchmark_jd, toy_bath):
+        for build in (davies_generator, redfield_generator):
+            err = build(benchmark_jd, toy_bath).meta["lamb_quad_error"]
+            assert 0.0 <= err <= max(quadrature.EPSABS, quadrature.EPSREL)
+            assert build(benchmark_jd, toy_bath, lambless=True).meta["lamb_quad_error"] is None
+
     def test_davies_commutes_with_hamiltonian_part(self, benchmark_jd, toy_bath):
         H_LS = davies_generator(benchmark_jd, toy_bath).meta["H_LS"]
         comm = benchmark_jd.hamiltonian @ H_LS - H_LS @ benchmark_jd.hamiltonian
@@ -101,14 +107,14 @@ class TestCoarseGrainedCoefficients:
 
     def test_gamma_methods_agree(self, toy_bath):
         for w, wp in ((0.0, 0.0), (2.4, 0.9), (-1.3, -1.3)):
-            a = cgme_gamma(w, wp, self.T_A, toy_bath, method="epsilon")
-            b = cgme_gamma(w, wp, self.T_A, toy_bath, method="time")
+            a = cgme_gamma(w, wp, self.T_A, toy_bath)
+            b = oracles.cgme_gamma_reduced(w, wp, self.T_A, toy_bath.correlation)
             assert abs(a - b) < 1e-7 * max(1.0, abs(a))
 
     def test_x_matches_nested_oracle(self, toy_bath):
         for w, wp in ((0.0, 0.0), (1.7, -0.4)):
             ref = oracles.cgme_x_nested(w, wp, self.T_A, toy_bath.correlation)
-            ours = cgme_x(w, wp, self.T_A, toy_bath)
+            ours = oracles.cgme_x_reduced(w, wp, self.T_A, toy_bath.correlation)
             assert abs(ours - ref) < 1e-6 * max(1.0, abs(ref))
 
     def test_coefficient_identity(self, toy_bath):
@@ -117,10 +123,11 @@ class TestCoarseGrainedCoefficients:
         for _ in range(20):
             w, wp = rng.uniform(-4, 4, size=2)
             t_a = rng.uniform(0.4, 3.0)
-            g = cgme_gamma(w, wp, t_a, toy_bath, method="time")
-            x1 = cgme_x(w, wp, t_a, toy_bath)
+            g = oracles.cgme_gamma_reduced(w, wp, t_a, toy_bath.correlation)
+            x1 = oracles.cgme_x_reduced(w, wp, t_a, toy_bath.correlation)
             assert abs(g - 2.0 * x1.real) < 1e-6 * max(1.0, abs(g))
-            assert abs(x1 - cgme_x(-wp, -w, t_a, toy_bath)) < 1e-8 * max(1.0, abs(x1))
+            x2 = oracles.cgme_x_reduced(-wp, -w, t_a, toy_bath.correlation)
+            assert abs(x1 - x2) < 1e-8 * max(1.0, abs(x1))
 
     def test_lamb_F_matches_direct_oracle(self, toy_bath):
         for w, wp in ((1.0, 2.0), (-1.4, 0.6), (2.0, -2.0)):
@@ -176,7 +183,7 @@ class TestLambShiftGrid:
         gen = cgme_generator(benchmark_jd, toy_bath, cfg)
         err = gen.meta["lamb_quad_error"]
         assert err == cgme_lamb_shift(benchmark_jd, toy_bath, 5.25).quad_error
-        assert 0.0 <= err <= max(generators.LAMB_EPSABS, generators.LAMB_EPSREL)
+        assert 0.0 <= err <= max(quadrature.EPSABS, quadrature.EPSREL)
         lambless = cgme_generator(benchmark_jd, toy_bath, GeneratorConfig(
             equation_kind="cgme_frequency", T_a=5.25, lambless=True))
         assert lambless.meta["lamb_quad_error"] is None
@@ -199,7 +206,7 @@ class TestKossakowski:
         freqs = benchmark_jd.frequencies
         for i in (0, 2):
             for j in (1, 3):
-                ref = cgme_gamma(freqs[i], -freqs[j], 1.12, toy_bath, method="time")
+                ref = oracles.cgme_gamma_reduced(freqs[i], -freqs[j], 1.12, toy_bath.correlation)
                 assert abs(K[i, j] - ref) < 1e-6 * max(1.0, abs(ref))
 
     def test_dissipator_from_weights_matches_matrix_form(self, benchmark_jd, toy_bath):
