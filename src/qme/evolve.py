@@ -1,8 +1,9 @@
 """Density-matrix time integration and trajectory monitors.
 
-Integrates any vectorized generator (constant or time-dependent), the
-time-local equation whose filter integral grows with t (the pre-limit form of
-the Redfield equation), and assembles the time-dependent coarse-grained
+Propagates a constant vectorized generator exactly by matrix exponentials,
+integrates a time-dependent one (among them the time-local equation whose
+filter integral grows with t, the pre-limit form of the Redfield equation) by
+adaptive Runge-Kutta, and assembles the time-dependent coarse-grained
 generator from the driving machinery.  Every trajectory carries per-point
 monitors: trace deviation, Hermiticity deviation, and minimum eigenvalue.
 """
@@ -14,15 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp, cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
+from scipy.linalg import expm
 
 from .operators import (
     DensityMatrix,
     HermitianOperator,
     Superoperator,
     hamiltonian_superop,
-    trace_norm,
+    vectorize_generator,
     _sandwich,
+    _trace_norms,
     _left,
     _right,
 )
@@ -42,15 +45,20 @@ __all__ = [
 
 # spacing of the time-local filter tabulation: points per bath correlation time
 ORE_POINTS_PER_TAU_B = 400
+# grid steps closer than this (relative) share one propagator exp(M h)
+STEP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Integration method and tolerances.
 
-    ``rk45_adaptive`` uses an embedded Runge-Kutta pair with the given
-    absolute/relative tolerances; ``rk4_fixed`` takes uniform steps of size
-    ``step`` (used for step-halving convergence checks).
+    ``rk45_adaptive`` propagates a constant generator (a ``GeneratorSet`` or
+    ``Superoperator``) exactly, with one matrix exponential per distinct
+    step, and integrates a time-dependent generator with an embedded
+    Runge-Kutta pair; the absolute/relative tolerances apply to
+    time-dependent generators only.  ``rk4_fixed`` takes uniform steps of
+    size ``step`` for either kind (used for step-halving convergence checks).
     """
 
     method: str = "rk45_adaptive"
@@ -94,21 +102,17 @@ class EvolutionResult:
         return self.states.shape[1]
 
 
-def _monitors(rho: np.ndarray):
-    tr = abs(np.trace(rho) - 1.0)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    sym = 0.5 * (rho + rho.conj().T)
-    mineig = float(np.linalg.eigvalsh(sym).min())
-    return tr, herm, mineig
-
-
 def _generator_callable(gen):
-    """Normalize the generator argument to (dim, matrix_fn(t), is_constant)."""
+    """Normalize the generator argument to (dim, matrix_fn(t), is_constant).
+
+    A constant generator's matrix_fn ignores t.  A ``GeneratorSet`` is
+    vectorized on each call rather than kept, so the dense output of a stored
+    result does not hold a d^2 x d^2 matrix.
+    """
     if isinstance(gen, GeneratorSet):
-        sop = gen.to_superoperator()
-        return sop.dim, (lambda t, m=sop.matrix: m), True
+        return gen.dim, (lambda t: gen.to_superoperator().matrix), True
     if isinstance(gen, Superoperator):
-        return gen.dim, (lambda t, m=gen.matrix: m), True
+        return gen.dim, (lambda t: gen.matrix), True
     if callable(gen):
         probe = gen(0.0)
         mat0 = probe.matrix if isinstance(probe, Superoperator) else np.asarray(probe, complex)
@@ -122,18 +126,33 @@ def _generator_callable(gen):
     raise TypeError("gen must be a GeneratorSet, Superoperator, or callable t -> matrix")
 
 
-def _integrate_rk45(matrix_fn, v0, grid, cfg, constant):
-    if constant:
-        M = matrix_fn(0.0)
+def _propagate_expm(matrix_fn, v0, grid):
+    """Exact propagation of dv/dt = M v for a constant M: one expm(M h) per
+    distinct step h (steps within STEP_RTOL of each other share one), and the
+    dense output expm(M (t - t_i)) v_i from the last grid point t_i <= t."""
+    M = matrix_fn(0.0)
+    steps = np.diff(grid)
+    reps, which = [], np.empty(len(steps), dtype=int)
+    for k in np.argsort(steps, kind="stable"):
+        if not reps or steps[k] - reps[-1] > STEP_RTOL * steps[k]:
+            reps.append(steps[k])
+        which[k] = len(reps) - 1
+    props = [expm(M * h) for h in reps]
+    vs = np.empty((len(grid), len(v0)), dtype=complex)
+    vs[0] = v0
+    for i, j in enumerate(which):
+        vs[i + 1] = props[j] @ vs[i]
 
-        def rhs(t, v):
-            return M @ v
-    else:
-        def rhs(t, v):
-            return matrix_fn(t) @ v
+    def dense(t):
+        i = int(np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2))
+        return expm(matrix_fn(t) * (t - grid[i])) @ vs[i]
 
+    return vs, dense, {"integrator": "expm", "n_expm": len(props)}
+
+
+def _integrate_rk45(matrix_fn, v0, grid, cfg):
     sol = solve_ivp(
-        rhs,
+        lambda t, v: matrix_fn(t) @ v,
         (grid[0], grid[-1]),
         v0,
         method="RK45",
@@ -144,7 +163,9 @@ def _integrate_rk45(matrix_fn, v0, grid, cfg, constant):
     )
     if not sol.success:
         raise ArithmeticError(f"integration failed near t = {sol.t[-1]:.6g}: {sol.message}")
-    return sol.y.T, sol.sol
+    info = {"integrator": "rk45_adaptive", "nfev": int(sol.nfev),
+            "n_steps": len(sol.sol.ts) - 1}
+    return sol.y.T, sol.sol, info
 
 
 def _integrate_rk4(matrix_fn, v0, grid, cfg, constant):
@@ -180,12 +201,18 @@ def _integrate_rk4(matrix_fn, v0, grid, cfg, constant):
 
     idx = np.searchsorted(fine_t, grid)
     idx = np.clip(idx, 0, len(fine_t) - 1)
-    return fine_v[idx], _LinearDense()
+    return fine_v[idx], _LinearDense(), {"integrator": "rk4_fixed"}
 
 
 def evolve(gen, rho0: DensityMatrix, grid, cfg: IntegratorConfig | None = None,
            metadata: dict | None = None) -> EvolutionResult:
-    """Integrate d rho/dt = L(t)[rho] on the given strictly increasing grid."""
+    """Integrate d rho/dt = L(t)[rho] on the given strictly increasing grid.
+
+    ``metadata`` records the integrator that ran (``expm``, ``rk45_adaptive``
+    or ``rk4_fixed``), its cost (``n_expm`` distinct exponentials, or RK45's
+    ``nfev`` and ``n_steps``) and the trajectory's health: the largest trace
+    and Hermiticity deviations and the smallest eigenvalue over the grid.
+    """
     cfg = cfg or IntegratorConfig()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -195,30 +222,34 @@ def evolve(gen, rho0: DensityMatrix, grid, cfg: IntegratorConfig | None = None,
         raise ValueError("initial state dimension does not match generator")
 
     v0 = rho0.entries.reshape(-1, order="F").astype(complex)
-    if cfg.method == "rk45_adaptive":
-        vs, dense = _integrate_rk45(matrix_fn, v0, grid, cfg, constant)
+    if cfg.method == "rk4_fixed":
+        vs, dense, info = _integrate_rk4(matrix_fn, v0, grid, cfg, constant)
+    elif constant:
+        vs, dense, info = _propagate_expm(matrix_fn, v0, grid)
     else:
-        vs, dense = _integrate_rk4(matrix_fn, v0, grid, cfg, constant)
+        vs, dense, info = _integrate_rk45(matrix_fn, v0, grid, cfg)
 
-    states = np.array([v.reshape(dim, dim, order="F") for v in vs])
-    tr, herm, mineig = [], [], []
-    for rho in states:
-        a, b, c = _monitors(rho)
-        tr.append(a)
-        herm.append(b)
-        mineig.append(c)
+    # column-stacked vectors back to matrices, then the monitors on the stack
+    states = np.ascontiguousarray(vs.reshape(len(grid), dim, dim).transpose(0, 2, 1))
+    dag = states.conj().transpose(0, 2, 1)
+    tr = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    herm = np.max(np.abs(states - dag), axis=(1, 2))
+    mineig = np.linalg.eigvalsh(0.5 * (states + dag))[:, 0]
     meta = dict(metadata or {})
     if isinstance(gen, GeneratorSet):
         meta.setdefault("equation_kind", gen.kind)
         if "T_a" in gen.meta:
             meta.setdefault("T_a", gen.meta["T_a"])
-    meta.setdefault("integrator", cfg.method)
+    meta.update(info)
+    meta.update(max_trace_deviation=float(tr.max()),
+                max_hermiticity_deviation=float(herm.max()),
+                min_eigenvalue=float(mineig.min()))
     return EvolutionResult(
         times=grid,
         states=states,
-        trace_deviation=np.array(tr),
-        hermiticity_deviation=np.array(herm),
-        min_eigenvalue=np.array(mineig),
+        trace_deviation=tr,
+        hermiticity_deviation=herm,
+        min_eigenvalue=mineig,
         metadata=meta,
         dense=dense,
     )
@@ -228,33 +259,39 @@ def evolve(gen, rho0: DensityMatrix, grid, cfg: IntegratorConfig | None = None,
 # time-local equation with growing filter integral
 # ---------------------------------------------------------------------------
 
-def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float):
-    """Cubic splines of g_w(t) = int_0^t C(-t') e^{i w t'} dt' for each jump
-    frequency w, tabulated by cumulative quadrature on a grid of
-    ORE_POINTS_PER_TAU_B points per tau_B.
+def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float, timescales=None) -> PPoly:
+    """One vector-valued piecewise cubic whose column k is
+
+        g_w(t) = int_0^t C(-t') e^{i w t'} dt',   w = jd.frequencies[k],
+
+    tabulated from one vectorized correlation call by cumulative trapezoid
+    quadrature on a grid of ORE_POINTS_PER_TAU_B points per tau_B, and
+    interpolated by a not-a-knot cubic spline per column.  ``timescales``
+    supplies tau_B; the default ``bath.timescales()`` has an infinite cutoff,
+    which an Ohmic bath refuses.
 
     g_w(infinity) equals the half-range transform f(-w)* used by the
     stationary Redfield filter.
     """
-    ts = bath.timescales()
-    tau_B = ts.tau_B
+    tau_B = (timescales or bath.timescales()).tau_B
     if not np.isfinite(tau_B) or tau_B <= 0:
         raise ValueError("bath correlation time unavailable for kernel tabulation")
     h = tau_B / ORE_POINTS_PER_TAU_B
     n = int(math.ceil(t_max / h)) + 1
     tgrid = np.linspace(0.0, max(t_max, h), n + 1)
-    C = np.array([bath.correlation(-x) for x in tgrid])
-    splines = {}
-    for w in jd.frequencies:
-        integrand = C * np.exp(1j * w * tgrid)
-        g = np.concatenate(([0.0], cumulative_trapezoid(integrand, tgrid)))
-        splines[float(w)] = CubicSpline(tgrid, g)
-    return splines
+    C = np.asarray(bath.correlation(-tgrid), dtype=complex)
+    # column by column: a 2-D table of every g_w beside the coefficients
+    # would raise the peak memory above that of the separate splines
+    c = np.empty((4, n, len(jd.frequencies)), dtype=complex)
+    for k, w in enumerate(jd.frequencies):
+        g = cumulative_trapezoid(C * np.exp(1j * w * tgrid), tgrid, initial=0)
+        c[:, :, k] = CubicSpline(tgrid, g).c
+    return PPoly(c, tgrid)
 
 
 def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
                cfg: IntegratorConfig | None = None,
-               jd: JumpDecomposition | None = None) -> EvolutionResult:
+               jd: JumpDecomposition | None = None, timescales=None) -> EvolutionResult:
     """Integrate the time-local equation
 
         d rho/dt = -i[H, rho] + (A rho A_f(t) - rho A_f(t) A) + h.c.,
@@ -262,7 +299,8 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
 
     The filter starts at zero (no initial transient) and tends to the
     stationary Redfield filter; the generator is not completely positive, so
-    the positivity monitor is active but non-fatal.
+    the positivity monitor is active but non-fatal.  ``timescales`` supplies
+    the tau_B of the filter tabulation (see ``ore_filter_spline``).
     """
     from .operators import eigensystem
     from .generators import decompose_coupling
@@ -273,26 +311,21 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
     if jd is None:
         jd = decompose_coupling(eigensystem(H), A)
     grid = np.asarray(grid, dtype=float)
-    splines = ore_filter_spline(jd, bath, grid[-1])
+    spline = ore_filter_spline(jd, bath, grid[-1], timescales)
 
     d = H.dim
     H_sop = hamiltonian_superop(H.entries)
     Amat = A.entries
     # L(t) = L_H + sum_w g_w(t) * M_w + conj(g_w(t)) * N_w with
-    # M_w rho = A rho A_w - rho A_w A,  N_w rho = A_w^+ rho A - A A_w^+ rho
-    blocks = []
-    for w, Aw in jd.terms():
-        M = _sandwich(Amat, Aw) - _right(Aw @ Amat)
-        N = _sandwich(Aw.conj().T, Amat) - _left(Amat @ Aw.conj().T)
-        blocks.append((float(w), M, N))
+    # M_w rho = A rho A_w - rho A_w A,  N_w rho = A_w^+ rho A - A A_w^+ rho;
+    # the rows of ``stack`` are every M_w, then every N_w
+    Ms = [_sandwich(Amat, Aw) - _right(Aw @ Amat) for Aw in jd.operators]
+    Ns = [_sandwich(Aw.conj().T, Amat) - _left(Amat @ Aw.conj().T) for Aw in jd.operators]
+    stack = np.array(Ms + Ns, dtype=complex).reshape(-1, d ** 4)
 
     def matrix_fn(t):
-        out = H_sop.copy()
-        tt = min(max(t, 0.0), grid[-1])
-        for w, M, N in blocks:
-            g = splines[w](tt)
-            out += g * M + np.conj(g) * N
-        return out
+        g = spline(min(max(t, 0.0), grid[-1]))
+        return H_sop + (np.concatenate((g, g.conj())) @ stack).reshape(d * d, d * d)
 
     meta = {"equation_kind": "ore", "points_per_tau_B": ORE_POINTS_PER_TAU_B}
     return evolve(matrix_fn, rho0, grid, cfg, metadata=meta)
@@ -313,26 +346,20 @@ def td_cgme_superoperator(sched: "drv.DriveSchedule", A, bath, t: float, T_a: fl
     with the frequency integral discretized on a composite Gauss grid of
     order ``grid_order``.  The window's Heisenberg stack A(t + t1, t) is built
     once at ``quadrature_order`` nodes per panel; every A_eps is one row of
-    the (eps x node) phase contraction with it, and the dissipator is one
-    weighted sum over eps.  The Lamb shift uses ``td_lamb`` at its own
-    default order 16; ``quadrature_order`` does not reach it.
+    the (eps x node) phase contraction with it, and ``vectorize_generator``
+    sums the dissipator over eps with one matrix product.  The Lamb shift
+    uses ``td_lamb`` at its own default order 16; ``quadrature_order`` does
+    not reach it.
     """
     from .generators import _epsilon_grid
 
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
     eps_nodes, eps_weights = _epsilon_grid(bath, T_a, order=grid_order)
-    d = sched.dim
     L = drv.td_a_epsilon(sched, A.entries, bath, t, eps_nodes, T_a, quadrature_order)
-    Lc = L.conj()
-    # sum_eps w (conj(L) kron L) and sum_eps w L^+ L
-    mat = np.einsum("e,eab,eij->aibj", eps_weights, Lc, L).reshape(d * d, d * d)
-    LdL = np.einsum("e,eba,ebc->ac", eps_weights, Lc, L)
-    mat -= 0.5 * (_left(LdL) + _right(LdL))
     H_eff = np.asarray(sched.hamiltonian_at(t), dtype=complex)
     if not lambless:
         H_eff = H_eff + drv.td_lamb(sched, A.entries, bath, t, T_a).entries
-    mat += hamiltonian_superop(H_eff)
-    return Superoperator(mat, d)
+    return vectorize_generator(H_eff, zip(eps_weights, L))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +404,7 @@ def trace_distance_series(res_a: EvolutionResult, res_b: EvolutionResult):
     (trapezoid rule divided by the grid span)."""
     if len(res_a.times) != len(res_b.times) or np.max(np.abs(res_a.times - res_b.times)) > 1e-12:
         raise ValueError("trajectories must share one time grid")
-    series = np.array([
-        trace_norm(ra - rb) for ra, rb in zip(res_a.states, res_b.states)
-    ])
+    series = _trace_norms(res_a.states - res_b.states)
     span = res_a.times[-1] - res_a.times[0]
     average = float(np.trapezoid(series, res_a.times) / span) if span > 0 else float(series[0])
     return series, average

@@ -164,6 +164,11 @@ def trace_norm(X) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Trace norm of every matrix in a (..., d, d) stack, by one batched SVD."""
+    return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+
+
 def operator_norm(X) -> float:
     """Largest singular value."""
     m = _as_square_complex(X)
@@ -223,17 +228,21 @@ def vectorize_generator(H_eff, lindblad_ops) -> Superoperator:
     """
     H = H_eff.entries if isinstance(H_eff, HermitianOperator) else np.asarray(H_eff, complex)
     d = H.shape[0]
-    mat = hamiltonian_superop(H)
-    for w, L in lindblad_ops:
-        if w < 0:
-            raise ValueError(f"negative Lindblad weight {w}")
-        L = np.asarray(L, dtype=complex)
-        if L.shape != (d, d):
-            raise ValueError("Lindblad operator dimension mismatch")
-        LdL = L.conj().T @ L
-        mat = mat + w * (
-            _sandwich(L, L.conj().T) - 0.5 * _left(LdL) - 0.5 * _right(LdL)
-        )
+    ops = list(lindblad_ops)
+    w = np.array([wk for wk, _ in ops], dtype=float)
+    if np.any(w < 0):
+        raise ValueError(f"negative Lindblad weight {w.min()}")
+    if any(np.shape(L) != (d, d) for _, L in ops):
+        raise ValueError("Lindblad operator dimension mismatch")
+    L = np.array([L for _, L in ops], dtype=complex).reshape(len(w), d, d)
+    wLc = w[:, None, None] * L.conj()
+    # sum_k w_k conj(L_k)[a, b] L_k[i, j] is the (a i),(b j) entry of
+    # sum_k w_k conj(L_k) kron L_k, i.e. of the sandwich L rho L^+
+    sandwich = wLc.reshape(len(w), d * d).T @ L.reshape(len(w), d * d)
+    sandwich = sandwich.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    # sum_k w_k L_k^+ L_k
+    LdL = wLc.reshape(-1, d).T @ L.reshape(-1, d)
+    mat = hamiltonian_superop(H) + sandwich - 0.5 * (_left(LdL) + _right(LdL))
     return Superoperator(mat, d)
 
 

@@ -389,6 +389,74 @@ def rk4_reference(rhs, v0, t0, t1, steps):
     return v
 
 
+def linear_ode_reference(M, v0, grid, rtol=1e-12, atol=1e-14):
+    """dv/dt = M v sampled on ``grid`` by adaptive DOP853 at tight tolerances."""
+    sol = integrate.solve_ivp(lambda t, v: M @ v, (grid[0], grid[-1]),
+                              np.asarray(v0, dtype=complex), method="DOP853",
+                              t_eval=grid, rtol=rtol, atol=atol)
+    return sol.y.T
+
+
+def lindblad_superop_kron(h, lindblad_ops):
+    """-i[h, .] + sum_k w_k (L . L^+ - 1/2 {L^+ L, .}) in column stacking,
+    one Kronecker product per operator."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for w, L in lindblad_ops:
+        ldl = L.conj().T @ L
+        mat = mat + w * (np.kron(L.conj(), L) - 0.5 * np.kron(eye, ldl)
+                         - 0.5 * np.kron(ldl.T, eye))
+    return mat
+
+
+def ore_filter_splines(frequencies, corr, tau_b, t_max, points_per_tau_b=400):
+    """Per-frequency cubic splines of g_w(t) = int_0^t C(-t') e^{iwt'} dt',
+    keyed by float(w): the correlation tabulated one scalar call at a time,
+    one cumulative trapezoid and one CubicSpline per frequency."""
+    from scipy.interpolate import CubicSpline
+
+    h = tau_b / points_per_tau_b
+    n = int(math.ceil(t_max / h)) + 1
+    tgrid = np.linspace(0.0, max(t_max, h), n + 1)
+    C = np.array([corr(-x) for x in tgrid])
+    splines = {}
+    for w in frequencies:
+        integrand = C * np.exp(1j * w * tgrid)
+        g = np.concatenate(([0.0], integrate.cumulative_trapezoid(integrand, tgrid)))
+        splines[float(w)] = CubicSpline(tgrid, g)
+    return splines
+
+
+def generator_norm_samples(terms, splines, dim, n_samples, seed, t_lo, t_hi):
+    """Trace norms of the interaction-picture dissipator on random unit-trace-
+    norm Hermitian X at random t, one sample at a time: per sample, a complex
+    Ginibre draw symmetrized to X, then (unless X = 0) a uniform t."""
+    rng = np.random.default_rng(seed)
+    terms = [(float(w), aw) for w, aw in terms]
+
+    def trace_norm(x):
+        return float(np.linalg.svd(x, compute_uv=False).sum())
+
+    norms = np.empty(n_samples)
+    for k in range(n_samples):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        x = (g + g.conj().T) / 2.0
+        nrm = trace_norm(x)
+        if nrm == 0.0:
+            norms[k] = 0.0
+            continue
+        x /= nrm
+        t = rng.uniform(t_lo, t_hi)
+        zero = np.zeros_like(x)
+        a_t = sum((aw * np.exp(-1j * w * t) for w, aw in terms), zero)
+        af_t = sum((aw * np.exp(-1j * w * t) * complex(splines[w](t)) for w, aw in terms),
+                   zero)
+        half = a_t @ x @ af_t - x @ af_t @ a_t
+        norms[k] = trace_norm(half + half.conj().T)
+    return norms
+
+
 def dephasing_offdiagonal(t, rate):
     """Single-qubit pure dephasing: off-diagonal decays as e^{-2 rate t}
     for the Lindblad term rate * (Z rho Z - rho)."""

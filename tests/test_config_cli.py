@@ -167,6 +167,20 @@ class TestCliExitCodes:
         assert code == 2
 
 
+    @pytest.mark.parametrize("command", ["compare", "bounds", "optimize-ta"])
+    def test_ohmic_with_cutoff_runs_ore(self, tmp_path, command):
+        # the time-local reference and the norm sampling use the configured
+        # cutoff, not the infinite default an Ohmic bath refuses
+        doc = _base_doc()
+        doc["bath"] = {"kind": "ohmic", "t_cutoff": 20.0,
+                       "params": {"kappa": 0.01, "omega_c": 1.0, "beta": 2.0}}
+        doc["equations"] = [{"kind": "ore"}, {"kind": "davies"},
+                            {"kind": "cgme_frequency", "t_a": 1.0}]
+        doc["grid"]["points"] = 9
+        assert main([command, "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == 0
+
+
 class TestCliOutputs:
     def test_bath_info(self, tmp_path):
         out = tmp_path / "o"

@@ -174,8 +174,8 @@ class TestLambdaEstimate:
 
     def test_action_trace_free(self, benchmark_jd, toy_bath, benchmark_hamiltonian):
         from qme.evolve import ore_filter_spline
-        splines = ore_filter_spline(benchmark_jd, toy_bath, 5.0)
-        action = interaction_picture_action(benchmark_jd, splines)
+        spline = ore_filter_spline(benchmark_jd, toy_bath, 5.0)
+        action = interaction_picture_action(benchmark_jd, spline)
         rng = np.random.default_rng(4)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         X = 0.5 * (g + g.conj().T)
@@ -183,3 +183,30 @@ class TestLambdaEstimate:
         out = action(X, 2.0)
         assert abs(np.trace(out)) < 1e-10
         assert np.max(np.abs(out - out.conj().T)) < 1e-10
+
+    def test_matches_per_sample_oracle(self, benchmark_jd, benchmark_hamiltonian,
+                                       benchmark_coupling, toy_bath):
+        est = lambda_estimate(benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                              n_samples=300, rng_seed=5)
+        ts = toy_bath.timescales()
+        t_hi = 2.56 * ts.tau_SB
+        splines = oracles.ore_filter_splines(benchmark_jd.frequencies,
+                                             toy_bath.correlation, ts.tau_B, t_hi)
+        norms = oracles.generator_norm_samples(benchmark_jd.terms(), splines, 4, 300,
+                                               5, 0.0, t_hi)
+        counts, edges = np.histogram(norms, bins=60)
+        mode = int(np.argmax(counts))
+        assert abs(est.max_norm - norms.max()) < 1e-12
+        assert abs(est.typical_norm - 0.5 * (edges[mode] + edges[mode + 1])) < 1e-12
+
+    def test_action_broadcasts_over_stack(self, benchmark_jd, toy_bath):
+        from qme.evolve import ore_filter_spline
+        action = interaction_picture_action(
+            benchmark_jd, ore_filter_spline(benchmark_jd, toy_bath, 5.0))
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+        xs = 0.5 * (g + g.conj().transpose(0, 2, 1))
+        ts = rng.uniform(0.0, 5.0, 7)
+        stacked = action(xs, ts)
+        for x, t, out in zip(xs, ts, stacked):
+            assert np.max(np.abs(out - action(x, t))) < 1e-15

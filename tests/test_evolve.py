@@ -3,6 +3,7 @@ the time-local growing-filter equation, and positivity-crossing detection."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qme.evolve import (
     EvolutionResult,
@@ -113,17 +114,118 @@ class TestEvolveBasics:
         assert res.metadata["T_a"] == 1.12
 
 
+TAU_SB = 10.0
+
+
+def _constant_generator(kind, jd, bath):
+    if kind == "davies":
+        return davies_generator(jd, bath)
+    if kind == "redfield":
+        return redfield_generator(jd, bath)
+    return cgme_generator(jd, bath, GeneratorConfig(equation_kind="cgme_frequency", T_a=5.25))
+
+
+class TestExactPropagation:
+    """Constant generators run through one matrix exponential per distinct step."""
+
+    GRIDS = {
+        "linspace": np.linspace(0.0, 2.56 * TAU_SB, 129),
+        "nonuniform": 2.56 * TAU_SB * np.linspace(0.0, 1.0, 41) ** 2,
+    }
+
+    @pytest.mark.parametrize("grid_kind", sorted(GRIDS))
+    @pytest.mark.parametrize("kind", ["davies", "redfield", "cgme"])
+    def test_matches_ode_oracle(self, kind, grid_kind, benchmark_jd, toy_bath,
+                                benchmark_initial):
+        gen = _constant_generator(kind, benchmark_jd, toy_bath)
+        grid = self.GRIDS[grid_kind]
+        res = evolve(gen, benchmark_initial, grid)
+        v0 = benchmark_initial.entries.reshape(-1, order="F")
+        ref = oracles.linear_ode_reference(gen.to_superoperator().matrix, v0, grid)
+        got = np.array([rho.reshape(-1, order="F") for rho in res.states])
+        assert np.max(np.abs(got - ref)) < 1e-9
+        assert res.metadata["integrator"] == "expm"
+
+    def test_one_exponential_per_distinct_step(self, benchmark_jd, toy_bath,
+                                               benchmark_initial):
+        gen = davies_generator(benchmark_jd, toy_bath)
+        res = evolve(gen, benchmark_initial, self.GRIDS["linspace"])
+        assert res.metadata["n_expm"] == 1
+        res = evolve(gen, benchmark_initial, np.array([0.0, 1.0, 2.0, 2.5, 3.5, 4.0]))
+        assert res.metadata["n_expm"] == 2
+
+    def test_dense_output_is_exact(self, benchmark_jd, toy_bath, benchmark_initial):
+        gen = redfield_generator(benchmark_jd, toy_bath)
+        M = gen.to_superoperator().matrix
+        v0 = benchmark_initial.entries.reshape(-1, order="F")
+        res = evolve(gen, benchmark_initial, np.linspace(0.0, 4.0, 5))
+        for t in (0.3, 1.0, 2.71, 4.0):
+            assert np.max(np.abs(res.dense(t) - expm(M * t) @ v0)) < 1e-12
+
+    def test_redfield_positivity_crossing(self, benchmark_jd, toy_bath, benchmark_initial):
+        # Redfield loses positivity at once from the excited state; bisection
+        # on the exact dense output finds the same dyadic point as before
+        gen = redfield_generator(benchmark_jd, toy_bath)
+        res = evolve(gen, benchmark_initial, np.linspace(0.0, 4.0 * TAU_SB, 161))
+        crossing = positivity_crossing(res, tol=1e-8, resolution=1e-3 * TAU_SB)
+        assert crossing == pytest.approx(0.00390625, abs=1e-12)
+
+
+class TestEvolutionMetadata:
+    def test_rk45_counts_for_time_dependent(self, benchmark_hamiltonian,
+                                            benchmark_coupling, toy_bath,
+                                            benchmark_initial):
+        res = evolve_ore(benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                         benchmark_initial, np.linspace(0.0, 5.0, 11))
+        assert res.metadata["integrator"] == "rk45_adaptive"
+        assert res.metadata["nfev"] >= 6 * res.metadata["n_steps"] > 0
+
+    def test_rk4_recorded(self):
+        gen = vectorize_generator(np.zeros((2, 2)), [(0.3, PAULI_Z)])
+        res = evolve(gen, _plus_state(), np.linspace(0.0, 1.0, 3),
+                     IntegratorConfig(method="rk4_fixed", step=0.1))
+        assert res.metadata["integrator"] == "rk4_fixed"
+
+    def test_health_summary_matches_per_state_monitors(self, benchmark_hamiltonian,
+                                                       benchmark_coupling, toy_bath,
+                                                       benchmark_initial):
+        res = evolve_ore(benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                         benchmark_initial, np.linspace(0.0, TAU_SB, 11))
+        for k, rho in enumerate(res.states):
+            sym = 0.5 * (rho + rho.conj().T)
+            assert res.trace_deviation[k] == pytest.approx(abs(np.trace(rho) - 1.0),
+                                                           abs=1e-15)
+            assert res.hermiticity_deviation[k] == pytest.approx(
+                np.max(np.abs(rho - rho.conj().T)), abs=1e-15)
+            assert res.min_eigenvalue[k] == pytest.approx(
+                np.linalg.eigvalsh(sym).min(), abs=1e-15)
+        meta = res.metadata
+        assert meta["max_trace_deviation"] == np.max(res.trace_deviation)
+        assert meta["max_hermiticity_deviation"] == np.max(res.hermiticity_deviation)
+        assert meta["min_eigenvalue"] == np.min(res.min_eigenvalue)
+
+
 class TestGrowingFilterEquation:
     def test_filter_tends_to_stationary(self, benchmark_jd, toy_bath):
-        splines = ore_filter_spline(benchmark_jd, toy_bath, 60.0)
+        spline = ore_filter_spline(benchmark_jd, toy_bath, 60.0)
         A_f_inf = redfield_filtered(benchmark_jd, toy_bath)
         A_f_late = np.zeros_like(A_f_inf)
-        for w, Aw in benchmark_jd.terms():
-            A_f_late += complex(splines[float(w)](60.0)) * Aw
+        for k, Aw in enumerate(benchmark_jd.operators):
+            A_f_late += complex(spline(60.0)[k]) * Aw
         assert np.max(np.abs(A_f_late - A_f_inf)) < 1e-3
         # and starts from zero: no initial filter transient
-        for w in benchmark_jd.frequencies:
-            assert abs(complex(splines[float(w)](0.0))) < 1e-12
+        for k in range(len(benchmark_jd.frequencies)):
+            assert abs(complex(spline(0.0)[k])) < 1e-12
+
+    def test_vector_spline_matches_per_frequency_oracle(self, benchmark_jd, toy_bath):
+        spline = ore_filter_spline(benchmark_jd, toy_bath, 5.0)
+        ref = oracles.ore_filter_splines(benchmark_jd.frequencies, toy_bath.correlation,
+                                         toy_bath.timescales().tau_B, 5.0)
+        t = np.concatenate((np.linspace(0.0, 5.0, 41),
+                            np.random.default_rng(2).uniform(0.0, 5.0, 40)))
+        got = spline(t)
+        for k, w in enumerate(benchmark_jd.frequencies):
+            assert np.max(np.abs(got[:, k] - ref[float(w)](t))) < 1e-14
 
     def test_agrees_with_redfield_at_late_times(self, benchmark_hamiltonian,
                                                 benchmark_coupling, toy_bath,

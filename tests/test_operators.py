@@ -20,6 +20,7 @@ from qme.operators import (
 )
 
 from conftest import PAULI_X
+import oracles
 
 
 def _random_hermitian(rng, dim):
@@ -152,6 +153,20 @@ class TestVectorization:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             vectorize_generator(np.zeros((2, 2)), [(-0.1, PAULI_X)])
+
+    def test_matches_kron_loop(self):
+        rng = np.random.default_rng(11)
+        h = _random_hermitian(rng, 4)
+        ops = [(rng.uniform(0.0, 2.0),
+                rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+               for _ in range(30)]
+        ref = oracles.lindblad_superop_kron(h, ops)
+        assert np.max(np.abs(vectorize_generator(h, ops).matrix - ref)) < 1e-13
+        assert np.max(np.abs(vectorize_generator(h, []).matrix - hamiltonian_superop(h))) == 0
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            vectorize_generator(np.zeros((2, 2)), [(0.1, PAULI_X), (0.2, np.eye(3))])
 
     def test_redfield_action(self):
         rng = np.random.default_rng(5)
