@@ -20,10 +20,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
-from .quadrature import gauss_panels, refine
+from .quadrature import CHUNK_ELEMENTS, gauss_panels, refine
 
 logger = logging.getLogger(__name__)
 
@@ -156,13 +154,42 @@ class Bath:
         return self._timescales_cache[key]
 
     def _compute_timescales(self, T_cutoff):
-        absC = lambda t: abs(self.correlation(t))
-        norm, _ = integrate.quad(absC, 0, np.inf, limit=800)
-        tau_SB = 1.0 / norm
-        first, _ = integrate.quad(lambda t: t * absC(t), 0, T_cutoff, limit=800)
-        tail, _ = integrate.quad(absC, T_cutoff, np.inf, limit=800) if np.isfinite(T_cutoff) else (0.0, 0.0)
+        """The module docstring's integrals of |C| on the refined Gauss layer;
+        ``correlation`` must take an array of t.  Raises ArithmeticError when
+        an integral does not converge."""
+        tau_SB = 1.0 / self._abs_moment(self.correlation, 0, 0.0, np.inf)
+        first = self._abs_moment(self.correlation, 1, 0.0, T_cutoff)
+        tail = self._abs_moment(self.correlation, 0, T_cutoff, np.inf) if np.isfinite(T_cutoff) else 0.0
         return BathTimescales(tau_SB=tau_SB, tau_B=tau_SB * first,
                               T_cutoff=T_cutoff, epsilon_T=tau_SB * tail)
+
+    def _abs_moment(self, corr, power, a, b):
+        """int_a^b t^power |corr(t)| dt on the refined Gauss layer, converged
+        relative to its own size (a tail can be far below the absolute
+        tolerance).  With s = 1/_initial_radius(), the width of the peak of
+        |C| at 0, the starting edges are t = a and a + s 2^k, graded up to b
+        or, on [a, inf), up to L = 8 max(a, s), the scale of the map
+        t = a + L u/(1 - u), u in [0, 1], that carries the rest of the half
+        line.  A tail decaying from a is smooth in u, and its mass lies at u
+        well below 1, where t keeps its relative precision."""
+        s = 1.0 / self._initial_radius()
+        top = b - a if np.isfinite(b) else 8.0 * max(a, s)
+        x = s * 2.0 ** np.arange(int(np.ceil(np.log2(top / s))) if top > s else 0)
+        x = np.concatenate([[0.0], x[x < top], [top]])
+
+        def term(t, wt, absC):
+            return wt @ (t ** power * absC)
+
+        if np.isfinite(b):
+            value, _ = refine(term, lambda t: np.abs(corr(t)), a + x, epsabs=0.0)
+        else:
+            def at(u):
+                return a + top * u / (1.0 - u)
+
+            value, _ = refine(lambda u, wu, absC: term(at(u), wu * top / (1.0 - u) ** 2, absC),
+                              lambda u: np.abs(corr(at(u))), np.append(x / (top + x), 1.0),
+                              epsabs=0.0)
+        return float(value)
 
     # -- thermal diagnostics ---------------------------------------------
 
@@ -284,10 +311,11 @@ class ToyBath(Bath):
                    (exp(-b beta |omega|) - exp(-a b beta |omega|)/a),
 
     with a > 1, b > 1/2.  The prefactor A is fixed self-consistently so that
-    integral_0^inf |C(t)| dt = 1/tau_SB holds exactly; the ``normalization``
-    attribute reports A/3, the constant conventionally quoted for this bath's
-    rational-function C(t) parameterization (approximately 21.0 at
-    a=1.01, b=0.6, beta=4).
+    integral_0^inf |C(t)| dt = 1/tau_SB holds exactly; that integral and the
+    timescales run on the refined Gauss layer and raise ArithmeticError if
+    they do not converge.  The ``normalization`` attribute reports A/3, the
+    constant conventionally quoted for this bath's rational-function C(t)
+    parameterization (approximately 21.0 at a=1.01, b=0.6, beta=4).
     """
 
     kind = "toy"
@@ -305,11 +333,7 @@ class ToyBath(Bath):
         self.b = float(b)
         self.beta = float(beta)
         self.tau_SB = float(tau_SB)
-        inv_A, err = integrate.quad(lambda t: abs(self._c0(t)), 0, np.inf,
-                                    limit=800, epsabs=1e-13, epsrel=1e-12)
-        if err > 1e-6 * inv_A:
-            raise ArithmeticError(f"normalization quadrature error {err:.2e}")
-        self.gamma_prefactor = 1.0 / inv_A
+        self.gamma_prefactor = 1.0 / self._abs_moment(self._c0, 0, 0.0, np.inf)
         self.normalization = self.gamma_prefactor / 3.0
         self.validate()
 
@@ -323,9 +347,10 @@ class ToyBath(Bath):
         ab = self.a * self.b * self.beta
         h = self.beta / 2.0
         t = np.asarray(t, dtype=complex)
-        first = 1.0 / ((bb - h + 1j * t) * (bb + h - 1j * t))
-        second = 1.0 / ((ab - h + 1j * t) * (ab + h - 1j * t))
-        out = (bb / np.pi) * (first - second)
+        # 1/D_bb - 1/D_ab over one denominator, D_c = (c - h + it)(c + h - it):
+        # the difference of the two terms would cancel to ~1/t^4
+        out = (bb / np.pi) * (ab - bb) * (ab + bb) / (
+            (bb - h + 1j * t) * (bb + h - 1j * t) * (ab - h + 1j * t) * (ab + h - 1j * t))
         return out if out.ndim else complex(out)
 
     def gamma(self, w):
@@ -341,11 +366,8 @@ class ToyBath(Bath):
 
     def _compute_timescales(self, T_cutoff):
         A = self.gamma_prefactor
-        first, _ = integrate.quad(lambda t: t * abs(self._c0(t)), 0, T_cutoff, limit=800)
-        if np.isfinite(T_cutoff):
-            tail, _ = integrate.quad(lambda t: abs(self._c0(t)), T_cutoff, np.inf, limit=800)
-        else:
-            tail = 0.0
+        first = self._abs_moment(self._c0, 1, 0.0, T_cutoff)
+        tail = self._abs_moment(self._c0, 0, T_cutoff, np.inf) if np.isfinite(T_cutoff) else 0.0
         return BathTimescales(tau_SB=self.tau_SB, tau_B=A * first,
                               T_cutoff=T_cutoff, epsilon_T=A * tail)
 
@@ -423,6 +445,7 @@ class TabulatedBath(Bath):
             raise ValueError("tabulated gamma has negative entries")
         self.omega_grid = w
         self.gamma_values = np.maximum(g, 0.0)
+        from scipy.interpolate import PchipInterpolator
         self._interp = PchipInterpolator(w, self.gamma_values, extrapolate=False)
         self.beta = None if beta is None else float(beta)
         self.thermal_flag = self.beta is not None
@@ -454,31 +477,47 @@ class TabulatedBath(Bath):
         return out if out.ndim else float(out)
 
     def correlation(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(t_arr.shape, dtype=complex)
-        for i, ti in enumerate(t_arr.ravel()):
-            out.ravel()[i] = self._fourier_panels(ti) / (2 * np.pi)
-        return out[0] if np.asarray(t).ndim == 0 else out
-
-    def _fourier_panels(self, t, order=8):
-        """int gamma(w) e^{-iwt} dw by composite Gauss over the knot panels.
+        """C(t) = (1/2pi) int gamma(w) e^{-iwt} dw by composite Gauss over the
+        knot panels.
 
         Each knot interval is split so the oscillation advances by at most
         ~2 radians per subpanel; order-8 Gauss then resolves cubic x phase
-        to roundoff.  This is vectorized, unlike adaptive quadrature over
-        the kinked interpolant, which subdivides at every knot.
+        to roundoff.  The split grows with |t| in every interval, so the t
+        that share a total subpanel count share one split: each such group
+        gets one grid and one (t x node) contraction, chunked, like the
+        per-interval counts, to CHUNK_ELEMENTS entries.
         """
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
         edges = self.omega_grid
         widths = np.diff(edges)
-        nsub = np.minimum(1 + (widths * abs(t) / 2.0).astype(int), 256)
-        sub_edges = np.concatenate(
-            [np.linspace(edges[k], edges[k + 1], nsub[k] + 1)[:-1]
-             for k in range(len(widths))]
-            + [edges[-1:]]
-        )
-        nodes, weights = gauss_panels(sub_edges, order)
-        g = np.maximum(self._interp(nodes), 0.0)
-        return complex(np.sum(weights * g * np.exp(-1j * nodes * t)))
+
+        def split(a):
+            return np.minimum(1 + (widths[None, :] * a[:, None] / 2.0).astype(int), 256)
+
+        count = np.empty(flat.shape, dtype=int)
+        rows = max(1, CHUNK_ELEMENTS // len(widths))
+        for lo in range(0, len(flat), rows):
+            count[lo:lo + rows] = split(np.abs(flat[lo:lo + rows])).sum(axis=1)
+        order = np.argsort(count, kind="stable")
+        _, starts = np.unique(count[order], return_index=True)
+        out = np.empty(flat.shape, dtype=complex)
+        for first, last in zip(starts, np.append(starts[1:], len(order))):
+            group = order[first:last]
+            nsub = split(np.abs(flat[group[:1]]))[0]
+            sub_edges = np.concatenate(
+                [np.linspace(edges[k], edges[k + 1], nsub[k] + 1)[:-1]
+                 for k in range(len(widths))]
+                + [edges[-1:]]
+            )
+            nodes, weights = gauss_panels(sub_edges, 8)
+            wg = weights * np.maximum(self._interp(nodes), 0.0) / (2 * np.pi)
+            step = max(1, CHUNK_ELEMENTS // len(nodes))
+            for lo in range(0, len(group), step):
+                k = group[lo:lo + step]
+                phase = np.outer(flat[k], nodes)
+                out[k] = np.cos(phase) @ wg - 1j * (np.sin(phase) @ wg)
+        return out.reshape(t.shape) if t.ndim else complex(out[0])
 
     def validate(self):
         if self.thermal_flag:

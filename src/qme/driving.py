@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .operators import HermitianOperator
 from .quadrature import PANEL_PHASE, gauss_panels, refine
@@ -183,6 +182,7 @@ def _segment_step(H: np.ndarray, dt: float) -> np.ndarray:
         return np.eye(H.shape[0], dtype=complex)
     if not np.any(H):
         return np.eye(H.shape[0], dtype=complex)
+    from scipy.linalg import expm
     return expm(-1j * dt * H)
 
 

@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp, cumulative_trapezoid
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.linalg import expm
 
 from .operators import (
     DensityMatrix,
@@ -130,6 +127,7 @@ def _propagate_expm(matrix_fn, v0, grid):
     """Exact propagation of dv/dt = M v for a constant M: one expm(M h) per
     distinct step h (steps within STEP_RTOL of each other share one), and the
     dense output expm(M (t - t_i)) v_i from the last grid point t_i <= t."""
+    from scipy.linalg import expm
     M = matrix_fn(0.0)
     steps = np.diff(grid)
     reps, which = [], np.empty(len(steps), dtype=int)
@@ -151,6 +149,7 @@ def _propagate_expm(matrix_fn, v0, grid):
 
 
 def _integrate_rk45(matrix_fn, v0, grid, cfg):
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(
         lambda t, v: matrix_fn(t) @ v,
         (grid[0], grid[-1]),
@@ -259,8 +258,8 @@ def evolve(gen, rho0: DensityMatrix, grid, cfg: IntegratorConfig | None = None,
 # time-local equation with growing filter integral
 # ---------------------------------------------------------------------------
 
-def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float, timescales=None) -> PPoly:
-    """One vector-valued piecewise cubic whose column k is
+def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float, timescales=None):
+    """One vector-valued piecewise cubic (a scipy ``PPoly``) whose column k is
 
         g_w(t) = int_0^t C(-t') e^{i w t'} dt',   w = jd.frequencies[k],
 
@@ -273,6 +272,8 @@ def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float, timescales=None
     g_w(infinity) equals the half-range transform f(-w)* used by the
     stationary Redfield filter.
     """
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.interpolate import CubicSpline, PPoly
     tau_B = (timescales or bath.timescales()).tau_B
     if not np.isfinite(tau_B) or tau_B <= 0:
         raise ValueError("bath correlation time unavailable for kernel tabulation")

@@ -1,6 +1,7 @@
 """Composite Gauss-Legendre rules and the one panel-halving loop every
 refined fixed-grid integral runs on: the coarse-grained Lamb coefficients,
-the dispersive part S(omega) and the DD suppression ratio."""
+the dispersive part S(omega), the DD suppression ratio and the bath
+timescale integrals."""
 
 from __future__ import annotations
 
@@ -55,10 +56,11 @@ def _on_grid(term, factor, edges):
     return total
 
 
-def refine(term, factor, edges):
+def refine(term, factor, edges, epsabs=EPSABS):
     """An integral on the composite Gauss rule over ``edges``, refined by
     halving every panel until no entry moves by more than
-    max(EPSABS, EPSREL |value|).
+    max(epsabs, EPSREL |value|).  An integral whose own size sets its scale,
+    such as that of a nonnegative integrand, passes ``epsabs=0``.
 
     ``factor(nodes)`` is the per-node function (a bath's gamma or C),
     evaluated once per grid; ``term(nodes, weights, factor_values)`` returns
@@ -73,7 +75,7 @@ def refine(term, factor, edges):
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
         fine = _on_grid(term, factor, edges)
         change = np.abs(fine - value)
-        if np.all(change <= np.maximum(EPSABS, EPSREL * np.abs(fine))):
+        if np.all(change <= np.maximum(epsabs, EPSREL * np.abs(fine))):
             return fine, float(np.max(change))
         value = fine
     raise ArithmeticError(

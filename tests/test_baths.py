@@ -1,11 +1,15 @@
 """Bath layer: spectral densities, correlation functions, timescales, KMS."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.integrate import IntegrationWarning
 
-from qme.baths import OhmicBath, TabulatedBath, ToyBath, make_bath
+from qme.baths import Bath, OhmicBath, TabulatedBath, ToyBath, make_bath
 
 import oracles
 
@@ -137,6 +141,25 @@ class TestTabulatedBath:
         for probe in (-2.0, 0.1, 3.0):
             assert np.isclose(float(tab.gamma(probe)), float(toy_bath.gamma(probe)), rtol=1e-5)
 
+    @pytest.mark.parametrize("knots", [
+        np.linspace(-20.0, 20.0, 201),
+        # uneven widths: t with one total subpanel count must share the split
+        np.sort(np.concatenate([[-20.0, 20.0],
+                                np.random.default_rng(0).uniform(-20.0, 20.0, 199)])),
+    ], ids=["uniform", "uneven"])
+    def test_correlation_matches_per_t_loop(self, toy_bath, knots):
+        # no beta: the KMS check would reject the interpolant on uneven knots
+        tab = TabulatedBath(knots, np.asarray(toy_bath.gamma(knots)))
+        t = np.concatenate([np.linspace(-60.0, 60.0, 241), [0.013, 1e3]])
+        C = tab.correlation(t)
+        ref = oracles.tabulated_correlation_loop(tab.gamma, knots, t)
+        assert np.max(np.abs(C - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert tab.correlation(t.reshape(3, -1)).shape == (3, 81)
+        scalar = tab.correlation(0.7)
+        assert isinstance(scalar, complex)
+        ref_scalar = oracles.tabulated_correlation_loop(tab.gamma, knots, 0.7)[0]
+        assert abs(scalar - ref_scalar) <= 1e-12 * np.max(np.abs(ref))
+
     def test_timescales_need_explicit_cutoff(self, toy_bath):
         w = np.linspace(-30, 30, 801)
         tab = TabulatedBath(w, np.asarray(toy_bath.gamma(w)), beta=4.0)
@@ -144,6 +167,78 @@ class TestTabulatedBath:
             tab.timescales()
         ts = tab.timescales(T_cutoff=30.0)
         assert np.isfinite(ts.tau_B)
+
+
+class TestTimescaleIntegrals:
+    """The timescale integrals on the refined Gauss layer against tight
+    adaptive quadrature (epsrel 1e-14, no absolute floor), to 1e-12
+    relative."""
+
+    RTOL = 1e-12
+
+    @staticmethod
+    def tight_quad(f, a, b):
+        with warnings.catch_warnings():
+            # the tight request is at the edge of double precision
+            warnings.simplefilter("ignore", IntegrationWarning)
+            # an absolute floor of 1e-15 would stop ToyBath's tail beyond
+            # T 1e4 (~3e-14 before the prefactor) 2e-5 relative off; quad
+            # rejects epsabs 0 at this epsrel
+            return integrate.quad(f, a, b, limit=2000, epsabs=np.finfo(float).tiny,
+                                  epsrel=1e-14)[0]
+
+    def assert_close(self, ours, ref):
+        assert abs(ours - ref) <= self.RTOL * abs(ref)
+
+    def test_toy_prefactor(self, toy_bath):
+        inv_A = self.tight_quad(lambda t: abs(toy_bath._c0(t)), 0.0, np.inf)
+        self.assert_close(toy_bath.gamma_prefactor, 1.0 / inv_A)
+
+    # 1e3 and 1e4: the peak of t|C| near 0 and the 1/t^4 tail far from it
+    @pytest.mark.parametrize("T", [np.inf, 5.0, 20.0, 1e3, 1e4])
+    def test_toy_timescales(self, toy_bath, T):
+        A = toy_bath.gamma_prefactor
+        absc = lambda t: abs(toy_bath._c0(t))
+        ts = toy_bath.timescales(T)
+        self.assert_close(ts.tau_B, A * self.tight_quad(lambda t: t * absc(t), 0.0, T))
+        if np.isfinite(T):
+            self.assert_close(ts.epsilon_T, A * self.tight_quad(absc, T, np.inf))
+        else:
+            assert ts.epsilon_T == 0.0
+
+    @pytest.mark.parametrize("kappa, omega_c, beta, T", [
+        (0.1, 1.0, 2.0, 20.0),
+        (1.0, 0.5, 0.5, 20.0),
+        (0.01, 1.0, 2.0, 50.0),
+        (0.1, 2.0, 5.0, 10.0),
+        (0.1, 10.0, 0.05, 5.0),
+        # a cutoff 1e5 times the width 1/omega_c of the peak at 0
+        (0.1, 10.0, 2.0, 1e4),
+        (0.1, 10.0, 0.05, 1e4),
+    ])
+    def test_ohmic_timescales(self, kappa, omega_c, beta, T):
+        bath = OhmicBath(kappa, omega_c, beta)
+        absC = lambda t: abs(bath.correlation(t))
+        norm = self.tight_quad(absC, 0.0, np.inf)
+        ts = bath.timescales(T)
+        self.assert_close(ts.tau_SB, 1.0 / norm)
+        self.assert_close(ts.tau_B, self.tight_quad(lambda t: t * absC(t), 0.0, T) / norm)
+        self.assert_close(ts.epsilon_T, self.tight_quad(absC, T, np.inf) / norm)
+
+    def test_zero_cutoff(self, toy_bath):
+        # an empty range: tau_B is 0 and the tail is the whole norm
+        ts = toy_bath.timescales(0.0)
+        assert ts.tau_B == 0.0
+        self.assert_close(ts.epsilon_T, 1.0)
+
+    def test_divergent_integral_raises(self):
+        class SlowBath(Bath):
+            # int_0^inf |C| diverges logarithmically
+            def correlation(self, t):
+                return 1.0 / (1.0 + np.asarray(t, dtype=float))
+
+        with pytest.raises(ArithmeticError):
+            SlowBath().timescales(5.0)
 
 
 class TestLambAmplitude:

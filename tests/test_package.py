@@ -1,11 +1,14 @@
 """Package surface: every name a module exports exists, no module imports
-a name it never uses, and no coefficient path falls back to adaptive
-quadrature."""
+a name it never uses, no module falls back to adaptive quadrature, and
+importing the package and its CLI loads no scipy module."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -54,17 +57,15 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-# scipy.integrate names a module other than baths may import: the ODE
-# integrator and the cumulative trapezoid of the time-local reference
+# the scipy.integrate names a module may import: the ODE integrator and the
+# cumulative trapezoid of the time-local reference; every integral runs on
+# qme.quadrature
 NON_QUADRATURE = {"solve_ivp", "cumulative_trapezoid"}
-# the functions of baths that may call scipy.integrate: the timescale
-# integrals and ToyBath's normalisation (in its __init__)
-BATHS_QUADRATURE = {"_compute_timescales", "__init__"}
 
 
 def scipy_integrate_uses(path: pathlib.Path):
     """(names imported from scipy.integrate, whether the module itself is
-    imported, the functions reading that module's name)."""
+    imported)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     names, module_alias = set(), None
     for node in ast.walk(tree):
@@ -78,19 +79,22 @@ def scipy_integrate_uses(path: pathlib.Path):
             for a in node.names:
                 if a.name == "scipy.integrate":
                     module_alias = a.asname or "scipy"
-    readers = {fn.name for fn in ast.walk(tree)
-               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and any(isinstance(n, ast.Name) and n.id == module_alias
-                       for n in ast.walk(fn))}
-    return names, module_alias is not None, readers
+    return names, module_alias is not None
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("src/qme/*.py")), ids=lambda p: p.name)
 def test_no_adaptive_quadrature(path):
-    names, whole_module, readers = scipy_integrate_uses(path)
-    if path.name == "baths.py":
-        assert names == set()
-        assert readers <= BATHS_QUADRATURE
-    else:
-        assert not whole_module
-        assert names <= NON_QUADRATURE
+    names, whole_module = scipy_integrate_uses(path)
+    assert not whole_module
+    assert names <= NON_QUADRATURE
+
+
+@pytest.mark.parametrize("module", ["qme", "qme.cli"])
+def test_import_loads_no_scipy(module):
+    # a fresh interpreter: this one has scipy loaded by the tests
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
