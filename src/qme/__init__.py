@@ -51,7 +51,6 @@ from .driving import (
     dd_suppression_xi_general,
 )
 from .evolve import (
-    IntegratorConfig,
     EvolutionResult,
     evolve,
     evolve_ore,

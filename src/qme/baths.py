@@ -32,7 +32,6 @@ __all__ = [
     "ToyBath",
     "RectangleBath",
     "TabulatedBath",
-    "load_tabulated",
     "make_bath",
 ]
 
@@ -569,14 +568,6 @@ class TabulatedBath(Bath):
         return (dw / (2.0 * np.pi)) * np.exp(-1j * lo * t) * spec
 
 
-def load_tabulated(path, beta=None):
-    """Read a two-column (omega, gamma) text file; '#' starts a comment."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError(f"expected two columns in {path}, got {data.shape[1]}")
-    return TabulatedBath(data[:, 0], data[:, 1], beta=beta)
-
-
 _KINDS = {
     "ohmic": OhmicBath,
     "toy": ToyBath,
@@ -589,7 +580,5 @@ def make_bath(kind, **params):
     """Factory keyed by bath kind name."""
     if kind not in _KINDS:
         raise ValueError(f"unknown bath kind {kind!r}; choose from {sorted(_KINDS)}")
-    if kind == "tabulated" and "path" in params:
-        return load_tabulated(params.pop("path"), **params)
     return _KINDS[kind](**params)
 

@@ -196,30 +196,47 @@ def _parse_model(section: Mapping) -> ModelSection:
     )
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def _parse_bath(section: Mapping) -> BathSection:
     _check_keys(section, {"kind", "params", "t_cutoff"}, "bath")
     kind = str(_require(section, "kind", "bath"))
     params = tuple(
-        (str(k), float(v)) for k, v in section.get("params", {}).items()
+        (str(k), _number(v, f"bath.params.{k}"))
+        for k, v in section.get("params", {}).items()
     )
     t_cutoff = section.get("t_cutoff")
     bs = BathSection(
-        kind=kind, params=params, t_cutoff=None if t_cutoff is None else float(t_cutoff)
+        kind=kind,
+        params=params,
+        t_cutoff=None if t_cutoff is None else _number(t_cutoff, "bath.t_cutoff"),
     )
     bs.build()  # validate eagerly so errors carry config context
     return bs
 
 
 def _parse_equation(section: Mapping, index: int) -> GeneratorConfig:
-    _check_keys(section, {"kind", "t_a", "lambless"}, f"equations[{index}]")
+    where = f"equations[{index}]"
+    _check_keys(section, {"kind", "t_a", "lambless"}, where)
+    kind = str(_require(section, "kind", where))
+    if kind == "cgme_discrete":
+        # its filter grid (GeneratorConfig.discretization) has no config form
+        raise ConfigError(
+            f"{where}: cgme_discrete needs discretization parameters, which a "
+            "config cannot carry; build it through the library")
     try:
         return GeneratorConfig(
-            equation_kind=str(_require(section, "kind", f"equations[{index}]")),
+            equation_kind=kind,
             T_a=None if section.get("t_a") is None else float(section["t_a"]),
             lambless=bool(section.get("lambless", False)),
         )
     except ValueError as exc:
-        raise ConfigError(f"equations[{index}]: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(document: Mapping) -> ExperimentConfig:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "bound_summary",
     "strongest_bound",
     "c_bm_bound",
-    "bound_report_rows",
 ]
 
 
@@ -320,19 +319,3 @@ def c_bm_bound(bp: BoundParams, t: float) -> float:
         math.exp(bp.lamb * t + 1.0) - 0.6
     ) ** 2
     return 1.0 + 0.5 * (math.sqrt(20.0 * x + 9.0 * x * x) + 3.0 * x)
-
-
-def bound_report_rows(
-    bp: BoundParams,
-    times: Sequence[float],
-    delta_e: Optional[float] = None,
-) -> Iterable[Tuple[float, str, float]]:
-    """Rows (t, bound_name, value) for CSV export, each time's bounds
-    followed by its ``strongest`` bound."""
-    rows = []
-    for t in times:
-        for name, bound in bound_summary(bp, float(t), delta_e).items():
-            rows.append((float(t), name, bound.value))
-        rows.append((float(t), "strongest", strongest_bound(bp, float(t))))
-    return rows
-

@@ -30,7 +30,6 @@ from .generators import GeneratorSet, JumpDecomposition
 from . import driving as drv
 
 __all__ = [
-    "IntegratorConfig",
     "EvolutionResult",
     "evolve",
     "evolve_ore",
@@ -44,32 +43,9 @@ __all__ = [
 ORE_POINTS_PER_TAU_B = 400
 # grid steps closer than this (relative) share one propagator exp(M h)
 STEP_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Integration method and tolerances.
-
-    ``rk45_adaptive`` propagates a constant generator (a ``GeneratorSet`` or
-    ``Superoperator``) exactly, with one matrix exponential per distinct
-    step, and integrates a time-dependent generator with an embedded
-    Runge-Kutta pair; the absolute/relative tolerances apply to
-    time-dependent generators only.  ``rk4_fixed`` takes uniform steps of
-    size ``step`` for either kind (used for step-halving convergence checks).
-    """
-
-    method: str = "rk45_adaptive"
-    step: float | None = None
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.method not in ("rk45_adaptive", "rk4_fixed"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.method == "rk4_fixed" and (self.step is None or self.step <= 0):
-            raise ValueError("rk4_fixed requires step > 0")
+# RK45 tolerances for time-dependent generators (constant ones are exact)
+RK45_ATOL = 1e-10
+RK45_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,7 +124,7 @@ def _propagate_expm(matrix_fn, v0, grid):
     return vs, dense, {"integrator": "expm", "n_expm": len(props)}
 
 
-def _integrate_rk45(matrix_fn, v0, grid, cfg):
+def _integrate_rk45(matrix_fn, v0, grid):
     from scipy.integrate import solve_ivp
     sol = solve_ivp(
         lambda t, v: matrix_fn(t) @ v,
@@ -156,8 +132,8 @@ def _integrate_rk45(matrix_fn, v0, grid, cfg):
         v0,
         method="RK45",
         t_eval=grid,
-        atol=cfg.abs_tol,
-        rtol=cfg.rel_tol,
+        atol=RK45_ATOL,
+        rtol=RK45_RTOL,
         dense_output=True,
     )
     if not sol.success:
@@ -167,52 +143,17 @@ def _integrate_rk45(matrix_fn, v0, grid, cfg):
     return sol.y.T, sol.sol, info
 
 
-def _integrate_rk4(matrix_fn, v0, grid, cfg, constant):
-    M_const = matrix_fn(0.0) if constant else None
+def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> EvolutionResult:
+    """Integrate d rho/dt = L(t)[rho] on the given strictly increasing grid:
+    a constant generator (a ``GeneratorSet`` or ``Superoperator``) exactly,
+    with one matrix exponential per distinct step, a time-dependent one (a
+    callable t -> matrix) by RK45 at RK45_ATOL / RK45_RTOL.
 
-    def rhs(t, v):
-        return (M_const if constant else matrix_fn(t)) @ v
-
-    fine_t = [grid[0]]
-    fine_v = [v0.copy()]
-    v = v0.copy()
-    for a, b in zip(grid[:-1], grid[1:]):
-        n = max(1, int(math.ceil((b - a) / cfg.step - 1e-12)))
-        h = (b - a) / n
-        t = a
-        for _ in range(n):
-            k1 = rhs(t, v)
-            k2 = rhs(t + h / 2, v + h / 2 * k1)
-            k3 = rhs(t + h / 2, v + h / 2 * k2)
-            k4 = rhs(t + h, v + h * k3)
-            v = v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-            fine_t.append(t)
-            fine_v.append(v.copy())
-    fine_t = np.array(fine_t)
-    fine_v = np.array(fine_v)
-
-    class _LinearDense:
-        def __call__(self, t):
-            i = np.clip(np.searchsorted(fine_t, t) - 1, 0, len(fine_t) - 2)
-            w = (t - fine_t[i]) / (fine_t[i + 1] - fine_t[i])
-            return (1 - w) * fine_v[i] + w * fine_v[i + 1]
-
-    idx = np.searchsorted(fine_t, grid)
-    idx = np.clip(idx, 0, len(fine_t) - 1)
-    return fine_v[idx], _LinearDense(), {"integrator": "rk4_fixed"}
-
-
-def evolve(gen, rho0: DensityMatrix, grid, cfg: IntegratorConfig | None = None,
-           metadata: dict | None = None) -> EvolutionResult:
-    """Integrate d rho/dt = L(t)[rho] on the given strictly increasing grid.
-
-    ``metadata`` records the integrator that ran (``expm``, ``rk45_adaptive``
-    or ``rk4_fixed``), its cost (``n_expm`` distinct exponentials, or RK45's
+    ``metadata`` records the integrator that ran (``expm`` or
+    ``rk45_adaptive``), its cost (``n_expm`` distinct exponentials, or RK45's
     ``nfev`` and ``n_steps``) and the trajectory's health: the largest trace
     and Hermiticity deviations and the smallest eigenvalue over the grid.
     """
-    cfg = cfg or IntegratorConfig()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
@@ -221,12 +162,10 @@ def evolve(gen, rho0: DensityMatrix, grid, cfg: IntegratorConfig | None = None,
         raise ValueError("initial state dimension does not match generator")
 
     v0 = rho0.entries.reshape(-1, order="F").astype(complex)
-    if cfg.method == "rk4_fixed":
-        vs, dense, info = _integrate_rk4(matrix_fn, v0, grid, cfg, constant)
-    elif constant:
+    if constant:
         vs, dense, info = _propagate_expm(matrix_fn, v0, grid)
     else:
-        vs, dense, info = _integrate_rk45(matrix_fn, v0, grid, cfg)
+        vs, dense, info = _integrate_rk45(matrix_fn, v0, grid)
 
     # column-stacked vectors back to matrices, then the monitors on the stack
     states = np.ascontiguousarray(vs.reshape(len(grid), dim, dim).transpose(0, 2, 1))
@@ -291,7 +230,6 @@ def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float, timescales=None
 
 
 def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
-               cfg: IntegratorConfig | None = None,
                jd: JumpDecomposition | None = None, timescales=None) -> EvolutionResult:
     """Integrate the time-local equation
 
@@ -306,7 +244,6 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
     from .operators import eigensystem
     from .generators import decompose_coupling
 
-    cfg = cfg or IntegratorConfig()
     H = H if isinstance(H, HermitianOperator) else HermitianOperator(H)
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
     if jd is None:
@@ -329,7 +266,7 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
         return H_sop + (np.concatenate((g, g.conj())) @ stack).reshape(d * d, d * d)
 
     meta = {"equation_kind": "ore", "points_per_tau_B": ORE_POINTS_PER_TAU_B}
-    return evolve(matrix_fn, rho0, grid, cfg, metadata=meta)
+    return evolve(matrix_fn, rho0, grid, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

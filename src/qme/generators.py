@@ -7,9 +7,7 @@ Builds, from a Hamiltonian eigensystem and a coupling operator:
 - Davies-Lindblad generators (one jump operator per Bohr frequency),
 - coarse-grained (finite averaging time T_a) generators, in both the
   frequency form (Kossakowski matrix over Bohr pairs, diagonalized into
-  Lindblad operators) and the discretized continuous-filter form,
-- the multi-coupling Lindblad form for several system operators coupled
-  to correlated baths.
+  Lindblad operators) and the discretized continuous-filter form.
 
 All coarse-grained coefficient integrals reduce the filter overlap
 
@@ -61,12 +59,10 @@ __all__ = [
     "cgme_gamma",
     "cgme_lamb_F",
     "cgme_lamb_shift",
-    "LambShift",
     "cgme_a_epsilon",
     "kossakowski_matrix",
     "discretization_params",
     "cgme_generator",
-    "multi_coupling_generator",
 ]
 
 WEIGHT_CLIP_TOL = 1e-9
@@ -261,35 +257,18 @@ def _filter(bath, T_a, eps, w):
     return np.sqrt(g * T_a / (2 * np.pi)) * np.sinc(T_a * (np.asarray(eps) - w) / (2 * np.pi))
 
 
-def _symmetric_grid(W, T_a, order):
-    """Composite Gauss-Legendre grid on a window covering [-W, W] with equal
-    panels of width min(pi / T_a, W / 16), which resolve the sinc
-    oscillation of period 4 pi / T_a; panel edges include eps = 0."""
-    width = min(np.pi / max(T_a, 1e-9), max(W / 16.0, 1e-12))
-    n_half = int(np.ceil(W / width))
-    return gauss_panels(np.linspace(-n_half * width, n_half * width, 2 * n_half + 1), order)
-
-
 def _epsilon_grid(bath, T_a, freqs=(), tol=1e-12, order=24):
-    """Filter grid covering the support of gamma(eps) and, with ``freqs``,
-    every sinc centre with 10 / T_a to spare."""
+    """Composite Gauss-Legendre filter grid on a window [-W, W] covering the
+    support of gamma(eps) and, with ``freqs``, every sinc centre with
+    10 / T_a to spare.  Its equal panels of width min(pi / T_a, W / 16)
+    resolve the sinc oscillation of period 4 pi / T_a; the panel edges
+    include eps = 0."""
     W = bath.support_radius(tol=tol)
     if freqs:
         W = max(W, 1.5 * max(abs(f) for f in freqs) + 10.0 / max(T_a, 1e-9))
-    return _symmetric_grid(W, T_a, order)
-
-
-class LambShift(np.ndarray):
-    """Hermitian Lamb-shift matrix H_LS carrying ``quad_error``, the largest
-    change of any coefficient F_{w w'} over the last grid refinement."""
-
-    def __new__(cls, matrix, quad_error):
-        obj = np.asarray(matrix).view(cls)
-        obj.quad_error = float(quad_error)
-        return obj
-
-    def __array_finalize__(self, obj):
-        self.quad_error = getattr(obj, "quad_error", None)
+    width = min(np.pi / max(T_a, 1e-9), max(W / 16.0, 1e-12))
+    n_half = int(np.ceil(W / width))
+    return gauss_panels(np.linspace(-n_half * width, n_half * width, 2 * n_half + 1), order)
 
 
 def _lamb_coefficients(w, wp, T_a, bath):
@@ -341,13 +320,15 @@ def cgme_lamb_F(w, wp, T_a, bath) -> float:
     return float(F[0, 0])
 
 
-def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a) -> LambShift:
-    """H_LS = sum_{w w'} F_{w w'} A_{w'} A_w.
+def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a):
+    """(H_LS, quad_error): the Hermitian Lamb shift
 
+        H_LS = sum_{w w'} F_{w w'} A_{w'} A_w
+
+    and the largest change of any F_{w w'} over the last grid refinement.
     Every F_{w w'} comes from one contraction over a shared composite
     Gauss-Legendre grid on [0, T_a] (see ``_lamb_coefficients``), with C
-    evaluated once per grid; the result carries the grid's convergence
-    estimate as ``quad_error``."""
+    evaluated once per grid."""
     F, err = _lamb_coefficients(jd.frequencies, jd.frequencies, T_a, bath)
     ops = np.array(jd.operators)
     B = np.tensordot(F, ops, axes=(0, 0))          # B_j = sum_i F_ij A_i
@@ -355,7 +336,7 @@ def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a) -> LambShift:
     sym = 0.5 * (H_LS + H_LS.conj().T)
     if np.max(np.abs(H_LS - sym)) > 1e-9 * max(1.0, np.max(np.abs(sym))):
         raise ArithmeticError("Lamb shift failed to come out Hermitian")
-    return LambShift(sym, err)
+    return sym, err
 
 
 def cgme_a_epsilon(jd: JumpDecomposition, eps, T_a, bath) -> np.ndarray:
@@ -453,8 +434,7 @@ def cgme_generator(jd: JumpDecomposition, bath, config: GeneratorConfig) -> Gene
     if config.lambless:
         H_LS, lamb_err = np.zeros((jd.dim, jd.dim), dtype=complex), None
     else:
-        shift = cgme_lamb_shift(jd, bath, config.T_a)
-        H_LS, lamb_err = np.asarray(shift), shift.quad_error
+        H_LS, lamb_err = cgme_lamb_shift(jd, bath, config.T_a)
     return GeneratorSet(
         H_eff=jd.hamiltonian + H_LS, kind=config.equation_kind,
         lindblad_ops=ops,
@@ -462,59 +442,3 @@ def cgme_generator(jd: JumpDecomposition, bath, config: GeneratorConfig) -> Gene
               "H_LS": H_LS, "lamb_quad_error": lamb_err, "kossakowski": K,
               "discretization": disc},
     )
-
-
-def multi_coupling_generator(decompositions, gamma_matrix, config: GeneratorConfig) -> GeneratorSet:
-    """Coarse-grained generator for couplings A_1..A_n to correlated baths.
-
-    ``gamma_matrix(eps)`` returns the Hermitian PSD matrix gamma_ij(eps).
-    The coefficient matrix over the combined index (coupling i, Bohr
-    frequency w) is
-
-        K[(i,w),(j,v)] = integral (T_a/2pi) sinc[T_a(eps-w)/2]
-                         sinc[T_a(eps-v)/2] gamma_ij(eps) d eps,
-
-    one contraction over the nodes of the symmetric filter grid,
-    diagonalized into Lindblad operators like the single-coupling K.  Only the dissipator is built (pass lambless=True);
-    cross-coupling Lamb shifts would need the time-domain cross
-    correlations, which gamma_ij alone does not supply.
-    """
-    if not config.lambless:
-        raise NotImplementedError(
-            "multi-coupling Lamb shift is not implemented; set lambless=True")
-    if config.T_a is None or config.T_a <= 0:
-        raise ValueError("multi-coupling generator requires T_a > 0")
-    T_a = config.T_a
-    dim = decompositions[0].dim
-    H = decompositions[0].hamiltonian
-    for jd in decompositions:
-        if jd.dim != dim or np.max(np.abs(jd.hamiltonian - H)) > 1e-10:
-            raise ValueError("all decompositions must share one Hamiltonian")
-
-    # combined index p = (coupling c_p, Bohr frequency w_p)
-    coupling = np.concatenate([np.full(len(jd.frequencies), i)
-                               for i, jd in enumerate(decompositions)])
-    freqs = np.concatenate([jd.frequencies for jd in decompositions])
-    n_c = len(decompositions)
-
-    # a symmetric window wide enough for every sinc centre
-    nodes, weights = _symmetric_grid(3.0 * (np.max(np.abs(freqs)) + 10.0 / T_a), T_a, 24)
-
-    sinc = np.sinc(T_a * (nodes[:, None] - freqs[None, :]) / (2 * np.pi))
-    gm_stack = np.empty((len(nodes), n_c, n_c), dtype=complex)
-    for n, eps in enumerate(nodes):
-        gm = np.asarray(gamma_matrix(eps), dtype=complex)
-        herm = 0.5 * (gm + gm.conj().T)
-        if np.max(np.abs(gm - herm)) > 1e-9 * max(1.0, np.max(np.abs(herm))):
-            raise ValueError("gamma_matrix(eps) is not Hermitian")
-        if np.min(np.linalg.eigvalsh(herm)) < -1e-9 * max(1.0, np.max(np.abs(herm))):
-            raise ValueError(f"gamma_matrix({eps:.4g}) is not PSD")
-        gm_stack[n] = herm
-    # K[p, q] = pref sum_n weights_n sinc[n, p] sinc[n, q] gamma_{c_p c_q}(eps_n),
-    # contracted over (node n, coupling j) with the one-hot j = c_q
-    left = (weights[:, None] * sinc)[:, :, None] * gm_stack[:, coupling, :]
-    right = sinc[:, :, None] * np.eye(n_c)[coupling][None, :, :]
-    K = T_a / (2 * np.pi) * np.tensordot(left, right, axes=([0, 2], [0, 2]))
-    ops = _lindblad_from_kossakowski([Aw for jd in decompositions for Aw in jd.operators], K)
-    return GeneratorSet(H_eff=H, kind="cgme_multi", lindblad_ops=ops,
-                        meta={"T_a": T_a, "lambless": True})

@@ -8,7 +8,7 @@ into a dim^2 x dim^2 superoperator matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,8 +100,6 @@ class EigenSystem:
     energies: np.ndarray            # ascending, one entry per cluster
     projectors: tuple               # Hermitian projectors, same order
     degeneracy_tol: float
-    # raw (unclustered) data kept for exact reconstruction checks
-    raw_energies: np.ndarray = field(repr=False, default=None)
 
     @property
     def level_spacing(self) -> float:
@@ -154,7 +152,6 @@ def eigensystem(H: HermitianOperator, degeneracy_tol: float | None = None) -> Ei
         energies=np.array(energies),
         projectors=tuple(projectors),
         degeneracy_tol=degeneracy_tol,
-        raw_energies=vals,
     )
 
 
@@ -192,11 +189,6 @@ class Superoperator:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         v = self.matrix @ np.asarray(rho, dtype=complex).reshape(-1, order="F")
         return v.reshape(self.dim, self.dim, order="F")
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Superoperator(self.matrix + other.matrix, self.dim)
 
 
 def _left(mat: np.ndarray) -> np.ndarray:

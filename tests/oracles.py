@@ -396,21 +396,6 @@ def td_cgme_direct(sched, a, bath, t, t_a, eps_nodes, eps_weights, order):
     return mat - 1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
-def rk4_reference(rhs, v0, t0, t1, steps):
-    """Classical fixed-step RK4 for dv/dt = rhs(t, v)."""
-    v = np.array(v0, dtype=complex)
-    h = (t1 - t0) / steps
-    t = t0
-    for _ in range(steps):
-        k1 = rhs(t, v)
-        k2 = rhs(t + h / 2, v + h / 2 * k1)
-        k3 = rhs(t + h / 2, v + h / 2 * k2)
-        k4 = rhs(t + h, v + h * k3)
-        v = v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return v
-
-
 def linear_ode_reference(M, v0, grid, rtol=1e-12, atol=1e-14):
     """dv/dt = M v sampled on ``grid`` by adaptive DOP853 at tight tolerances."""
     sol = integrate.solve_ivp(lambda t, v: M @ v, (grid[0], grid[-1]),

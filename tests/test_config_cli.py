@@ -151,6 +151,29 @@ class TestCliExitCodes:
         assert "coupling" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trajectory_davies.csv").exists()
 
+    def test_cgme_discrete_refused(self, tmp_path, capsys):
+        # its discretization parameters have no config form
+        doc = _base_doc()
+        doc["equations"] = [{"kind": "davies"}, {"kind": "cgme_discrete", "t_a": 1.0}]
+        code = main(["evolve", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "cgme_discrete" in err
+        assert not (tmp_path / "o" / "trajectory_davies.csv").exists()
+
+    @pytest.mark.parametrize("bath, where", [
+        ({"kind": "tabulated", "params": {"path": "t.txt", "beta": 4.0}}, "bath.params.path"),
+        ({"kind": "toy", "params": {}, "t_cutoff": "long"}, "bath.t_cutoff"),
+    ], ids=["params", "t_cutoff"])
+    def test_non_numeric_bath_value_refused(self, tmp_path, capsys, bath, where):
+        doc = _base_doc()
+        doc["bath"] = bath
+        code = main(["compare", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert where in capsys.readouterr().err
+
     def test_threads_option_rejected(self, tmp_path):
         # compare runs its equations one after another; there is no worker pool
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,6 @@ import pytest
 
 from qme.diagnostics import (
     BoundParams,
-    bound_report_rows,
     bound_summary,
     c_bm_bound,
     interaction_picture_action,
@@ -99,12 +98,6 @@ class TestClosedFormBounds:
             # the closed bracket upper-bounds the un-relaxed integral
             # (c_bm = 1 here, so the comparison is prefactor-free)
             assert printed >= raw - 1e-9
-
-    def test_report_rows(self):
-        rows = bound_report_rows(_bp(), np.array([0.0, 1.0, 2.0]))
-        names = {name for _, name, _ in rows}
-        assert "strongest" in names and "cgme_simple" in names
-        assert len({t for t, _, _ in rows}) == 3
 
 
 class TestAmplificationBound:

@@ -1,5 +1,6 @@
-"""Trajectory integration: analytic dephasing, convergence, monitors,
-the time-local growing-filter equation, and positivity-crossing detection."""
+"""Trajectory integration: analytic dephasing, exact propagation against an
+ODE oracle, monitors, the time-local growing-filter equation, and
+positivity-crossing detection."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.linalg import expm
 
 from qme.evolve import (
     EvolutionResult,
-    IntegratorConfig,
     evolve,
     evolve_ore,
     ore_filter_spline,
@@ -28,7 +28,7 @@ from qme.operators import (
     vectorize_generator,
 )
 
-from conftest import PAULI_X, PAULI_Z
+from conftest import PAULI_Z
 import oracles
 
 
@@ -54,36 +54,9 @@ class TestEvolveBasics:
 
     def test_unitary_precession(self):
         gen = vectorize_generator(0.5 * 1.3 * PAULI_Z, [])
-        res = evolve(gen, _plus_state(), np.linspace(0.0, 2.0, 9),
-                     IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10))
+        res = evolve(gen, _plus_state(), np.linspace(0.0, 2.0, 9))
         for i, t in enumerate(res.times):
             assert abs(res.states[i][0, 1] - 0.5 * np.exp(-1.3j * t)) < 1e-8
-
-    def test_rk4_step_halving_converges(self):
-        rng = np.random.default_rng(8)
-        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = 0.5 * (h + h.conj().T)
-        L = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        gen = vectorize_generator(h, [(0.4, L)])
-        grid = np.linspace(0.0, 2.0, 5)
-        coarse = evolve(gen, _plus_state(), grid,
-                        IntegratorConfig(method="rk4_fixed", step=0.01))
-        fine = evolve(gen, _plus_state(), grid,
-                      IntegratorConfig(method="rk4_fixed", step=0.005))
-        diff = np.max(np.abs(coarse.states[-1] - fine.states[-1]))
-        assert diff < 1e-8
-
-    def test_rk4_matches_reference_oracle(self):
-        rng = np.random.default_rng(9)
-        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = 0.5 * (h + h.conj().T)
-        gen = vectorize_generator(h, [(0.2, PAULI_X)])
-        M = gen.matrix
-        v0 = _plus_state().entries.reshape(-1, order="F")
-        ref = oracles.rk4_reference(lambda t, v: M @ v, v0, 0.0, 1.5, 300)
-        res = evolve(gen, _plus_state(), np.array([0.0, 1.5]),
-                     IntegratorConfig(method="rk4_fixed", step=1.5 / 300))
-        assert np.max(np.abs(res.states[-1].reshape(-1, order="F") - ref)) < 1e-12
 
     def test_monitors_clean_for_lindblad(self, benchmark_jd, toy_bath, benchmark_initial):
         gen = davies_generator(benchmark_jd, toy_bath)
@@ -179,12 +152,6 @@ class TestEvolutionMetadata:
                          benchmark_initial, np.linspace(0.0, 5.0, 11))
         assert res.metadata["integrator"] == "rk45_adaptive"
         assert res.metadata["nfev"] >= 6 * res.metadata["n_steps"] > 0
-
-    def test_rk4_recorded(self):
-        gen = vectorize_generator(np.zeros((2, 2)), [(0.3, PAULI_Z)])
-        res = evolve(gen, _plus_state(), np.linspace(0.0, 1.0, 3),
-                     IntegratorConfig(method="rk4_fixed", step=0.1))
-        assert res.metadata["integrator"] == "rk4_fixed"
 
     def test_health_summary_matches_per_state_monitors(self, benchmark_hamiltonian,
                                                        benchmark_coupling, toy_bath,

@@ -16,7 +16,6 @@ from qme.generators import (
     decompose_coupling,
     discretization_params,
     kossakowski_matrix,
-    multi_coupling_generator,
     redfield_filtered,
     redfield_generator,
 )
@@ -163,18 +162,18 @@ class _HiddenJumpBath:
 class TestLambShiftGrid:
     @pytest.mark.parametrize("t_a", [0.5, 1.17, 5.25, 55.0])
     def test_matches_pair_oracle_toy(self, benchmark_jd, toy_bath, t_a):
-        ours = cgme_lamb_shift(benchmark_jd, toy_bath, t_a)
+        ours, _ = cgme_lamb_shift(benchmark_jd, toy_bath, t_a)
         ref = _lamb_shift_oracle(benchmark_jd, toy_bath, t_a)
         assert np.max(np.abs(ours - ref)) < 1e-10
 
     def test_matches_pair_oracle_ohmic(self, benchmark_jd, ohmic_bath):
-        ours = cgme_lamb_shift(benchmark_jd, ohmic_bath, 1.5)
+        ours, _ = cgme_lamb_shift(benchmark_jd, ohmic_bath, 1.5)
         ref = _lamb_shift_oracle(benchmark_jd, ohmic_bath, 1.5)
         assert np.max(np.abs(ours - ref)) < 1e-10
 
     def test_matches_pair_oracle_rectangle_kink(self, benchmark_jd, rectangle_bath):
         # C(t) jumps at tau_c = 1, inside (0, T_a): the grid puts a panel edge there
-        ours = cgme_lamb_shift(benchmark_jd, rectangle_bath, 1.5)
+        ours, _ = cgme_lamb_shift(benchmark_jd, rectangle_bath, 1.5)
         ref = _lamb_shift_oracle(benchmark_jd, rectangle_bath, 1.5)
         assert np.max(np.abs(ours - ref)) < 1e-10
 
@@ -182,7 +181,7 @@ class TestLambShiftGrid:
         cfg = GeneratorConfig(equation_kind="cgme_frequency", T_a=5.25)
         gen = cgme_generator(benchmark_jd, toy_bath, cfg)
         err = gen.meta["lamb_quad_error"]
-        assert err == cgme_lamb_shift(benchmark_jd, toy_bath, 5.25).quad_error
+        assert err == cgme_lamb_shift(benchmark_jd, toy_bath, 5.25)[1]
         assert 0.0 <= err <= max(quadrature.EPSABS, quadrature.EPSREL)
         lambless = cgme_generator(benchmark_jd, toy_bath, GeneratorConfig(
             equation_kind="cgme_frequency", T_a=5.25, lambless=True))
@@ -262,7 +261,7 @@ class TestCgmeGenerator:
 
     def test_lamb_shift_converges_to_davies(self, benchmark_jd, toy_bath):
         H_davies = davies_generator(benchmark_jd, toy_bath).meta["H_LS"]
-        H_cg = cgme_lamb_shift(benchmark_jd, toy_bath, 80.0 * 0.6858)
+        H_cg, _ = cgme_lamb_shift(benchmark_jd, toy_bath, 80.0 * 0.6858)
         assert np.max(np.abs(H_cg - H_davies)) < 0.02
 
     def test_requires_ta(self, benchmark_jd, toy_bath):
@@ -290,41 +289,3 @@ class TestDiscretizationParams:
             tau_SB, tau_B = 10.0, 0.0
         with pytest.raises(ValueError):
             discretization_params(TS(), 1.0)
-
-
-class TestMultiCoupling:
-    @staticmethod
-    def _dissipator(gen, jd):
-        from qme.operators import hamiltonian_superop
-        return gen.to_superoperator().matrix - hamiltonian_superop(jd.hamiltonian)
-
-    def test_fully_correlated_couplings_quadruple_single(self, benchmark_jd, toy_bath):
-        # gamma_ij = gamma * ones(2) with the same A twice acts like the
-        # single coupling 2A: the dissipator quadruples
-        cfg = GeneratorConfig(equation_kind="cgme_frequency", T_a=1.12, lambless=True)
-        single = cgme_generator(benchmark_jd, toy_bath, cfg)
-
-        def gmat(eps):
-            return float(toy_bath.gamma(eps)) * np.ones((2, 2))
-
-        multi = multi_coupling_generator([benchmark_jd, benchmark_jd], gmat, cfg)
-        diff = self._dissipator(multi, benchmark_jd) \
-            - 4.0 * self._dissipator(single, benchmark_jd)
-        assert np.linalg.norm(diff, 2) < 1e-6
-
-    def test_uncorrelated_couplings_add(self, benchmark_jd, toy_bath):
-        cfg = GeneratorConfig(equation_kind="cgme_frequency", T_a=1.12, lambless=True)
-        single = cgme_generator(benchmark_jd, toy_bath, cfg)
-
-        def gmat(eps):
-            return float(toy_bath.gamma(eps)) * np.eye(2)
-
-        multi = multi_coupling_generator([benchmark_jd, benchmark_jd], gmat, cfg)
-        diff = self._dissipator(multi, benchmark_jd) \
-            - 2.0 * self._dissipator(single, benchmark_jd)
-        assert np.linalg.norm(diff, 2) < 1e-6
-
-    def test_rejects_lamb(self, benchmark_jd, toy_bath):
-        cfg = GeneratorConfig(equation_kind="cgme_frequency", T_a=1.12, lambless=False)
-        with pytest.raises(NotImplementedError):
-            multi_coupling_generator([benchmark_jd], lambda e: np.eye(1), cfg)

@@ -1,9 +1,11 @@
-"""Package surface: every name a module exports exists, no module imports
-a name it never uses, no module falls back to adaptive quadrature, and
-importing the package and its CLI loads no scipy module."""
+"""Package surface: every name a module exports exists, every name the
+benchmark's tracer wraps exists, no module imports a name it never uses, no
+module falls back to adaptive quadrature, and importing the package and its
+CLI loads no scipy module."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pathlib
 import pkgutil
@@ -26,6 +28,33 @@ def test_all_names_exist(name):
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("src/qme/*.py"))
+
+
+def _perfbench_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    # ``perfbench/run.py --trace 1`` wraps these by name; a deleted one
+    # breaks the traced run
+    tracing = _perfbench_tracing()
+    missing = [f"{mod}.{attr}" for targets in tracing.FUNCTIONS.values()
+               for mod, attr in targets
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert missing == []
+
+
+def test_traced_bath_methods_exist():
+    from qme.baths import Bath
+
+    classes = (Bath, *Bath.__subclasses__())
+    missing = [method for method in _perfbench_tracing().BATH_METHODS.values()
+               if not any(method in vars(cls) for cls in classes)]
+    assert missing == []
 
 
 def unused_imports(path: pathlib.Path) -> list:
