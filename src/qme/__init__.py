@@ -28,7 +28,6 @@ from .baths import (
     OhmicBath,
     ToyBath,
     RectangleBath,
-    TabulatedBath,
     make_bath,
 )
 

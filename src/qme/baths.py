@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import CHUNK_ELEMENTS, gauss_panels, refine
+from .quadrature import refine
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +31,6 @@ __all__ = [
     "OhmicBath",
     "ToyBath",
     "RectangleBath",
-    "TabulatedBath",
     "make_bath",
 ]
 
@@ -423,156 +422,10 @@ class RectangleBath(Bath):
                               T_cutoff=T_cutoff, epsilon_T=eps)
 
 
-class TabulatedBath(Bath):
-    """Spectral density sampled on a grid, monotone-cubic interpolated.
-
-    Queries outside the tabulated window raise (no extrapolation); gamma is
-    clamped at zero so interpolation wiggles cannot break positivity.
-    """
-
-    kind = "tabulated"
-
-    def __init__(self, omega_grid, gamma_values, beta=None):
-        super().__init__()
-        w = np.asarray(omega_grid, dtype=float)
-        g = np.asarray(gamma_values, dtype=float)
-        if w.ndim != 1 or w.shape != g.shape or len(w) < 4:
-            raise ValueError("need matching 1-D grids with at least 4 points")
-        if np.any(np.diff(w) <= 0):
-            raise ValueError("omega grid must be strictly increasing")
-        if np.min(g) < -1e-12 * max(np.max(np.abs(g)), 1e-300):
-            raise ValueError("tabulated gamma has negative entries")
-        self.omega_grid = w
-        self.gamma_values = np.maximum(g, 0.0)
-        from scipy.interpolate import PchipInterpolator
-        self._interp = PchipInterpolator(w, self.gamma_values, extrapolate=False)
-        self.beta = None if beta is None else float(beta)
-        self.thermal_flag = self.beta is not None
-        if self.thermal_flag:
-            self.validate()
-
-    def support_radius(self, tol=1e-12):
-        return float(max(abs(self.omega_grid[0]), abs(self.omega_grid[-1])))
-
-    def gamma_scale(self):
-        return float(np.max(self.gamma_values))
-
-    def _pv_edges(self, w):
-        """The knots: the interpolant is smooth between them."""
-        lo, hi = self.omega_grid[0], self.omega_grid[-1]
-        if not np.all((lo < w) & (w < hi)):
-            raise ValueError("principal-value point outside tabulated grid")
-        return self.omega_grid
-
-    def gamma(self, w):
-        w = np.asarray(w, dtype=float)
-        out = self._interp(w)
-        if np.any(np.isnan(out)):
-            raise ValueError(
-                f"tabulated bath queried outside grid "
-                f"[{self.omega_grid[0]}, {self.omega_grid[-1]}]"
-            )
-        out = np.maximum(out, 0.0)
-        return out if out.ndim else float(out)
-
-    def correlation(self, t):
-        """C(t) = (1/2pi) int gamma(w) e^{-iwt} dw by composite Gauss over the
-        knot panels.
-
-        Each knot interval is split so the oscillation advances by at most
-        ~2 radians per subpanel; order-8 Gauss then resolves cubic x phase
-        to roundoff.  The split grows with |t| in every interval, so the t
-        that share a total subpanel count share one split: each such group
-        gets one grid and one (t x node) contraction, chunked, like the
-        per-interval counts, to CHUNK_ELEMENTS entries.
-        """
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        edges = self.omega_grid
-        widths = np.diff(edges)
-
-        def split(a):
-            return np.minimum(1 + (widths[None, :] * a[:, None] / 2.0).astype(int), 256)
-
-        count = np.empty(flat.shape, dtype=int)
-        rows = max(1, CHUNK_ELEMENTS // len(widths))
-        for lo in range(0, len(flat), rows):
-            count[lo:lo + rows] = split(np.abs(flat[lo:lo + rows])).sum(axis=1)
-        order = np.argsort(count, kind="stable")
-        _, starts = np.unique(count[order], return_index=True)
-        out = np.empty(flat.shape, dtype=complex)
-        for first, last in zip(starts, np.append(starts[1:], len(order))):
-            group = order[first:last]
-            nsub = split(np.abs(flat[group[:1]]))[0]
-            sub_edges = np.concatenate(
-                [np.linspace(edges[k], edges[k + 1], nsub[k] + 1)[:-1]
-                 for k in range(len(widths))]
-                + [edges[-1:]]
-            )
-            nodes, weights = gauss_panels(sub_edges, 8)
-            wg = weights * np.maximum(self._interp(nodes), 0.0) / (2 * np.pi)
-            step = max(1, CHUNK_ELEMENTS // len(nodes))
-            for lo in range(0, len(group), step):
-                k = group[lo:lo + step]
-                phase = np.outer(flat[k], nodes)
-                out[k] = np.cos(phase) @ wg - 1j * (np.sin(phase) @ wg)
-        return out.reshape(t.shape) if t.ndim else complex(out[0])
-
-    def validate(self):
-        if self.thermal_flag:
-            W = self.support_radius()
-            lim = min(W, abs(self.omega_grid[0]), abs(self.omega_grid[-1]))
-            probe = np.linspace(-lim, lim, 101)
-            rep = self.kms_report(probe)
-            mask = self.gamma(probe) > 1e-10 * self.gamma_scale()
-            if mask.any() and float(np.max(rep["relative_deviation"][mask])) > 1e-8:
-                raise ValueError("tabulated bath fails the KMS check for given beta")
-
-    def _compute_timescales(self, T_cutoff):
-        if not np.isfinite(T_cutoff):
-            raise ValueError(
-                "tabulated bath: decay of C(t) is unknown; pass a finite T_cutoff"
-            )
-        # |C(t)| on a uniform grid via an FFT of the zero-padded spectrum
-        # (adaptive quadrature of the nested Fourier integral is hopeless
-        # for tabulated data); the padding refines the time step to
-        # 2 pi / (4 * span).
-        lo, hi = float(self.omega_grid[0]), float(self.omega_grid[-1])
-        span = hi - lo
-        n = 1 << 18
-        dw = 4.0 * span / n
-        w = lo + np.arange(n) * dw
-        g = np.zeros(n)
-        inside = w <= hi
-        g[inside] = np.maximum(self._interp(w[inside]), 0.0)
-        t = 2.0 * np.pi * np.arange(n) / (n * dw)
-        absC = np.abs(self._fft_correlation(g, dw, lo, t))
-        far = max(10.0 * T_cutoff, T_cutoff + 100.0)
-        if far > t[-1]:
-            raise ValueError(f"T_cutoff {T_cutoff} too large for the grid span")
-
-        def integral(weight, a, b):
-            sel = (t >= a) & (t <= b)
-            return np.trapezoid(weight(t[sel]) * absC[sel], t[sel])
-
-        norm = integral(lambda x: 1.0, 0.0, far)
-        first = integral(lambda x: x, 0.0, T_cutoff)
-        tail = integral(lambda x: 1.0, T_cutoff, far)
-        tau_SB = 1.0 / norm
-        return BathTimescales(tau_SB=tau_SB, tau_B=tau_SB * first,
-                              T_cutoff=T_cutoff, epsilon_T=tau_SB * tail)
-
-    @staticmethod
-    def _fft_correlation(g, dw, lo, t):
-        spec = np.fft.fft(g)
-        return (dw / (2.0 * np.pi)) * np.exp(-1j * lo * t) * spec
-
-
 _KINDS = {
     "ohmic": OhmicBath,
     "toy": ToyBath,
     "rectangle": RectangleBath,
-    "tabulated": TabulatedBath,
 }
 
 

@@ -79,12 +79,10 @@ def _bath_and_timescales(cfg: ExperimentConfig):
         raise ConfigError("this command requires a 'bath' section")
     bath = cfg.bath.build()
     t_cutoff = cfg.bath.t_cutoff
-    if bath.kind == "ohmic" and t_cutoff is None:
-        raise ConfigError(
-            "ohmic bath: the correlation-time integral diverges without a finite "
-            "t_cutoff; set bath.t_cutoff"
-        )
-    ts = bath.timescales(np.inf if t_cutoff is None else t_cutoff)
+    try:
+        ts = bath.timescales(np.inf if t_cutoff is None else t_cutoff)
+    except ValueError as exc:
+        raise ConfigError(f"bath.t_cutoff: {exc}") from exc
     return bath, ts
 
 
@@ -175,7 +173,7 @@ def cmd_bath_info(cfg: ExperimentConfig, out_dir: str, args) -> int:
     gmax = float(np.max(np.abs(g)))
     if np.min(g) < -1e-12 * max(gmax, 1.0):
         lines.append("gamma(omega) < 0 for some omega: not CP-admissible")
-    if getattr(bath, "thermal_flag", False):
+    if bath.thermal_flag:
         report = bath.kms_report(np.linspace(-10.0, 10.0, 401))
         lines.append(
             f"detailed balance: max relative deviation = "

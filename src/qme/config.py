@@ -172,7 +172,7 @@ def _parse_model(section: Mapping) -> ModelSection:
         {"qubits", "hamiltonian", "matrix_file", "coupling", "initial_state"},
         "model",
     )
-    qubits = int(_require(section, "qubits", "model"))
+    qubits = _integer(_require(section, "qubits", "model"), "model.qubits")
     if qubits < 1:
         raise ConfigError("model.qubits must be >= 1")
     ham = section.get("hamiltonian", {})
@@ -181,7 +181,7 @@ def _parse_model(section: Mapping) -> ModelSection:
         raise ConfigError(f"model.matrix_file {matrix_file!r} does not exist")
     if not ham and matrix_file is None:
         raise ConfigError("model requires 'hamiltonian' Pauli terms or 'matrix_file'")
-    terms = tuple((str(k), float(v)) for k, v in ham.items())
+    terms = tuple((str(k), _number(v, f"model.hamiltonian.{k}")) for k, v in ham.items())
     for label, _ in terms:
         pauli_string_matrix(label, qubits)
     coupling = tuple(str(c) for c in section.get("coupling", ()))
@@ -201,6 +201,25 @@ def _number(value, where: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _integer(value, where: str) -> int:
+    number = _number(value, where)
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _numbers(value, where: str) -> Tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
 
 
 def _parse_bath(section: Mapping) -> BathSection:
@@ -229,12 +248,11 @@ def _parse_equation(section: Mapping, index: int) -> GeneratorConfig:
         raise ConfigError(
             f"{where}: cgme_discrete needs discretization parameters, which a "
             "config cannot carry; build it through the library")
+    t_a = section.get("t_a")
+    t_a = None if t_a is None else _number(t_a, f"{where}.t_a")
+    lambless = _boolean(section.get("lambless", False), f"{where}.lambless")
     try:
-        return GeneratorConfig(
-            equation_kind=kind,
-            T_a=None if section.get("t_a") is None else float(section["t_a"]),
-            lambless=bool(section.get("lambless", False)),
-        )
+        return GeneratorConfig(equation_kind=kind, T_a=t_a, lambless=lambless)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -256,8 +274,8 @@ def parse_config(document: Mapping) -> ExperimentConfig:
         g = document["grid"]
         _check_keys(g, {"t_max_tau_sb", "points"}, "grid")
         grid = GridSection(
-            t_max_tau_sb=float(_require(g, "t_max_tau_sb", "grid")),
-            points=int(_require(g, "points", "grid")),
+            t_max_tau_sb=_number(_require(g, "t_max_tau_sb", "grid"), "grid.t_max_tau_sb"),
+            points=_integer(_require(g, "points", "grid"), "grid.points"),
         )
     sweep = None
     if "sweep" in document:
@@ -265,18 +283,18 @@ def parse_config(document: Mapping) -> ExperimentConfig:
         _check_keys(s, {"parameter", "values"}, "sweep")
         sweep = SweepSection(
             parameter=str(_require(s, "parameter", "sweep")),
-            values=tuple(float(v) for v in _require(s, "values", "sweep")),
+            values=_numbers(_require(s, "values", "sweep"), "sweep.values"),
         )
     dd = None
     if "dd" in document:
         d = document["dd"]
         _check_keys(d, {"beta", "omega_c", "dt", "k_prime", "kappa"}, "dd")
         dd = DDSection(
-            beta=tuple(float(v) for v in _require(d, "beta", "dd")),
-            omega_c=tuple(float(v) for v in _require(d, "omega_c", "dd")),
-            dt=tuple(float(v) for v in _require(d, "dt", "dd")),
-            k_prime=int(d.get("k_prime", 1)),
-            kappa=float(d.get("kappa", 1.0)),
+            beta=_numbers(_require(d, "beta", "dd"), "dd.beta"),
+            omega_c=_numbers(_require(d, "omega_c", "dd"), "dd.omega_c"),
+            dt=_numbers(_require(d, "dt", "dd"), "dd.dt"),
+            k_prime=_integer(d.get("k_prime", 1), "dd.k_prime"),
+            kappa=_number(d.get("kappa", 1.0), "dd.kappa"),
         )
         if dd.k_prime < 1:
             raise ConfigError("dd.k_prime must be >= 1")
@@ -286,7 +304,7 @@ def parse_config(document: Mapping) -> ExperimentConfig:
         _check_keys(o, {"directory", "gnuplot"}, "outputs")
         outputs = OutputSection(
             directory=str(o.get("directory", "out")),
-            gnuplot=bool(o.get("gnuplot", False)),
+            gnuplot=_boolean(o.get("gnuplot", False), "outputs.gnuplot"),
         )
     return ExperimentConfig(
         model=model,

@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-12
+# td_redfield_filter warns when the share of int_0^inf |C| beyond its
+# history cutoff, the bath's epsilon_T there, exceeds this
+TRUNCATION_WARN = 1e-2
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -142,7 +145,13 @@ class DriveSchedule:
 
 @dataclass(frozen=True)
 class DDSequence:
-    """Periodic instantaneous pulses spaced by dt; averaging time 4*k_prime*dt."""
+    """Periodic instantaneous pulses spaced by dt; averaging time 4*k_prime*dt.
+
+    Here dt is the pulse spacing itself.  The closed form
+    ``dd_suppression_xi(bath, dt_xi, k')`` takes half the spacing: it
+    describes ``DDSequence(dt=2*dt_xi)`` with T_a = 4 k' dt_xi, half of
+    that sequence's ``averaging_time``.
+    """
 
     dt: float
     k_prime: int = 1
@@ -399,19 +408,18 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
 
     by pulse-subdivided Gauss quadrature on the same Heisenberg stack as the
     coarse-grained coefficients (offsets tau = -t'), with C evaluated in one
-    vectorised call.  A cutoff shorter than ~3 bath correlation times
-    truncates the memory integral; that triggers a warning.
+    vectorised call.  A cutoff that leaves more than ``TRUNCATION_WARN`` of
+    int_0^inf |C| beyond it (the bath's epsilon_T, the term the Redfield
+    bound adds in full) truncates the memory integral; that triggers a
+    warning.
     """
     if history_cutoff <= 0:
         raise ValueError("history_cutoff must be > 0")
-    try:
-        tau_B = bath.timescales().tau_B
-    except Exception:
-        tau_B = None
-    if tau_B is not None and np.isfinite(tau_B) and history_cutoff < 3.0 * tau_B:
+    epsilon_T = bath.timescales(history_cutoff).epsilon_T
+    if epsilon_T > TRUNCATION_WARN:
         warnings.warn(
-            f"history_cutoff {history_cutoff:.3g} < 3 tau_B = {3 * tau_B:.3g}: "
-            "memory integral truncated early",
+            f"history_cutoff {history_cutoff:.3g} leaves epsilon_T = {epsilon_T:.3g} "
+            f"> {TRUNCATION_WARN:g} of int |C| beyond it: memory integral truncated early",
             stacklevel=2,
         )
     A = _as_matrix(A)
@@ -516,6 +524,10 @@ def dd_suppression_xi(bath, dt: float, k_prime: int = 1) -> float:
     over the bath's support [-W, W], both integrals on one refined
     composite Gauss grid.  xi < 1 is guaranteed when the bath's
     high-frequency cutoff satisfies omega_c * dt < pi/4.
+
+    dt is half the pulse spacing: xi equals
+    ``dd_suppression_xi_general(bath, 2*dt, T_a=4*k_prime*dt)``, pulses
+    every 2 dt (``DDSequence(dt=2*dt)``), to roundoff.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")

@@ -50,28 +50,6 @@ def toy_rational_correlation(t, normalization=21.0337, a=1.01, b=0.6, beta=4.0, 
     return (n * b * beta / (math.pi * tau_sb)) * (term1 - term2)
 
 
-def tabulated_correlation_loop(gamma, knots, t, order=8):
-    """C(t) = (1/2pi) int gamma(w) e^{-iwt} dw over the knot panels, one t
-    at a time: each knot interval split so the phase advances by at most ~2
-    radians per subpanel (at most 256 subpanels), order-``order`` Gauss on
-    each subpanel, the subpanel grid rebuilt for every t."""
-    x, wx = np.polynomial.legendre.leggauss(order)
-    knots = np.asarray(knots, dtype=float)
-    widths = np.diff(knots)
-    out = []
-    for ti in np.atleast_1d(np.asarray(t, dtype=float)):
-        nsub = np.minimum(1 + (widths * abs(ti) / 2.0).astype(int), 256)
-        edges = np.concatenate(
-            [np.linspace(knots[k], knots[k + 1], nsub[k] + 1)[:-1] for k in range(len(widths))]
-            + [knots[-1:]])
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * wx[None, :]).ravel()
-        out.append(np.sum(weights * np.asarray(gamma(nodes)) * np.exp(-1j * nodes * ti)))
-    return np.array(out) / (2.0 * np.pi)
-
-
 def half_fourier_reference(corr, w, t_max=300.0):
     """f(w) = int_0^inf C(t) e^{iwt} dt by adaptive quadrature."""
     re = integrate.quad(lambda t: (corr(t) * cmath.exp(1j * w * t)).real, 0, t_max, limit=800)[0]
@@ -215,8 +193,8 @@ def cgme_gamma_reduced(w, wp, t_a, corr):
 
 def lamb_s_cauchy(gamma, w, lo, hi, kinks=(0.0,)):
     """S(w) = (1/2pi) PV int_lo^hi gamma(x)/(w - x) dx by adaptive
-    quadrature split at the ``kinks`` of gamma (0 for a thermal bath, the
-    knots of a tabulated one): the piece holding the pole with quad's Cauchy
+    quadrature split at the ``kinks`` of gamma (0 for a thermal bath): the
+    piece holding the pole with quad's Cauchy
     weight (QAWC), the others plainly.  At w = 0 (a symmetric window,
     lo = -hi) it uses the regular symmetric form
     int_0^hi (gamma(-x) - gamma(x))/x dx."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
-from qme.baths import Bath, OhmicBath, TabulatedBath, ToyBath, make_bath
+from qme.baths import Bath, OhmicBath, ToyBath, make_bath
 
 import oracles
 
@@ -134,41 +134,6 @@ class TestRectangleBath:
         assert np.isclose(ts.tau_B, 0.5)
 
 
-class TestTabulatedBath:
-    def test_interpolates_parent(self, toy_bath):
-        w = np.linspace(-30, 30, 4001)
-        tab = TabulatedBath(w, np.asarray(toy_bath.gamma(w)), beta=4.0)
-        for probe in (-2.0, 0.1, 3.0):
-            assert np.isclose(float(tab.gamma(probe)), float(toy_bath.gamma(probe)), rtol=1e-5)
-
-    @pytest.mark.parametrize("knots", [
-        np.linspace(-20.0, 20.0, 201),
-        # uneven widths: t with one total subpanel count must share the split
-        np.sort(np.concatenate([[-20.0, 20.0],
-                                np.random.default_rng(0).uniform(-20.0, 20.0, 199)])),
-    ], ids=["uniform", "uneven"])
-    def test_correlation_matches_per_t_loop(self, toy_bath, knots):
-        # no beta: the KMS check would reject the interpolant on uneven knots
-        tab = TabulatedBath(knots, np.asarray(toy_bath.gamma(knots)))
-        t = np.concatenate([np.linspace(-60.0, 60.0, 241), [0.013, 1e3]])
-        C = tab.correlation(t)
-        ref = oracles.tabulated_correlation_loop(tab.gamma, knots, t)
-        assert np.max(np.abs(C - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert tab.correlation(t.reshape(3, -1)).shape == (3, 81)
-        scalar = tab.correlation(0.7)
-        assert isinstance(scalar, complex)
-        ref_scalar = oracles.tabulated_correlation_loop(tab.gamma, knots, 0.7)[0]
-        assert abs(scalar - ref_scalar) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_timescales_need_explicit_cutoff(self, toy_bath):
-        w = np.linspace(-30, 30, 801)
-        tab = TabulatedBath(w, np.asarray(toy_bath.gamma(w)), beta=4.0)
-        with pytest.raises(ValueError):
-            tab.timescales()
-        ts = tab.timescales(T_cutoff=30.0)
-        assert np.isfinite(ts.tau_B)
-
-
 class TestTimescaleIntegrals:
     """The timescale integrals on the refined Gauss layer against tight
     adaptive quadrature (epsrel 1e-14, no absolute floor), to 1e-12
@@ -263,17 +228,6 @@ class TestLambAmplitude:
         assert np.all(np.abs(S - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
         assert 0.0 <= err <= 1e-10
 
-    def test_tabulated_grid_matches_cauchy_oracle(self, toy_bath, benchmark_jd):
-        knots = np.linspace(-20.0, 20.0, 201)
-        tab = TabulatedBath(knots, np.asarray(toy_bath.gamma(knots)), beta=4.0)
-        w = self.frequencies(benchmark_jd)
-        S, _ = tab.lamb_amplitude_S(w)
-        ref = np.array([oracles.lamb_s_cauchy(tab.gamma, x, -20.0, 20.0, kinks=knots)
-                        for x in w])
-        assert np.all(np.abs(S - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
-        with pytest.raises(ValueError):
-            tab.lamb_amplitude_S(np.array([0.0, 25.0]))
-
     def test_rectangle_closed_form_matches_cauchy_oracle(self, rectangle_bath, benchmark_jd):
         # gamma = 2 g^2 sin(w tau_c)/w decays only like 1/w; gamma is even, so
         # cutting the window at W leaves (1/2pi) int_W^inf gamma 2w/(x^2 - w^2),
@@ -294,8 +248,9 @@ class TestFactoryAndProperties:
         assert make_bath("rectangle", g=1.0, tau_c=0.5).kind == "rectangle"
 
     def test_make_bath_unknown(self):
-        with pytest.raises(ValueError):
-            make_bath("lorentzian")
+        for kind in ("lorentzian", "tabulated"):
+            with pytest.raises(ValueError):
+                make_bath(kind)
 
     @given(st.floats(min_value=0.2, max_value=3.0), st.floats(min_value=0.5, max_value=4.0))
     @settings(max_examples=15, deadline=None)

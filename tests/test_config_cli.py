@@ -163,7 +163,7 @@ class TestCliExitCodes:
         assert not (tmp_path / "o" / "trajectory_davies.csv").exists()
 
     @pytest.mark.parametrize("bath, where", [
-        ({"kind": "tabulated", "params": {"path": "t.txt", "beta": 4.0}}, "bath.params.path"),
+        ({"kind": "toy", "params": {"beta": "four"}}, "bath.params.beta"),
         ({"kind": "toy", "params": {}, "t_cutoff": "long"}, "bath.t_cutoff"),
     ], ids=["params", "t_cutoff"])
     def test_non_numeric_bath_value_refused(self, tmp_path, capsys, bath, where):
@@ -174,6 +174,38 @@ class TestCliExitCodes:
         assert code == 2
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, where", [
+        ("grid", "points", "five", "grid.points"),
+        ("grid", "points", 2.7, "grid.points"),
+        ("grid", "t_max_tau_sb", None, "grid.t_max_tau_sb"),
+        ("model", "qubits", 2.5, "model.qubits"),
+        ("model", "hamiltonian", {"ZI": "x"}, "model.hamiltonian.ZI"),
+        ("sweep", "values", ["a"], "sweep.values[0]"),
+        ("sweep", "values", 1.0, "sweep.values"),
+        ("dd", "omega_c", ["x"], "dd.omega_c[0]"),
+        ("dd", "k_prime", 1.5, "dd.k_prime"),
+        ("dd", "kappa", "strong", "dd.kappa"),
+        ("equations", "lambless", "false", "equations[0].lambless"),
+        ("equations", "t_a", [1.0], "equations[0].t_a"),
+        ("outputs", "gnuplot", "false", "outputs.gnuplot"),
+    ], ids=["points-string", "points-fraction", "t_max-null", "qubits-fraction",
+            "coefficient-string", "sweep-string", "sweep-scalar", "dd-string",
+            "k_prime-fraction", "kappa-string", "lambless-string", "t_a-list",
+            "gnuplot-string"])
+    def test_misread_value_refused(self, tmp_path, capsys, section, key, value, where):
+        # each of these once escaped as a traceback or was silently coerced
+        doc = _base_doc()
+        doc["sweep"] = {"parameter": "t_a", "values": [1.0]}
+        doc["dd"] = {"beta": [1.0], "omega_c": [1.0], "dt": [0.2]}
+        doc["equations"] = [{"kind": "cgme_frequency", "t_a": 1.0}]
+        target = doc[section][0] if section == "equations" else doc[section]
+        target[key] = value
+        code = main(["compare", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and where in err
+
     def test_threads_option_rejected(self, tmp_path):
         # compare runs its equations one after another; there is no worker pool
         with pytest.raises(SystemExit) as exc:
@@ -181,13 +213,14 @@ class TestCliExitCodes:
                   "--out", str(tmp_path / "o"), "--threads", "2"])
         assert exc.value.code == 2
 
-    def test_ohmic_without_cutoff_refused(self, tmp_path):
+    def test_ohmic_without_cutoff_refused(self, tmp_path, capsys):
         doc = _base_doc()
         doc["bath"] = {"kind": "ohmic",
                        "params": {"kappa": 1.0, "omega_c": 1.0, "beta": 1.0}}
         code = main(["evolve", "--config", _write(tmp_path, doc),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+        assert "bath.t_cutoff" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("command", ["compare", "bounds", "optimize-ta"])

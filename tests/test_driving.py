@@ -147,6 +147,14 @@ class TestSlidingWindowCoefficients:
             td_redfield_filter(sched, benchmark_coupling, toy_bath, 5.0,
                                history_cutoff=0.5)
 
+    def test_short_cutoff_warns_for_ohmic(self):
+        # epsilon_T(0.01) = 0.99: the bath's infinite-cutoff tau_B, which an
+        # Ohmic bath refuses, is not needed to see the truncation
+        sched = DriveSchedule(segments=((0.0, 10.0, np.zeros((2, 2))),))
+        with pytest.warns(UserWarning, match="truncated"):
+            td_redfield_filter(sched, PAULI_Z, OhmicBath(0.1, 1.0, 2.0), 5.0,
+                               history_cutoff=0.01)
+
     def test_rectangle_filter_closed_form(self, rectangle_bath):
         # constant C = g^2 on [0, tau_c): A_f = g^2 tau_c A for commuting H
         sched = DriveSchedule(segments=((0.0, 10.0, np.zeros((2, 2))),))
@@ -261,13 +269,14 @@ class TestSuppressionRatio:
                               oracles.tan_sinc_direct(x, k), atol=1e-10)
 
     def test_doubling_identity(self):
-        # closed form with spacing dt equals the microscopic parity protocol
-        # with spacing 2*dt at the same averaging time 4*k'*dt
+        # the closed form's dt is half the pulse spacing: it equals the
+        # microscopic parity protocol with spacing 2*dt at the same averaging
+        # time 4*k'*dt, to roundoff on the same refined grid
         bath = OhmicBath(kappa=1.0, omega_c=math.pi / 2.0, beta=5.0)
-        for dt, kp in ((0.5, 1), (0.8, 2)):
+        for dt, kp in ((0.2, 1), (0.5, 1), (0.8, 2), (1.0, 1)):
             closed = dd_suppression_xi(bath, dt, k_prime=kp)
             general = dd_suppression_xi_general(bath, 2.0 * dt, T_a=4.0 * kp * dt)
-            assert np.isclose(closed, general, rtol=2e-3)
+            assert abs(closed - general) <= 1e-12 * abs(closed)
 
     def test_xi_decreases_with_dt(self):
         bath = OhmicBath(kappa=1.0, omega_c=math.pi / 2.0, beta=5.0)
