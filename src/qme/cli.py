@@ -105,10 +105,10 @@ def _grid(cfg: ExperimentConfig, tau_sb: float) -> np.ndarray:
 
 
 def _run_equation(
-    eq: GeneratorConfig, H, A, bath, ts, rho0, grid
+    eq: GeneratorConfig, H, A, bath, rho0, grid
 ) -> EvolutionResult:
     if eq.equation_kind == "ore":
-        return evolve_ore(H, A, bath, rho0, grid, timescales=ts)
+        return evolve_ore(H, A, bath, rho0, grid)
     jd = decompose_coupling(eigensystem(H), A)
     if eq.equation_kind == "redfield":
         gen = redfield_generator(jd, bath, lambless=eq.lambless)
@@ -253,7 +253,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir: str, args) -> int:
     for eq in _sweep_equations(cfg):
         tag = _equation_tag(eq)
         try:
-            res = _run_equation(eq, H, A, bath, ts, rho0, grid)
+            res = _run_equation(eq, H, A, bath, rho0, grid)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             logger.error("equation %s failed: %s", tag, exc)
             failures += 1
@@ -282,7 +282,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
     if len(equations) < 2:
         raise ConfigError("compare requires at least two equations (after sweeps)")
 
-    results = [_run_equation(eq, H, A, bath, ts, rho0, grid) for eq in equations]
+    results = [_run_equation(eq, H, A, bath, rho0, grid) for eq in equations]
 
     tags = [_equation_tag(eq) for eq in equations]
     rows = []
@@ -362,8 +362,8 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: str, args) -> int:
     H, A, rho0 = _model(cfg)
     grid = _grid(cfg, ts.tau_SB)
     eq_c = _first_cgme(cfg.equations)
-    res_c = _run_equation(eq_c, H, A, bath, ts, rho0, grid)
-    res_ref = _run_equation(GeneratorConfig("ore"), H, A, bath, ts, rho0, grid)
+    res_c = _run_equation(eq_c, H, A, bath, rho0, grid)
+    res_ref = _run_equation(GeneratorConfig("ore"), H, A, bath, rho0, grid)
     measured, _ = trace_distance_series(res_c, res_ref)
     bp = BoundParams(
         tau_b=ts.tau_B, tau_sb=ts.tau_SB, t_a=eq_c.T_a, epsilon_t=ts.epsilon_T

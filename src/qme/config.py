@@ -68,8 +68,14 @@ def _require(section: Mapping, key: str, where: str):
     return section[key]
 
 
+def _mapping(value, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
 def _check_keys(section: Mapping, allowed: set, where: str) -> None:
-    extra = set(section) - allowed
+    extra = set(_mapping(section, where)) - allowed
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)} in section {where!r}")
 
@@ -175,7 +181,7 @@ def _parse_model(section: Mapping) -> ModelSection:
     qubits = _integer(_require(section, "qubits", "model"), "model.qubits")
     if qubits < 1:
         raise ConfigError("model.qubits must be >= 1")
-    ham = section.get("hamiltonian", {})
+    ham = _mapping(section.get("hamiltonian", {}), "model.hamiltonian")
     matrix_file = section.get("matrix_file")
     if matrix_file is not None and not os.path.exists(matrix_file):
         raise ConfigError(f"model.matrix_file {matrix_file!r} does not exist")
@@ -227,7 +233,7 @@ def _parse_bath(section: Mapping) -> BathSection:
     kind = str(_require(section, "kind", "bath"))
     params = tuple(
         (str(k), _number(v, f"bath.params.{k}"))
-        for k, v in section.get("params", {}).items()
+        for k, v in _mapping(section.get("params", {}), "bath.params").items()
     )
     t_cutoff = section.get("t_cutoff")
     bs = BathSection(
@@ -266,9 +272,10 @@ def parse_config(document: Mapping) -> ExperimentConfig:
     )
     model = _parse_model(document["model"]) if "model" in document else None
     bath = _parse_bath(document["bath"]) if "bath" in document else None
-    equations = tuple(
-        _parse_equation(e, i) for i, e in enumerate(document.get("equations", ()))
-    )
+    equations = document.get("equations", ())
+    if not isinstance(equations, (list, tuple)):
+        raise ConfigError(f"equations must be a list, got {equations!r}")
+    equations = tuple(_parse_equation(e, i) for i, e in enumerate(equations))
     grid = None
     if "grid" in document:
         g = document["grid"]

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Tuple
 import numpy as np
 
 from .baths import Bath, BathTimescales
-from .evolve import ore_filter_spline
+from .evolve import ore_filter
 from .generators import JumpDecomposition, decompose_coupling
 from .operators import HermitianOperator, eigensystem, _trace_norms
 
@@ -116,14 +116,14 @@ def ta_discrepancy_report(bp: BoundParams, reported_value: float = 0.97) -> Mapp
 
 
 def interaction_picture_action(
-    jd: JumpDecomposition, spline: Callable[[np.ndarray], np.ndarray]
+    jd: JumpDecomposition, g: Callable[[np.ndarray], np.ndarray]
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Action of the dissipative generator in the interaction picture.
 
     Returns a callable ``(X, t) -> A(t) X Af(t) - X Af(t) A(t) + h.c.`` where
     ``A(t)`` is the Heisenberg-rotated coupling and ``Af(t)`` the filtered
-    coupling built from the running kernel integrals ``spline(t)[k]`` of
-    ``jd.frequencies[k]`` (see ``ore_filter_spline``).  It broadcasts over a
+    coupling built from the running kernel integrals ``g(t)[..., k]`` of
+    ``jd.frequencies[k]`` (see ``ore_filter``).  It broadcasts over a
     stack of X of shape (..., d, d) with t of shape (...).
     """
     w = np.asarray(jd.frequencies, dtype=float)
@@ -133,7 +133,7 @@ def interaction_picture_action(
         t = np.asarray(t, dtype=float)
         phase = np.exp(-1j * np.multiply.outer(t, w))
         a_t = np.einsum("...k,kij->...ij", phase, ops)
-        af_t = np.einsum("...k,kij->...ij", phase * spline(t), ops)
+        af_t = np.einsum("...k,kij->...ij", phase * g(t), ops)
         half = a_t @ x @ af_t - x @ af_t @ a_t
         return half + np.swapaxes(half.conj(), -1, -2)
 
@@ -169,9 +169,8 @@ def lambda_estimate(
     and the generator is applied at times drawn uniformly from ``time_interval``
     (default [0, 2.56 tau_SB]).  Returns the sample maximum, the histogram mode
     as the typical value, and the proven bound 4/tau_SB.  Deterministic under a
-    fixed seed.  ``timescales`` supplies tau_SB and the tau_B of the filter
-    tabulation; the default ``bath.timescales()`` has an infinite cutoff, which
-    an Ohmic bath refuses.
+    fixed seed.  ``timescales`` supplies tau_SB; the default
+    ``bath.timescales()`` has an infinite cutoff, which an Ohmic bath refuses.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -183,7 +182,7 @@ def lambda_estimate(
         raise ValueError("time_interval must satisfy 0 <= t_lo < t_hi")
 
     jd = decompose_coupling(eigensystem(hamiltonian), coupling)
-    action = interaction_picture_action(jd, ore_filter_spline(jd, bath, t_hi, ts))
+    action = interaction_picture_action(jd, ore_filter(jd, bath, t_hi)[0])
 
     dim = hamiltonian.dim
     rng = np.random.default_rng(rng_seed)

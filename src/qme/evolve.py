@@ -3,9 +3,11 @@
 Propagates a constant vectorized generator exactly by matrix exponentials,
 integrates a time-dependent one (among them the time-local equation whose
 filter integral grows with t, the pre-limit form of the Redfield equation) by
-adaptive Runge-Kutta, and assembles the time-dependent coarse-grained
-generator from the driving machinery.  Every trajectory carries per-point
-monitors: trace deviation, Hermiticity deviation, and minimum eigenvalue.
+the commutator-free fourth-order Magnus step of Blanes & Moan, Appl. Numer.
+Math. 56, 1519 (2006), with step halving, and assembles the time-dependent
+coarse-grained generator from the driving machinery.  Every trajectory
+carries per-point monitors: trace deviation, Hermiticity deviation, and
+minimum eigenvalue.
 """
 
 from __future__ import annotations
@@ -27,25 +29,32 @@ from .operators import (
     _right,
 )
 from .generators import GeneratorSet, JumpDecomposition
+from .quadrature import CHUNK_ELEMENTS, MAX_PANELS, PANEL_PHASE, cumulative
 from . import driving as drv
 
 __all__ = [
     "EvolutionResult",
     "evolve",
     "evolve_ore",
-    "ore_filter_spline",
+    "ore_filter",
     "td_cgme_superoperator",
     "positivity_crossing",
     "trace_distance_series",
 ]
 
-# spacing of the time-local filter tabulation: points per bath correlation time
-ORE_POINTS_PER_TAU_B = 400
 # grid steps closer than this (relative) share one propagator exp(M h)
 STEP_RTOL = 1e-12
-# RK45 tolerances for time-dependent generators (constant ones are exact)
-RK45_ATOL = 1e-10
-RK45_RTOL = 1e-8
+# the commutator-free fourth-order Magnus (CFM4) step from t to t + h:
+# exp(h (a2 L1 + a1 L2)) exp(h (a1 L1 + a2 L2)) with L1, L2 the generator at
+# the Gauss nodes t + CFM4_NODES h and a1,2 = 1/4 +- sqrt(3)/6; row k of
+# CFM4_WEIGHTS weights (L1, L2) in the k-th exponential applied, so the one
+# weighting the earlier node more acts first
+CFM4_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+CFM4_WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 6.0
+# substeps are halved until the trajectory's largest change over 15, the
+# error estimate of a fourth-order method, is at most CFM4_TOL: the error
+# RK45 reached at its old tolerances on the benchmark model
+CFM4_TOL = 2e-8
 
 
 @dataclass(frozen=True)
@@ -75,36 +84,15 @@ class EvolutionResult:
         return self.states.shape[1]
 
 
-def _generator_callable(gen):
-    """Normalize the generator argument to (dim, matrix_fn(t), is_constant).
-
-    A constant generator's matrix_fn ignores t.  A ``GeneratorSet`` is
-    vectorized on each call rather than kept, so the dense output of a stored
-    result does not hold a d^2 x d^2 matrix.
-    """
-    if isinstance(gen, GeneratorSet):
-        return gen.dim, (lambda t: gen.to_superoperator().matrix), True
-    if isinstance(gen, Superoperator):
-        return gen.dim, (lambda t: gen.matrix), True
-    if callable(gen):
-        probe = gen(0.0)
-        mat0 = probe.matrix if isinstance(probe, Superoperator) else np.asarray(probe, complex)
-        dim = int(round(math.sqrt(mat0.shape[0])))
-
-        def fn(t):
-            out = gen(t)
-            return out.matrix if isinstance(out, Superoperator) else np.asarray(out, complex)
-
-        return dim, fn, False
-    raise TypeError("gen must be a GeneratorSet, Superoperator, or callable t -> matrix")
-
-
 def _propagate_expm(matrix_fn, v0, grid):
     """Exact propagation of dv/dt = M v for a constant M: one expm(M h) per
     distinct step h (steps within STEP_RTOL of each other share one), and the
-    dense output expm(M (t - t_i)) v_i from the last grid point t_i <= t."""
+    dense output expm(M (t - t_i)) v_i from the last grid point t_i <= t.
+    ``matrix_fn()`` returns M; a ``GeneratorSet`` is vectorized on each call
+    rather than kept, so the dense output of a stored result does not hold a
+    d^2 x d^2 matrix."""
     from scipy.linalg import expm
-    M = matrix_fn(0.0)
+    M = matrix_fn()
     steps = np.diff(grid)
     reps, which = [], np.empty(len(steps), dtype=int)
     for k in np.argsort(steps, kind="stable"):
@@ -119,53 +107,111 @@ def _propagate_expm(matrix_fn, v0, grid):
 
     def dense(t):
         i = int(np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2))
-        return expm(matrix_fn(t) * (t - grid[i])) @ vs[i]
+        return expm(matrix_fn() * (t - grid[i])) @ vs[i]
 
     return vs, dense, {"integrator": "expm", "n_expm": len(props)}
 
 
-def _integrate_rk45(matrix_fn, v0, grid):
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(
-        lambda t, v: matrix_fn(t) @ v,
-        (grid[0], grid[-1]),
-        v0,
-        method="RK45",
-        t_eval=grid,
-        atol=RK45_ATOL,
-        rtol=RK45_RTOL,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise ArithmeticError(f"integration failed near t = {sol.t[-1]:.6g}: {sol.message}")
-    info = {"integrator": "rk45_adaptive", "nfev": int(sol.nfev),
-            "n_steps": len(sol.sol.ts) - 1}
-    return sol.y.T, sol.sol, info
+def _cfm4_run(L, v, grid, counts):
+    """CFM4 from grid[0] with counts[i] equal substeps in grid interval i:
+    the state at each later grid point.  The substeps' exponentials come from
+    one stacked ``expm`` call per chunk of at most CHUNK_ELEMENTS matrix
+    entries."""
+    from scipy.linalg import expm
+    stops = np.cumsum(counts)
+    h = np.repeat(np.diff(grid) / counts, counts)
+    t0 = np.repeat(grid[:-1], counts) + (np.arange(len(h)) - np.repeat(stops - counts, counts)) * h
+    ends = np.zeros(len(h), dtype=bool)
+    ends[stops - 1] = True
+    n = len(v)
+    step = max(1, CHUNK_ELEMENTS // (2 * n * n))
+    out = []
+    for lo in range(0, len(h), step):
+        k = slice(lo, lo + step)
+        Ls = np.asarray(L((t0[k, None] + h[k, None] * CFM4_NODES).ravel()), dtype=complex)
+        E = expm(np.einsum("ab,s,sbij->saij", CFM4_WEIGHTS, h[k], Ls.reshape(-1, 2, n, n)))
+        for j, P in enumerate(E[:, 1] @ E[:, 0], lo):
+            v = P @ v
+            if ends[j]:
+                out.append(v)
+    return np.array(out)
+
+
+def _integrate_cfm4(L, v0, grid, norm):
+    """CFM4 on the grid, every grid interval's substeps halved until the
+    trajectory's largest change over 15 is at most CFM4_TOL.  The first
+    substeps are at most 1/norm wide, with ``norm`` the 1-norm of the
+    generator at grid[0], its own time scale; the dense output takes CFM4
+    substeps of at most the final width from the last grid point t_i <= t."""
+    widths = np.diff(grid)
+    counts = np.maximum(1, np.ceil(widths * norm)).astype(int)
+    coarse = _cfm4_run(L, v0, grid, counts)
+    n_expm = 2 * int(counts.sum())
+    while 2 * counts.max() <= MAX_PANELS:
+        counts = 2 * counts
+        fine = _cfm4_run(L, v0, grid, counts)
+        n_expm += 2 * int(counts.sum())
+        estimate = float(np.max(np.abs(fine - coarse))) / 15.0
+        if not math.isfinite(estimate):
+            raise ArithmeticError("CFM4 trajectory is not finite")
+        if estimate <= CFM4_TOL:
+            break
+        coarse = fine
+    else:
+        raise ArithmeticError(
+            f"CFM4 not converged within {MAX_PANELS} substeps per grid interval")
+    vs = np.vstack([v0, fine])
+    width = widths / counts
+
+    def dense(t):
+        i = int(np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 1))
+        span = t - grid[i]
+        if span == 0.0:
+            return vs[i].copy()
+        m = int(np.ceil(span / width[min(i, len(width) - 1)]))
+        return _cfm4_run(L, vs[i], np.array([grid[i], t]), np.array([m]))[-1]
+
+    info = {"integrator": "cfm4", "n_substeps": int(counts.sum()), "n_expm": n_expm,
+            "error_estimate": estimate}
+    return vs, dense, info
 
 
 def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> EvolutionResult:
-    """Integrate d rho/dt = L(t)[rho] on the given strictly increasing grid:
-    a constant generator (a ``GeneratorSet`` or ``Superoperator``) exactly,
-    with one matrix exponential per distinct step, a time-dependent one (a
-    callable t -> matrix) by RK45 at RK45_ATOL / RK45_RTOL.
+    """Integrate d rho/dt = L(t)[rho] on the given strictly increasing grid.
 
-    ``metadata`` records the integrator that ran (``expm`` or
-    ``rk45_adaptive``), its cost (``n_expm`` distinct exponentials, or RK45's
-    ``nfev`` and ``n_steps``) and the trajectory's health: the largest trace
-    and Hermiticity deviations and the smallest eigenvalue over the grid.
+    A constant generator (a ``GeneratorSet`` or ``Superoperator``) is
+    propagated exactly, with one matrix exponential per distinct step.  A
+    time-dependent one is a callable taking a 1-D array of n times to the
+    (n, d^2, d^2) stack of column-stacked generator matrices; it runs on
+    CFM4 steps, halved until the error estimate is at most CFM4_TOL.
+
+    ``metadata`` records the integrator that ran (``expm`` or ``cfm4``), its
+    cost (``n_expm`` exponentials; for CFM4 also the final ``n_substeps`` and
+    the ``error_estimate``, the last change over 15) and the trajectory's
+    health: the largest trace and Hermiticity deviations and the smallest
+    eigenvalue over the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
-    dim, matrix_fn, constant = _generator_callable(gen)
+    if isinstance(gen, GeneratorSet):
+        dim, matrix_fn = gen.dim, (lambda: gen.to_superoperator().matrix)
+    elif isinstance(gen, Superoperator):
+        dim, matrix_fn = gen.dim, (lambda: gen.matrix)
+    elif callable(gen):
+        L0 = np.asarray(gen(grid[:1]), dtype=complex)[0]
+        dim, matrix_fn = int(round(math.sqrt(L0.shape[0]))), None
+    else:
+        raise TypeError("gen must be a GeneratorSet, Superoperator, or callable "
+                        "array of t -> stack of matrices")
     if rho0.dim != dim:
         raise ValueError("initial state dimension does not match generator")
 
     v0 = rho0.entries.reshape(-1, order="F").astype(complex)
-    if constant:
+    if matrix_fn is not None:
         vs, dense, info = _propagate_expm(matrix_fn, v0, grid)
     else:
-        vs, dense, info = _integrate_rk45(matrix_fn, v0, grid)
+        vs, dense, info = _integrate_cfm4(gen, v0, grid, np.linalg.norm(L0, 1))
 
     # column-stacked vectors back to matrices, then the monitors on the stack
     states = np.ascontiguousarray(vs.reshape(len(grid), dim, dim).transpose(0, 2, 1))
@@ -197,40 +243,36 @@ def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> Evol
 # time-local equation with growing filter integral
 # ---------------------------------------------------------------------------
 
-def ore_filter_spline(jd: JumpDecomposition, bath, t_max: float, timescales=None):
-    """One vector-valued piecewise cubic (a scipy ``PPoly``) whose column k is
+def ore_filter(jd: JumpDecomposition, bath, t_max: float):
+    """The filter integrals g_w(t) = int_0^t C(-t') e^{i w t'} dt' of every
+    w = jd.frequencies[k] on [0, t_max], as a running composite-Gauss sum
+    (``quadrature.cumulative``).  Returns ``(g, error)``: g takes an array of
+    t and returns shape t.shape + (n_w,), column k for jd.frequencies[k];
+    ``error`` is the largest change of any running sum over the last panel
+    halving.
 
-        g_w(t) = int_0^t C(-t') e^{i w t'} dt',   w = jd.frequencies[k],
-
-    tabulated from one vectorized correlation call by cumulative trapezoid
-    quadrature on a grid of ORE_POINTS_PER_TAU_B points per tau_B, and
-    interpolated by a not-a-knot cubic spline per column.  ``timescales``
-    supplies tau_B; the default ``bath.timescales()`` has an infinite cutoff,
-    which an Ohmic bath refuses.
-
-    g_w(infinity) equals the half-range transform f(-w)* used by the
-    stationary Redfield filter.
+    The starting panels carry at most PANEL_PHASE radians of the fastest of
+    e^{i w t'} and of the bath's own frequency scale, with an edge at the
+    kink tau_c of a finite-support correlation function.  g_w(infinity)
+    equals the half-range transform f(-w)* used by the stationary Redfield
+    filter.
     """
-    from scipy.integrate import cumulative_trapezoid
-    from scipy.interpolate import CubicSpline, PPoly
-    tau_B = (timescales or bath.timescales()).tau_B
-    if not np.isfinite(tau_B) or tau_B <= 0:
-        raise ValueError("bath correlation time unavailable for kernel tabulation")
-    h = tau_B / ORE_POINTS_PER_TAU_B
-    n = int(math.ceil(t_max / h)) + 1
-    tgrid = np.linspace(0.0, max(t_max, h), n + 1)
-    C = np.asarray(bath.correlation(-tgrid), dtype=complex)
-    # column by column: a 2-D table of every g_w beside the coefficients
-    # would raise the peak memory above that of the separate splines
-    c = np.empty((4, n, len(jd.frequencies)), dtype=complex)
-    for k, w in enumerate(jd.frequencies):
-        g = cumulative_trapezoid(C * np.exp(1j * w * tgrid), tgrid, initial=0)
-        c[:, :, k] = CubicSpline(tgrid, g).c
-    return PPoly(c, tgrid)
+    w = np.asarray(jd.frequencies, dtype=float)
+    scale = max(float(np.max(np.abs(w), initial=0.0)), bath._initial_radius())
+    edges = np.linspace(0.0, t_max, max(1, int(np.ceil(t_max * scale / PANEL_PHASE))) + 1)
+    tau_c = getattr(bath, "tau_c", None)
+    if tau_c is not None and 0.0 < tau_c < t_max:
+        edges = np.union1d(edges, [tau_c])
+
+    def integrand(t):
+        return (np.asarray(bath.correlation(-t), dtype=complex)[:, None]
+                * np.exp(1j * np.multiply.outer(t, w)))
+
+    return cumulative(integrand, edges)
 
 
 def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
-               jd: JumpDecomposition | None = None, timescales=None) -> EvolutionResult:
+               jd: JumpDecomposition | None = None) -> EvolutionResult:
     """Integrate the time-local equation
 
         d rho/dt = -i[H, rho] + (A rho A_f(t) - rho A_f(t) A) + h.c.,
@@ -238,8 +280,8 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
 
     The filter starts at zero (no initial transient) and tends to the
     stationary Redfield filter; the generator is not completely positive, so
-    the positivity monitor is active but non-fatal.  ``timescales`` supplies
-    the tau_B of the filter tabulation (see ``ore_filter_spline``).
+    the positivity monitor is active but non-fatal.  The filter comes from
+    ``ore_filter`` and its error is recorded as ``filter_quad_error``.
     """
     from .operators import eigensystem
     from .generators import decompose_coupling
@@ -249,7 +291,7 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
     if jd is None:
         jd = decompose_coupling(eigensystem(H), A)
     grid = np.asarray(grid, dtype=float)
-    spline = ore_filter_spline(jd, bath, grid[-1], timescales)
+    g, filter_error = ore_filter(jd, bath, grid[-1])
 
     d = H.dim
     H_sop = hamiltonian_superop(H.entries)
@@ -261,12 +303,13 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
     Ns = [_sandwich(Aw.conj().T, Amat) - _left(Amat @ Aw.conj().T) for Aw in jd.operators]
     stack = np.array(Ms + Ns, dtype=complex).reshape(-1, d ** 4)
 
-    def matrix_fn(t):
-        g = spline(min(max(t, 0.0), grid[-1]))
-        return H_sop + (np.concatenate((g, g.conj())) @ stack).reshape(d * d, d * d)
+    def generator(t):
+        gt = g(t)
+        return H_sop + (np.concatenate((gt, gt.conj()), axis=-1) @ stack).reshape(
+            -1, d * d, d * d)
 
-    meta = {"equation_kind": "ore", "points_per_tau_B": ORE_POINTS_PER_TAU_B}
-    return evolve(matrix_fn, rho0, grid, metadata=meta)
+    meta = {"equation_kind": "ore", "filter_quad_error": filter_error}
+    return evolve(generator, rho0, grid, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

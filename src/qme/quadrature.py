@@ -1,7 +1,8 @@
-"""Composite Gauss-Legendre rules and the one panel-halving loop every
-refined fixed-grid integral runs on: the coarse-grained Lamb coefficients,
-the dispersive part S(omega), the DD suppression ratio and the bath
-timescale integrals."""
+"""Composite Gauss-Legendre rules and the panel-halving loops every refined
+fixed-grid integral runs on: ``refine`` for a definite integral (the
+coarse-grained Lamb coefficients, the dispersive part S(omega), the DD
+suppression ratio and the bath timescale integrals) and ``cumulative`` for a
+running one (the filter of the time-local reference)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gauss_panels", "refine"]
+__all__ = ["cumulative", "gauss_panels", "refine"]
 
 # Gauss order per panel, the largest phase one panel carries at the highest
 # frequency of an oscillating integrand, the convergence tolerances of the
@@ -80,4 +81,66 @@ def refine(term, factor, edges, epsabs=EPSABS):
         value = fine
     raise ArithmeticError(
         f"quadrature not converged within {MAX_PANELS} panels on "
+        f"[{edges[0]:g}, {edges[-1]:g}]")
+
+
+def _running_sums(integrand, edges):
+    """int_{edges[0]}^{e} integrand for every edge e, on the order-ORDER rule."""
+    nodes, weights = gauss_panels(edges, ORDER)
+    f = integrand(nodes)
+    shape = (len(edges) - 1, ORDER)
+    panels = np.einsum("pk,pk...->p...", weights.reshape(shape), f.reshape(shape + f.shape[1:]))
+    return np.concatenate([np.zeros((1,) + panels.shape[1:], panels.dtype),
+                           np.cumsum(panels, axis=0)])
+
+
+def _evaluator(integrand, edges, sums):
+    """t -> the running sum to the edge below t plus the partial panel."""
+    x, w = _leggauss(ORDER)
+    tail = sums.shape[1:]
+    step = max(1, CHUNK_ELEMENTS // (ORDER * max(1, sums[0].size)))
+
+    def running(t):
+        t = np.asarray(t, dtype=float)
+        if np.any((t < edges[0]) | (t > edges[-1])):
+            raise ValueError(f"t outside [{edges[0]:g}, {edges[-1]:g}]")
+        flat = t.ravel()
+        out = np.empty(flat.shape + tail, dtype=sums.dtype)
+        for lo in range(0, len(flat), step):
+            tc = flat[lo:lo + step]
+            k = np.clip(np.searchsorted(edges, tc, side="right") - 1, 0, len(edges) - 2)
+            half = 0.5 * (tc - edges[k])
+            nodes = (edges[k] + half)[:, None] + half[:, None] * x
+            f = integrand(nodes.ravel()).reshape(nodes.shape + tail)
+            out[lo:lo + step] = sums[k] + np.einsum("nk,nk...->n...", half[:, None] * w, f)
+        return out.reshape(t.shape + tail)
+
+    return running
+
+
+def cumulative(integrand, edges):
+    """The running integral G(t) = int_{edges[0]}^t integrand(x) dx on the
+    composite Gauss rule over ``edges``, refined by halving every panel until
+    no G at a starting edge moves by more than max(EPSABS, EPSREL |G|).
+
+    ``integrand(x)`` takes a 1-D array of points and returns an array of
+    shape (len(x), ...).  Returns ``(G, error)``: G takes an array of t in
+    [edges[0], edges[-1]] and returns shape t.shape + (...), the running sum
+    to the panel edge below each t plus one order-ORDER Gauss rule on the
+    partial panel up to t, over chunks of at most CHUNK_ELEMENTS
+    (entry x node) terms; ``error`` is the largest change of the last
+    halving.  Raises ArithmeticError when the panel count would exceed
+    MAX_PANELS.
+    """
+    edges = np.asarray(edges, dtype=float)
+    sums = _running_sums(integrand, edges)
+    while 2 * (len(edges) - 1) <= MAX_PANELS:
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+        fine = _running_sums(integrand, edges)
+        change = np.abs(fine[::2] - sums)
+        if np.all(change <= np.maximum(EPSABS, EPSREL * np.abs(fine[::2]))):
+            return _evaluator(integrand, edges, fine), float(np.max(change, initial=0.0))
+        sums = fine
+    raise ArithmeticError(
+        f"running integral not converged within {MAX_PANELS} panels on "
         f"[{edges[0]:g}, {edges[-1]:g}]")

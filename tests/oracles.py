@@ -382,6 +382,15 @@ def linear_ode_reference(M, v0, grid, rtol=1e-12, atol=1e-14):
     return sol.y.T
 
 
+def time_dependent_ode_reference(M_of_t, v0, grid, rtol=1e-12, atol=1e-14):
+    """dv/dt = M(t) v sampled on ``grid`` by adaptive DOP853 at tight
+    tolerances, M(t) evaluated per right-hand-side call."""
+    sol = integrate.solve_ivp(lambda t, v: M_of_t(t) @ v, (grid[0], grid[-1]),
+                              np.asarray(v0, dtype=complex), method="DOP853",
+                              t_eval=grid, rtol=rtol, atol=atol)
+    return sol.y.T
+
+
 def lindblad_superop_kron(h, lindblad_ops):
     """-i[h, .] + sum_k w_k (L . L^+ - 1/2 {L^+ L, .}) in column stacking,
     one Kronecker product per operator."""
@@ -395,28 +404,53 @@ def lindblad_superop_kron(h, lindblad_ops):
     return mat
 
 
-def ore_filter_splines(frequencies, corr, tau_b, t_max, points_per_tau_b=400):
-    """Per-frequency cubic splines of g_w(t) = int_0^t C(-t') e^{iwt'} dt',
-    keyed by float(w): the correlation tabulated one scalar call at a time,
-    one cumulative trapezoid and one CubicSpline per frequency."""
-    from scipy.interpolate import CubicSpline
+def ore_filter_quad(w, corr, t, epsabs=1e-14):
+    """g_w(t) = int_0^t C(-t') e^{iwt'} dt' by two adaptive quad calls (real
+    and imaginary part) on scalar correlation values."""
+    def part(f):
+        return integrate.quad(lambda x: f(corr(-x) * cmath.exp(1j * w * x)), 0.0, t,
+                              epsabs=epsabs, epsrel=1e-13, limit=800)[0]
 
-    h = tau_b / points_per_tau_b
-    n = int(math.ceil(t_max / h)) + 1
-    tgrid = np.linspace(0.0, max(t_max, h), n + 1)
-    C = np.array([corr(-x) for x in tgrid])
-    splines = {}
-    for w in frequencies:
-        integrand = C * np.exp(1j * w * tgrid)
-        g = np.concatenate(([0.0], integrate.cumulative_trapezoid(integrand, tgrid)))
-        splines[float(w)] = CubicSpline(tgrid, g)
-    return splines
+    return complex(part(lambda z: z.real), part(lambda z: z.imag))
 
 
-def generator_norm_samples(terms, splines, dim, n_samples, seed, t_lo, t_hi):
+def ore_reference(h, a, terms, corr, rho0, grid, panel=0.05, order=24):
+    """The time-local equation d rho/dt = -i[h, rho] + (a rho a_f - rho a_f a)
+    + h.c., a_f(t) = sum_w g_w(t) a_w, by DOP853 at rtol 1e-12 on the state
+    matrix; g_w(t) is a fixed order-``order`` Gauss rule on panels of width
+    ``panel``, summed over the panels below t plus the partial one."""
+    freqs = np.array([float(w) for w, _ in terms])
+    ops = np.array([aw for _, aw in terms], dtype=complex)
+    x, wx = np.polynomial.legendre.leggauss(order)
+    edges = np.arange(0.0, grid[-1] + panel, panel)
+
+    def rule(lo, hi):
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        vals = np.array([corr(-s) for s in nodes])[:, None] * np.exp(1j * np.outer(nodes, freqs))
+        return 0.5 * (hi - lo) * (wx @ vals)
+
+    table = np.cumsum([np.zeros(len(freqs))] + [rule(lo, hi) for lo, hi in
+                                                 zip(edges[:-1], edges[1:])], axis=0)
+    d = h.shape[0]
+
+    def rhs(t, v):
+        k = min(int(t // panel), len(edges) - 2)
+        g = table[k] + rule(edges[k], t)
+        af = np.tensordot(g, ops, axes=1)
+        rho = v.reshape(d, d)
+        half = a @ rho @ af - rho @ af @ a
+        return (-1j * (h @ rho - rho @ h) + half + half.conj().T).ravel()
+
+    sol = integrate.solve_ivp(rhs, (grid[0], grid[-1]), np.asarray(rho0, complex).ravel(),
+                              method="DOP853", t_eval=grid, rtol=1e-12, atol=1e-14)
+    return sol.y.T.reshape(len(grid), d, d)
+
+
+def generator_norm_samples(terms, filters, dim, n_samples, seed, t_lo, t_hi):
     """Trace norms of the interaction-picture dissipator on random unit-trace-
     norm Hermitian X at random t, one sample at a time: per sample, a complex
-    Ginibre draw symmetrized to X, then (unless X = 0) a uniform t."""
+    Ginibre draw symmetrized to X, then (unless X = 0) a uniform t.
+    ``filters[w](t)`` is the filter integral g_w(t)."""
     rng = np.random.default_rng(seed)
     terms = [(float(w), aw) for w, aw in terms]
 
@@ -435,7 +469,7 @@ def generator_norm_samples(terms, splines, dim, n_samples, seed, t_lo, t_hi):
         t = rng.uniform(t_lo, t_hi)
         zero = np.zeros_like(x)
         a_t = sum((aw * np.exp(-1j * w * t) for w, aw in terms), zero)
-        af_t = sum((aw * np.exp(-1j * w * t) * complex(splines[w](t)) for w, aw in terms),
+        af_t = sum((aw * np.exp(-1j * w * t) * complex(filters[w](t)) for w, aw in terms),
                    zero)
         half = a_t @ x @ af_t - x @ af_t @ a_t
         norms[k] = trace_norm(half + half.conj().T)

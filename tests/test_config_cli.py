@@ -206,6 +206,24 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in err and where in err
 
+    @pytest.mark.parametrize("path, value, where", [
+        (("grid",), 5, "grid"),
+        (("model", "hamiltonian"), ["ZI"], "model.hamiltonian"),
+        (("equations",), {"kind": "davies"}, "equations"),
+    ], ids=["grid-number", "hamiltonian-list", "equations-object"])
+    def test_wrong_container_refused(self, tmp_path, capsys, path, value, where):
+        # these once escaped as a TypeError or AttributeError traceback
+        doc = _base_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        code = main(["evolve", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and where in err
+
     def test_threads_option_rejected(self, tmp_path):
         # compare runs its equations one after another; there is no worker pool
         with pytest.raises(SystemExit) as exc:

@@ -1,19 +1,22 @@
 """Trajectory integration: analytic dephasing, exact propagation against an
-ODE oracle, monitors, the time-local growing-filter equation, and
-positivity-crossing detection."""
+ODE oracle, the CFM4 integrator for time-dependent generators, monitors, the
+time-local growing-filter equation, and positivity-crossing detection."""
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from qme.evolve import (
+    CFM4_TOL,
     EvolutionResult,
+    _cfm4_run,
     evolve,
     evolve_ore,
-    ore_filter_spline,
+    ore_filter,
     positivity_crossing,
     trace_distance_series,
 )
+from qme.quadrature import EPSABS, EPSREL
 from qme.generators import (
     GeneratorConfig,
     cgme_generator,
@@ -28,7 +31,7 @@ from qme.operators import (
     vectorize_generator,
 )
 
-from conftest import PAULI_Z
+from conftest import PAULI_X, PAULI_Z
 import oracles
 
 
@@ -144,14 +147,91 @@ class TestExactPropagation:
         assert crossing == pytest.approx(0.00390625, abs=1e-12)
 
 
+def _stacked(fn):
+    """A per-time generator t -> d^2 x d^2 matrix as the vectorised callable
+    ``evolve`` takes."""
+    return lambda ts: np.array([fn(t) for t in np.atleast_1d(ts)])
+
+
+def _driven_dephasing(t):
+    # H(t) = w(t) Z / 2 and Lindblad weight gamma(t) on Z: every L(t) is
+    # diagonal, so rho_01(t) = rho_01(0) exp(-i int w - 2 int gamma)
+    return vectorize_generator(0.5 * (1.0 + 0.5 * np.cos(3.0 * t)) * PAULI_Z,
+                               [(0.3 * (1.0 + np.sin(2.0 * t)), PAULI_Z)]).matrix
+
+
+def _driven_decay(t):
+    # non-commuting: a transverse drive beside amplitude damping at a
+    # time-dependent rate
+    h = 0.5 * PAULI_Z + 0.4 * np.cos(1.7 * t) * PAULI_X
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return vectorize_generator(h, [(0.2 * (1.0 + 0.5 * np.sin(t)), lower)]).matrix
+
+
+class TestCFM4:
+    """Time-dependent generators run on halved commutator-free Magnus steps.
+    Tolerances: the halving stops at an error estimate <= CFM4_TOL, which
+    tracks the error of a fourth-order method up to higher-order terms; a
+    factor 2 covers those."""
+
+    GRID = np.linspace(0.0, 6.0, 13)
+
+    def test_dephasing_matches_closed_form(self):
+        res = evolve(_stacked(_driven_dephasing), _plus_state(), self.GRID)
+        t = self.GRID
+        phase = t + np.sin(3.0 * t) / 6.0
+        decay = 0.3 * (t + 0.5 * (1.0 - np.cos(2.0 * t)))
+        expected = 0.5 * np.exp(-1j * phase) * np.array(
+            [oracles.dephasing_offdiagonal(x, 1.0) for x in decay])
+        assert np.max(np.abs(res.states[:, 0, 1] - expected)) < 2 * CFM4_TOL
+        assert res.metadata["error_estimate"] <= CFM4_TOL
+
+    def test_non_commuting_matches_ode_oracle(self):
+        res = evolve(_stacked(_driven_decay), _plus_state(), self.GRID)
+        v0 = _plus_state().entries.reshape(-1, order="F")
+        ref = oracles.time_dependent_ode_reference(_driven_decay, v0, self.GRID)
+        got = np.array([rho.reshape(-1, order="F") for rho in res.states])
+        err = np.max(np.abs(got - ref))
+        assert err < 2 * CFM4_TOL
+        assert err < 2 * res.metadata["error_estimate"]
+
+    def test_fourth_order_convergence(self):
+        # the error falls by 2^4 per halving; the factors applied in the
+        # swapped order would leave a second-order method
+        L = _stacked(_driven_decay)
+        v0 = _plus_state().entries.reshape(-1, order="F")
+        ref = oracles.time_dependent_ode_reference(_driven_decay, v0, self.GRID)[1:]
+        errs = [np.max(np.abs(_cfm4_run(L, v0, self.GRID, np.full(12, n)) - ref))
+                for n in (1, 2, 4)]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(np.abs(orders - 4.0) < 0.5)
+
+    def test_dense_output(self):
+        res = evolve(_stacked(_driven_decay), _plus_state(), self.GRID)
+        for t, rho in zip(res.times, res.states):
+            assert np.array_equal(res.dense(t), rho.reshape(-1, order="F"))
+        v0 = _plus_state().entries.reshape(-1, order="F")
+        off = np.array([0.0, 0.3, 1.37, 4.9, 5.99])
+        ref = oracles.time_dependent_ode_reference(_driven_decay, v0, off)
+        for t, v in zip(off[1:], ref[1:]):
+            assert np.max(np.abs(res.dense(t) - v)) < 2 * CFM4_TOL
+
+
 class TestEvolutionMetadata:
-    def test_rk45_counts_for_time_dependent(self, benchmark_hamiltonian,
+    def test_cfm4_counts_for_time_dependent(self, benchmark_hamiltonian,
                                             benchmark_coupling, toy_bath,
                                             benchmark_initial):
+        grid = np.linspace(0.0, 5.0, 11)
         res = evolve_ore(benchmark_hamiltonian, benchmark_coupling, toy_bath,
-                         benchmark_initial, np.linspace(0.0, 5.0, 11))
-        assert res.metadata["integrator"] == "rk45_adaptive"
-        assert res.metadata["nfev"] >= 6 * res.metadata["n_steps"] > 0
+                         benchmark_initial, grid)
+        meta = res.metadata
+        assert meta["integrator"] == "cfm4"
+        # equal grid steps get equal substep counts; at least two halving
+        # levels ran, each costing two exponentials per substep
+        assert meta["n_substeps"] % (len(grid) - 1) == 0
+        assert 3 * meta["n_substeps"] <= meta["n_expm"] < 4 * meta["n_substeps"]
+        assert meta["error_estimate"] <= CFM4_TOL
+        assert 0.0 <= meta["filter_quad_error"] <= EPSABS
 
     def test_health_summary_matches_per_state_monitors(self, benchmark_hamiltonian,
                                                        benchmark_coupling, toy_bath,
@@ -174,25 +254,40 @@ class TestEvolutionMetadata:
 
 class TestGrowingFilterEquation:
     def test_filter_tends_to_stationary(self, benchmark_jd, toy_bath):
-        spline = ore_filter_spline(benchmark_jd, toy_bath, 60.0)
+        g, _ = ore_filter(benchmark_jd, toy_bath, 60.0)
         A_f_inf = redfield_filtered(benchmark_jd, toy_bath)
         A_f_late = np.zeros_like(A_f_inf)
         for k, Aw in enumerate(benchmark_jd.operators):
-            A_f_late += complex(spline(60.0)[k]) * Aw
+            A_f_late += complex(g(60.0)[k]) * Aw
         assert np.max(np.abs(A_f_late - A_f_inf)) < 1e-3
         # and starts from zero: no initial filter transient
-        for k in range(len(benchmark_jd.frequencies)):
-            assert abs(complex(spline(0.0)[k])) < 1e-12
+        assert np.max(np.abs(g(0.0))) == 0.0
 
-    def test_vector_spline_matches_per_frequency_oracle(self, benchmark_jd, toy_bath):
-        spline = ore_filter_spline(benchmark_jd, toy_bath, 5.0)
-        ref = oracles.ore_filter_splines(benchmark_jd.frequencies, toy_bath.correlation,
-                                         toy_bath.timescales().tau_B, 5.0)
-        t = np.concatenate((np.linspace(0.0, 5.0, 41),
-                            np.random.default_rng(2).uniform(0.0, 5.0, 40)))
-        got = spline(t)
+    def test_filter_matches_per_frequency_quad(self, benchmark_jd, toy_bath):
+        # the running sums converge to max(EPSABS, EPSREL |g|) with |g| < 0.1,
+        # and a partial panel is narrower than the converged panel holding it
+        g, error = ore_filter(benchmark_jd, toy_bath, 5.0)
+        t = np.concatenate((np.linspace(0.0, 5.0, 6),
+                            np.random.default_rng(2).uniform(0.0, 5.0, 5)))
+        got = g(t)
+        assert got.shape == (len(t), len(benchmark_jd.frequencies))
+        assert error <= EPSABS
         for k, w in enumerate(benchmark_jd.frequencies):
-            assert np.max(np.abs(got[:, k] - ref[float(w)](t))) < 1e-14
+            ref = [oracles.ore_filter_quad(float(w), toy_bath.correlation, x) for x in t]
+            assert np.max(np.abs(got[:, k] - ref)) < max(EPSABS, 0.1 * EPSREL)
+
+    def test_reference_matches_ode_oracle(self, benchmark_hamiltonian, benchmark_coupling,
+                                          toy_bath, benchmark_initial, benchmark_jd):
+        # the ta_sweep model and grid against DOP853 on an order-24 Gauss filter
+        grid = np.linspace(0.0, 2.56 * TAU_SB, 129)
+        res = evolve_ore(benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                         benchmark_initial, grid)
+        ref = oracles.ore_reference(benchmark_hamiltonian.entries, benchmark_coupling.entries,
+                                    benchmark_jd.terms(), toy_bath.correlation,
+                                    benchmark_initial.entries, grid)
+        err = np.max(np.abs(res.states - ref))
+        assert err <= 5e-8
+        assert err <= res.metadata["error_estimate"]
 
     def test_agrees_with_redfield_at_late_times(self, benchmark_hamiltonian,
                                                 benchmark_coupling, toy_bath,

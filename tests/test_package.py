@@ -86,36 +86,29 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-# the scipy.integrate names a module may import: the ODE integrator and the
-# cumulative trapezoid of the time-local reference; every integral runs on
-# qme.quadrature
-NON_QUADRATURE = {"solve_ivp", "cumulative_trapezoid"}
+# no module imports from these: every integral runs on qme.quadrature and
+# every time-dependent generator on CFM4 steps
+NON_QUADRATURE = {"scipy.integrate", "scipy.interpolate"}
 
 
-def scipy_integrate_uses(path: pathlib.Path):
-    """(names imported from scipy.integrate, whether the module itself is
-    imported)."""
+def non_quadrature_imports(path: pathlib.Path):
+    """Every import of a NON_QUADRATURE module or of a name from one."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    names, module_alias = set(), None
+    found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
-            names |= {a.name for a in node.names}
+        if isinstance(node, ast.ImportFrom) and node.module in NON_QUADRATURE:
+            found += [f"{node.module}.{a.name}" for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            for a in node.names:
-                if a.name == "integrate":
-                    module_alias = a.asname or a.name
+            found += [f"scipy.{a.name}" for a in node.names
+                      if f"scipy.{a.name}" in NON_QUADRATURE]
         elif isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name == "scipy.integrate":
-                    module_alias = a.asname or "scipy"
-    return names, module_alias is not None
+            found += [a.name for a in node.names if a.name in NON_QUADRATURE]
+    return found
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("src/qme/*.py")), ids=lambda p: p.name)
 def test_no_adaptive_quadrature(path):
-    names, whole_module = scipy_integrate_uses(path)
-    assert not whole_module
-    assert names <= NON_QUADRATURE
+    assert non_quadrature_imports(path) == []
 
 
 @pytest.mark.parametrize("module", ["qme", "qme.cli"])
