@@ -142,7 +142,8 @@ def interaction_picture_action(
 
 @dataclass(frozen=True)
 class LambdaEstimate:
-    """Result of generator-norm sampling."""
+    """Result of generator-norm sampling; ``filter_quad_error`` is the error
+    estimate of the filter integrals the generator was built from."""
 
     max_norm: float
     typical_norm: float
@@ -150,6 +151,7 @@ class LambdaEstimate:
     histogram_edges: np.ndarray
     bound: float
     n_samples: int
+    filter_quad_error: float
 
 
 def lambda_estimate(
@@ -168,9 +170,10 @@ def lambda_estimate(
     density proportional to exp(-2^(n-1) Tr X^2), normalized to unit trace norm,
     and the generator is applied at times drawn uniformly from ``time_interval``
     (default [0, 2.56 tau_SB]).  Returns the sample maximum, the histogram mode
-    as the typical value, and the proven bound 4/tau_SB.  Deterministic under a
-    fixed seed.  ``timescales`` supplies tau_SB; the default
-    ``bath.timescales()`` has an infinite cutoff, which an Ohmic bath refuses.
+    as the typical value, the proven bound 4/tau_SB and the error estimate of
+    the filter integrals (``ore_filter``).  Deterministic under a fixed
+    seed.  ``timescales`` supplies tau_SB; the default ``bath.timescales()``
+    has an infinite cutoff, which an Ohmic bath refuses.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -182,7 +185,8 @@ def lambda_estimate(
         raise ValueError("time_interval must satisfy 0 <= t_lo < t_hi")
 
     jd = decompose_coupling(eigensystem(hamiltonian), coupling)
-    action = interaction_picture_action(jd, ore_filter(jd, bath, t_hi)[0])
+    g, filter_error = ore_filter(jd, bath, t_hi)
+    action = interaction_picture_action(jd, g)
 
     dim = hamiltonian.dim
     rng = np.random.default_rng(rng_seed)
@@ -213,6 +217,7 @@ def lambda_estimate(
         histogram_edges=edges,
         bound=4.0 / ts.tau_SB,
         n_samples=n_samples,
+        filter_quad_error=filter_error,
     )
 
 

@@ -4,10 +4,11 @@ Propagates a constant vectorized generator exactly by matrix exponentials,
 integrates a time-dependent one (among them the time-local equation whose
 filter integral grows with t, the pre-limit form of the Redfield equation) by
 the commutator-free fourth-order Magnus step of Blanes & Moan, Appl. Numer.
-Math. 56, 1519 (2006), with step halving, and assembles the time-dependent
-coarse-grained generator from the driving machinery.  Every trajectory
-carries per-point monitors: trace deviation, Hermiticity deviation, and
-minimum eigenvalue.
+Math. 56, 1519 (2006), on one propagator per grid interval whose substeps
+are doubled only in the intervals where the generator still moves, and
+assembles the time-dependent coarse-grained generator from the driving
+machinery.  Every trajectory carries per-point monitors: trace deviation,
+Hermiticity deviation, and minimum eigenvalue.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ STEP_RTOL = 1e-12
 # weighting the earlier node more acts first
 CFM4_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 CFM4_WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 6.0
-# substeps are halved until the trajectory's largest change over 15, the
-# error estimate of a fourth-order method, is at most CFM4_TOL: the error
-# RK45 reached at its old tolerances on the benchmark model
+# substeps are doubled per grid interval until the sum of the local error
+# estimates, each interval's largest change over 15 (the error estimate of a
+# fourth-order method), is at most CFM4_TOL: the error RK45 reached at its
+# old tolerances on the benchmark model
 CFM4_TOL = 2e-8
 
 
@@ -112,66 +114,90 @@ def _propagate_expm(matrix_fn, v0, grid):
     return vs, dense, {"integrator": "expm", "n_expm": len(props)}
 
 
-def _cfm4_run(L, v, grid, counts):
-    """CFM4 from grid[0] with counts[i] equal substeps in grid interval i:
-    the state at each later grid point.  The substeps' exponentials come from
-    one stacked ``expm`` call per chunk of at most CHUNK_ELEMENTS matrix
-    entries."""
+def _cfm4_substeps(L, n, t, h):
+    """The CFM4 propagator of every substep [t[s], t[s] + h[s]], an
+    (len(t), n, n) stack, from one stacked ``expm`` call.  The weighted
+    exponents replace the L(t) stack and die on return, so a chunk holds at
+    most two stacks of its size at once besides ``expm``'s own workspace."""
     from scipy.linalg import expm
-    stops = np.cumsum(counts)
-    h = np.repeat(np.diff(grid) / counts, counts)
-    t0 = np.repeat(grid[:-1], counts) + (np.arange(len(h)) - np.repeat(stops - counts, counts)) * h
-    ends = np.zeros(len(h), dtype=bool)
-    ends[stops - 1] = True
-    n = len(v)
+    X = np.asarray(L((t[:, None] + h[:, None] * CFM4_NODES).ravel()), dtype=complex)
+    X = CFM4_WEIGHTS @ X.reshape(-1, 2, n * n)
+    X *= h[:, None, None]
+    E = expm(X.reshape(-1, 2, n, n))
+    return E[:, 1] @ E[:, 0]
+
+
+def _cfm4_propagators(L, n, t0, widths, counts):
+    """CFM4 propagator over [t0[i], t0[i] + widths[i]] in counts[i] equal
+    substeps, for every i: an (len(t0), n, n) stack.  The substeps run in
+    chunks of at most CHUNK_ELEMENTS matrix entries; each substep's
+    propagator multiplies its interval's from the left."""
+    which = np.repeat(np.arange(len(counts)), counts)
+    h = np.repeat(widths / counts, counts)
+    # the position of every substep within its interval
+    pos = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = np.repeat(t0, counts) + pos * h
+    props = np.empty((len(counts), n, n), dtype=complex)
     step = max(1, CHUNK_ELEMENTS // (2 * n * n))
-    out = []
     for lo in range(0, len(h), step):
         k = slice(lo, lo + step)
-        Ls = np.asarray(L((t0[k, None] + h[k, None] * CFM4_NODES).ravel()), dtype=complex)
-        E = expm(np.einsum("ab,s,sbij->saij", CFM4_WEIGHTS, h[k], Ls.reshape(-1, 2, n, n)))
-        for j, P in enumerate(E[:, 1] @ E[:, 0], lo):
-            v = P @ v
-            if ends[j]:
-                out.append(v)
-    return np.array(out)
+        P = _cfm4_substeps(L, n, t[k], h[k])
+        for p in np.unique(pos[k]):
+            at = np.nonzero(pos[k] == p)[0]
+            j = which[k][at]
+            props[j] = P[at] if p == 0 else P[at] @ props[j]
+    return props
 
 
-def _integrate_cfm4(L, v0, grid, norm):
-    """CFM4 on the grid, every grid interval's substeps halved until the
-    trajectory's largest change over 15 is at most CFM4_TOL.  The first
-    substeps are at most 1/norm wide, with ``norm`` the 1-norm of the
-    generator at grid[0], its own time scale; the dense output takes CFM4
-    substeps of at most the final width from the last grid point t_i <= t."""
-    widths = np.diff(grid)
-    counts = np.maximum(1, np.ceil(widths * norm)).astype(int)
-    coarse = _cfm4_run(L, v0, grid, counts)
-    n_expm = 2 * int(counts.sum())
-    while 2 * counts.max() <= MAX_PANELS:
-        counts = 2 * counts
-        fine = _cfm4_run(L, v0, grid, counts)
-        n_expm += 2 * int(counts.sum())
-        estimate = float(np.max(np.abs(fine - coarse))) / 15.0
+def _integrate_cfm4(L, v0, grid):
+    """CFM4 on the grid with its substeps controlled per grid interval.
+
+    Every interval starts at c = 1: its propagators at c and 2c substeps are
+    built, the state is carried through the 2c ones, one matrix-vector
+    product per interval, and the interval's local estimate is
+    max|(P_2c - P_c) v_i| / 15 with v_i the state at its start.  While the
+    sum of the local estimates, the ``error_estimate``, exceeds CFM4_TOL,
+    every interval whose own estimate exceeds CFM4_TOL / (number of
+    intervals) doubles its c.  The dense output takes CFM4 substeps of at
+    most the interval's final width from the last grid point t_i <= t."""
+    starts, widths = grid[:-1], np.diff(grid)
+    m, n = len(widths), len(v0)
+    counts = np.full(m, 2)     # 2c: the substeps of the accepted propagators
+    both = _cfm4_propagators(L, n, np.tile(starts, 2), np.tile(widths, 2),
+                             np.concatenate((counts // 2, counts)))
+    coarse, fine = both[:m], both[m:]
+    computed = 3 * m
+    vs = np.empty((m + 1, n), dtype=complex)
+    vs[0] = v0
+    while True:
+        for i, P in enumerate(fine):
+            vs[i + 1] = P @ vs[i]
+        local = np.max(np.abs(vs[1:] - np.einsum("ijk,ik->ij", coarse, vs[:-1])), axis=1) / 15.0
+        estimate = float(local.sum())
         if not math.isfinite(estimate):
             raise ArithmeticError("CFM4 trajectory is not finite")
         if estimate <= CFM4_TOL:
             break
-        coarse = fine
-    else:
-        raise ArithmeticError(
-            f"CFM4 not converged within {MAX_PANELS} substeps per grid interval")
-    vs = np.vstack([v0, fine])
+        grow = np.nonzero(local > CFM4_TOL / m)[0]
+        counts[grow] *= 2
+        if counts.max() > MAX_PANELS:
+            raise ArithmeticError(
+                f"CFM4 not converged within {MAX_PANELS} substeps per grid interval")
+        coarse[grow] = fine[grow]
+        fine[grow] = _cfm4_propagators(L, n, starts[grow], widths[grow], counts[grow])
+        computed += int(counts[grow].sum())
     width = widths / counts
 
     def dense(t):
-        i = int(np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 1))
+        i = int(np.clip(np.searchsorted(grid, t, side="right") - 1, 0, m))
         span = t - grid[i]
         if span == 0.0:
             return vs[i].copy()
-        m = int(np.ceil(span / width[min(i, len(width) - 1)]))
-        return _cfm4_run(L, vs[i], np.array([grid[i], t]), np.array([m]))[-1]
+        k = int(np.ceil(span / width[min(i, m - 1)]))
+        return _cfm4_propagators(L, n, grid[i:i + 1], np.array([span]), np.array([k]))[0] @ vs[i]
 
-    info = {"integrator": "cfm4", "n_substeps": int(counts.sum()), "n_expm": n_expm,
+    info = {"integrator": "cfm4", "n_substeps": int(counts.sum()),
+            "interval_substeps": counts, "n_expm": 2 * computed,
             "error_estimate": estimate}
     return vs, dense, info
 
@@ -183,13 +209,15 @@ def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> Evol
     propagated exactly, with one matrix exponential per distinct step.  A
     time-dependent one is a callable taking a 1-D array of n times to the
     (n, d^2, d^2) stack of column-stacked generator matrices; it runs on
-    CFM4 steps, halved until the error estimate is at most CFM4_TOL.
+    CFM4 substeps, doubled in each grid interval whose local error estimate
+    is too large until the estimates sum to at most CFM4_TOL.
 
     ``metadata`` records the integrator that ran (``expm`` or ``cfm4``), its
-    cost (``n_expm`` exponentials; for CFM4 also the final ``n_substeps`` and
-    the ``error_estimate``, the last change over 15) and the trajectory's
-    health: the largest trace and Hermiticity deviations and the smallest
-    eigenvalue over the grid.
+    cost (``n_expm`` exponentials; for CFM4 also the accepted substeps, in
+    all (``n_substeps``) and per grid interval (``interval_substeps``), and
+    the ``error_estimate``, the sum of the intervals' local estimates) and
+    the trajectory's health: the largest trace and Hermiticity deviations
+    and the smallest eigenvalue over the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -199,8 +227,8 @@ def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> Evol
     elif isinstance(gen, Superoperator):
         dim, matrix_fn = gen.dim, (lambda: gen.matrix)
     elif callable(gen):
-        L0 = np.asarray(gen(grid[:1]), dtype=complex)[0]
-        dim, matrix_fn = int(round(math.sqrt(L0.shape[0]))), None
+        dim = int(round(math.sqrt(np.shape(gen(grid[:1]))[-1])))
+        matrix_fn = None
     else:
         raise TypeError("gen must be a GeneratorSet, Superoperator, or callable "
                         "array of t -> stack of matrices")
@@ -211,7 +239,7 @@ def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> Evol
     if matrix_fn is not None:
         vs, dense, info = _propagate_expm(matrix_fn, v0, grid)
     else:
-        vs, dense, info = _integrate_cfm4(gen, v0, grid, np.linalg.norm(L0, 1))
+        vs, dense, info = _integrate_cfm4(gen, v0, grid)
 
     # column-stacked vectors back to matrices, then the monitors on the stack
     states = np.ascontiguousarray(vs.reshape(len(grid), dim, dim).transpose(0, 2, 1))

@@ -162,8 +162,10 @@ def trace_norm(X) -> float:
 
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
-    """Trace norm of every matrix in a (..., d, d) stack, by one batched SVD."""
-    return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+    """Trace norm sum |lambda| of every matrix in a (..., d, d) stack of
+    Hermitian matrices, by one batched ``eigvalsh``.  The input must be
+    Hermitian (up to rounding): only its lower triangle is read."""
+    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
 
 
 def operator_norm(X) -> float:

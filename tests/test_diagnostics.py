@@ -15,6 +15,7 @@ from qme.diagnostics import (
     ta_discrepancy_report,
 )
 from qme.operators import HermitianOperator, trace_norm
+from qme.quadrature import EPSABS
 
 import oracles
 
@@ -158,6 +159,14 @@ class TestLambdaEstimate:
                               n_samples=300, rng_seed=1)
         assert est.max_norm >= est.typical_norm > 0
         assert est.bound >= est.max_norm
+
+    def test_records_filter_error(self, benchmark_hamiltonian, benchmark_coupling,
+                                  toy_bath):
+        # the filter's running sums converge to EPSABS (|g| < 0.1, so the
+        # relative part EPSREL |g| is smaller)
+        est = lambda_estimate(benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                              n_samples=100, rng_seed=1)
+        assert 0.0 <= est.filter_quad_error <= EPSABS
 
     def test_requires_enough_samples(self, benchmark_hamiltonian, benchmark_coupling,
                                      toy_bath):

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from qme.evolve import (
     CFM4_TOL,
     EvolutionResult,
-    _cfm4_run,
+    _cfm4_propagators,
     evolve,
     evolve_ore,
     ore_filter,
@@ -153,6 +153,16 @@ def _stacked(fn):
     return lambda ts: np.array([fn(t) for t in np.atleast_1d(ts)])
 
 
+def _cfm4_states(L, v0, grid, counts):
+    """The states at grid[1:] through the CFM4 interval propagators at
+    counts[i] substeps in grid interval i."""
+    props = _cfm4_propagators(L, len(v0), grid[:-1], np.diff(grid), counts)
+    states = [v0]
+    for P in props:
+        states.append(P @ states[-1])
+    return np.array(states[1:])
+
+
 def _driven_dephasing(t):
     # H(t) = w(t) Z / 2 and Lindblad weight gamma(t) on Z: every L(t) is
     # diagonal, so rho_01(t) = rho_01(0) exp(-i int w - 2 int gamma)
@@ -201,10 +211,45 @@ class TestCFM4:
         L = _stacked(_driven_decay)
         v0 = _plus_state().entries.reshape(-1, order="F")
         ref = oracles.time_dependent_ode_reference(_driven_decay, v0, self.GRID)[1:]
-        errs = [np.max(np.abs(_cfm4_run(L, v0, self.GRID, np.full(12, n)) - ref))
+        errs = [np.max(np.abs(_cfm4_states(L, v0, self.GRID, np.full(12, n)) - ref))
                 for n in (1, 2, 4)]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(orders - 4.0) < 0.5)
+
+    @pytest.mark.parametrize("grid", [[0.0, 6.0], [0.0, 0.1, 6.0, 6.05]])
+    def test_wide_intervals_converge(self, grid):
+        # every interval starts at one substep against two, however wide:
+        # the control must still double the wide one until it is resolved
+        grid = np.array(grid)
+        res = evolve(_stacked(_driven_decay), _plus_state(), grid)
+        v0 = _plus_state().entries.reshape(-1, order="F")
+        ref = oracles.time_dependent_ode_reference(_driven_decay, v0, grid)
+        got = np.array([rho.reshape(-1, order="F") for rho in res.states])
+        assert np.max(np.abs(got - ref)) < 2 * CFM4_TOL
+        assert res.metadata["error_estimate"] <= CFM4_TOL
+
+    def test_constant_generator_needs_no_doubling(self):
+        # one substep and two are both exact for a constant L: the starting
+        # pair is accepted in every interval, and the trajectory is the
+        # exact propagation's
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        M = vectorize_generator(0.5 * PAULI_Z + 0.4 * PAULI_X, [(0.2, lower)]).matrix
+        grid = np.array([0.0, 0.5, 1.7, 4.0, 4.1])
+        res = evolve(lambda ts: np.broadcast_to(M, (len(ts),) + M.shape),
+                     _plus_state(), grid)
+        exact = evolve(Superoperator(M, 2), _plus_state(), grid)
+        assert np.array_equal(res.metadata["interval_substeps"], np.full(4, 2))
+        assert res.metadata["n_expm"] == 2 * 3 * 4
+        assert np.max(np.abs(res.states - exact.states)) < 1e-12
+
+    def test_non_finite_generator_raises(self):
+        def blows_up(ts):
+            out = np.array([_driven_decay(t) for t in ts])
+            out[ts > 3.0] = np.nan
+            return out
+
+        with pytest.raises(ArithmeticError, match="not finite"):
+            evolve(blows_up, _plus_state(), self.GRID)
 
     def test_dense_output(self):
         res = evolve(_stacked(_driven_decay), _plus_state(), self.GRID)
@@ -226,10 +271,13 @@ class TestEvolutionMetadata:
                          benchmark_initial, grid)
         meta = res.metadata
         assert meta["integrator"] == "cfm4"
-        # equal grid steps get equal substep counts; at least two halving
-        # levels ran, each costing two exponentials per substep
-        assert meta["n_substeps"] % (len(grid) - 1) == 0
-        assert 3 * meta["n_substeps"] <= meta["n_expm"] < 4 * meta["n_substeps"]
+        # each interval's accepted count is a power of 2; reaching 2c it ran
+        # 1 + 2 + ... + 2c = 2 (2c) - 1 substeps of two exponentials each
+        counts = meta["interval_substeps"]
+        assert len(counts) == len(grid) - 1
+        assert np.all(counts >= 1) and np.all(counts & (counts - 1) == 0)
+        assert meta["n_substeps"] == counts.sum()
+        assert meta["n_expm"] == 2 * int(np.sum(2 * counts - 1))
         assert meta["error_estimate"] <= CFM4_TOL
         assert 0.0 <= meta["filter_quad_error"] <= EPSABS
 
@@ -253,6 +301,13 @@ class TestEvolutionMetadata:
 
 
 class TestGrowingFilterEquation:
+    @pytest.fixture(scope="class")
+    def ta_sweep_reference(self, benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                           benchmark_initial):
+        # the ta_sweep model and grid
+        return evolve_ore(benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                          benchmark_initial, np.linspace(0.0, 2.56 * TAU_SB, 129))
+
     def test_filter_tends_to_stationary(self, benchmark_jd, toy_bath):
         g, _ = ore_filter(benchmark_jd, toy_bath, 60.0)
         A_f_inf = redfield_filtered(benchmark_jd, toy_bath)
@@ -288,6 +343,17 @@ class TestGrowingFilterEquation:
         err = np.max(np.abs(res.states - ref))
         assert err <= 5e-8
         assert err <= res.metadata["error_estimate"]
+
+    def test_substeps_follow_the_filter(self, ta_sweep_reference):
+        # the generator moves while the filter builds up (t of order tau_B)
+        # and hardly at all later
+        counts = ta_sweep_reference.metadata["interval_substeps"]
+        assert counts[0] > counts[-1]
+
+    def test_exponential_count(self, ta_sweep_reference):
+        # per-interval control computes 920 exponentials on this grid;
+        # halving every interval alike computed 1,536
+        assert ta_sweep_reference.metadata["n_expm"] <= 1000
 
     def test_agrees_with_redfield_at_late_times(self, benchmark_hamiltonian,
                                                 benchmark_coupling, toy_bath,

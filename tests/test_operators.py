@@ -17,6 +17,7 @@ from qme.operators import (
     trace_norm,
     vectorize_generator,
     vectorize_redfield,
+    _trace_norms,
 )
 
 from conftest import PAULI_X
@@ -98,6 +99,16 @@ class TestNorms:
             rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         )
         assert np.isclose(trace_norm(q @ m @ q.conj().T), trace_norm(m), atol=1e-10)
+
+    def test_stacked_trace_norms_match_svd(self):
+        # the stacked norms sum |eigenvalue| of Hermitian input; a batched
+        # SVD is the general-matrix reference
+        rng = np.random.default_rng(3)
+        stack = np.array([_random_hermitian(rng, 4) for _ in range(129)]).reshape(3, 43, 4, 4)
+        ref = np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+        got = _trace_norms(stack)
+        assert got.shape == (3, 43)
+        assert np.max(np.abs(got - ref) / ref) < 1e-14
 
 
 class TestEigenSystem:
