@@ -31,6 +31,7 @@ from . import __version__
 from .baths import OhmicBath
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import (
+    MIN_SAMPLES,
     BoundParams,
     bound_summary,
     lambda_estimate,
@@ -391,6 +392,8 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: str, args) -> int:
 
 
 def cmd_optimize_ta(cfg: ExperimentConfig, out_dir: str, args) -> int:
+    if args.samples < MIN_SAMPLES:
+        raise ConfigError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
     bath, ts = _bath_and_timescales(cfg)
     placeholder_ta = max(math.sqrt(ts.tau_SB * ts.tau_B / 5.0), 1e-12)
     bp = BoundParams(
@@ -407,7 +410,7 @@ def cmd_optimize_ta(cfg: ExperimentConfig, out_dir: str, args) -> int:
     if cfg.model is not None:
         H, A, _ = _model(cfg)
         est = lambda_estimate(
-            H, A, bath, n_samples=max(1000, args.samples), rng_seed=args.seed,
+            H, A, bath, n_samples=args.samples, rng_seed=args.seed,
             timescales=ts,
         )
         lam = max(est.max_norm, 1e-12)

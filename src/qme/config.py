@@ -1,9 +1,9 @@
 """Declarative experiment configuration: parsing, validation, serialization.
 
-Configs are JSON documents describing a spin model (Hamiltonian as labeled
-Pauli strings or a dense matrix file), a bath, the master equations to run,
-the time grid, optional parameter sweeps, and output destinations.  Parsing is
-strict: unknown keys, malformed Pauli strings, or missing files raise
+Configs are JSON documents describing a spin model (Hamiltonian and coupling
+as labeled Pauli strings), a bath, the master equations to run, the time
+grid, optional parameter sweeps, and output destinations.  Parsing is
+strict: unknown keys, malformed Pauli strings or non-numeric values raise
 :class:`ConfigError` with the offending location, and ``parse -> serialize ->
 parse`` is idempotent.
 """
@@ -11,7 +11,6 @@ parse`` is idempotent.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -84,13 +83,10 @@ def _check_keys(section: Mapping, allowed: set, where: str) -> None:
 class ModelSection:
     qubits: int
     hamiltonian: Tuple[Tuple[str, float], ...] = ()
-    matrix_file: Optional[str] = None
     coupling: Tuple[str, ...] = ()
     initial_state: str = ""
 
     def hamiltonian_operator(self) -> HermitianOperator:
-        if self.matrix_file is not None:
-            return HermitianOperator(np.loadtxt(self.matrix_file, dtype=complex))
         dim = 2**self.qubits
         h = np.zeros((dim, dim), dtype=complex)
         for label, coeff in self.hamiltonian:
@@ -175,18 +171,15 @@ class ExperimentConfig:
 def _parse_model(section: Mapping) -> ModelSection:
     _check_keys(
         section,
-        {"qubits", "hamiltonian", "matrix_file", "coupling", "initial_state"},
+        {"qubits", "hamiltonian", "coupling", "initial_state"},
         "model",
     )
     qubits = _integer(_require(section, "qubits", "model"), "model.qubits")
     if qubits < 1:
         raise ConfigError("model.qubits must be >= 1")
     ham = _mapping(section.get("hamiltonian", {}), "model.hamiltonian")
-    matrix_file = section.get("matrix_file")
-    if matrix_file is not None and not os.path.exists(matrix_file):
-        raise ConfigError(f"model.matrix_file {matrix_file!r} does not exist")
-    if not ham and matrix_file is None:
-        raise ConfigError("model requires 'hamiltonian' Pauli terms or 'matrix_file'")
+    if not ham:
+        raise ConfigError("model requires 'hamiltonian' Pauli terms")
     terms = tuple((str(k), _number(v, f"model.hamiltonian.{k}")) for k, v in ham.items())
     for label, _ in terms:
         pauli_string_matrix(label, qubits)
@@ -196,7 +189,6 @@ def _parse_model(section: Mapping) -> ModelSection:
     return ModelSection(
         qubits=qubits,
         hamiltonian=terms,
-        matrix_file=matrix_file,
         coupling=coupling,
         initial_state=str(section.get("initial_state", "0" * qubits)),
     )
@@ -344,15 +336,12 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
     """Round-trippable JSON-compatible dict: ``parse(serialize(c)) == c``."""
     doc: dict = {}
     if cfg.model is not None:
-        model = {
+        doc["model"] = {
             "qubits": cfg.model.qubits,
             "hamiltonian": {k: v for k, v in cfg.model.hamiltonian},
             "coupling": list(cfg.model.coupling),
             "initial_state": cfg.model.initial_state,
         }
-        if cfg.model.matrix_file is not None:
-            model["matrix_file"] = cfg.model.matrix_file
-        doc["model"] = model
     if cfg.bath is not None:
         doc["bath"] = {
             "kind": cfg.bath.kind,

@@ -27,6 +27,11 @@ from .operators import HermitianOperator, eigensystem, _trace_norms
 
 logger = logging.getLogger(__name__)
 
+# histogram bins of the sampled norms; the typical norm is the mode bin's centre
+HISTOGRAM_BINS = 60
+# the fewest samples lambda_estimate accepts
+MIN_SAMPLES = 100
+
 __all__ = [
     "BoundParams",
     "Bound",
@@ -134,7 +139,8 @@ def interaction_picture_action(
         phase = np.exp(-1j * np.multiply.outer(t, w))
         a_t = np.einsum("...k,kij->...ij", phase, ops)
         af_t = np.einsum("...k,kij->...ij", phase * g(t), ops)
-        half = a_t @ x @ af_t - x @ af_t @ a_t
+        x_af = x @ af_t
+        half = a_t @ x_af - x_af @ a_t
         return half + np.swapaxes(half.conj(), -1, -2)
 
     return action
@@ -161,7 +167,6 @@ def lambda_estimate(
     n_samples: int = 10_000,
     rng_seed: int = 0,
     time_interval: Optional[Tuple[float, float]] = None,
-    bins: int = 60,
     timescales: Optional[BathTimescales] = None,
 ) -> LambdaEstimate:
     """Sample the trace-norm of the dissipative generator on random test matrices.
@@ -175,8 +180,8 @@ def lambda_estimate(
     seed.  ``timescales`` supplies tau_SB; the default ``bath.timescales()``
     has an infinite cutoff, which an Ohmic bath refuses.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     ts = timescales or bath.timescales()
     if time_interval is None:
         time_interval = (0.0, 2.56 * ts.tau_SB)
@@ -207,7 +212,7 @@ def lambda_estimate(
     norms = np.zeros(n_samples)
     norms[live] = _trace_norms(action(xs, ts_sample[live]))
 
-    counts, edges = np.histogram(norms, bins=bins)
+    counts, edges = np.histogram(norms, bins=HISTOGRAM_BINS)
     mode_bin = int(np.argmax(counts))
     typical = 0.5 * (edges[mode_bin] + edges[mode_bin + 1])
     return LambdaEstimate(

@@ -5,11 +5,17 @@ pulses, the time-dependent coarse-grained Lindblad operators and Lamb shift
 (coarse-graining window sliding with t), the time-dependent Redfield filter,
 and the dynamical-decoupling suppression-ratio analysis.
 
+A ``DriveSchedule`` diagonalizes each segment Hamiltonian once,
+H = V diag(Lambda) V^+, and every propagation reads that eigensystem:
+e^{-i H tau} = V e^{-i Lambda tau} V^+.  A propagator walks the pieces
+between segment boundaries and pulse instants, applying each pulse at the
+start of its piece.
+
 The window coefficients share one stack: the window is cut into panels at
 pulse instants and segment boundaries, so H is constant inside each panel and
 no pulse lies strictly inside one, and each panel is split further until it
 carries at most ~2 radians of the fastest Bohr oscillation.  Per panel, one
-propagator call to its midpoint m and one ``eigh`` of its H give
+propagator call to its midpoint m and the segment's eigensystem give
 U(t + tau, t) = V e^{-i Lambda (tau - m)} V^+ U(t + m, t) for all its Gauss
 nodes at once, and the (n, d, d) stack A(t + tau, t) follows.  A_eps(t) for every eps is then
 one (eps x node) phase-matrix contraction with the stack, the Lamb shift is a
@@ -65,12 +71,15 @@ class DriveSchedule:
     contiguously; ``pulses`` is a tuple of (t_pulse, U_pulse) with strictly
     increasing pulse times strictly inside (0, duration).  A pulse acts at its
     exact instant; windows use the half-open convention [t_from, t_to), i.e. a
-    pulse at t_from belongs to the window and one at t_to does not.
+    pulse at t_from belongs to the window and one at t_to does not.  Each
+    segment's eigensystem (lam, V), H = V diag(lam) V^+, is computed once
+    here and serves every propagation through the segment.
     """
 
     segments: tuple
     pulses: tuple = ()
     duration: float = field(init=False, default=0.0)
+    eigensystems: tuple = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -112,22 +121,25 @@ class DriveSchedule:
         object.__setattr__(self, "segments", tuple(segs))
         object.__setattr__(self, "pulses", tuple(pls))
         object.__setattr__(self, "duration", prev_end)
+        object.__setattr__(self, "eigensystems", tuple(np.linalg.eigh(H) for _, _, H in segs))
 
     @property
     def dim(self) -> int:
         return self.segments[0][2].shape[0]
 
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        """Segment Hamiltonian at time t, extending the boundary segments
+    def _segment(self, t: float) -> int:
+        """Index of the segment holding t, the boundary segments extended
         beyond [0, duration] (sliding averaging windows may poke outside)."""
-        if t < self.segments[0][1]:
-            return self.segments[0][2]
-        if t >= self.segments[-1][0]:
-            return self.segments[-1][2]
-        for t0, t1, H in self.segments:
-            if t0 <= t < t1:
-                return H
-        return self.segments[-1][2]  # pragma: no cover
+        return sum(t >= t1 for _, t1, _ in self.segments[:-1])
+
+    def hamiltonian_at(self, t: float) -> np.ndarray:
+        """Segment Hamiltonian at time t, boundary segments extended."""
+        return self.segments[self._segment(t)][2]
+
+    def eigensystem_at(self, t: float):
+        """(lam, V) of the segment Hamiltonian at time t, boundary segments
+        extended."""
+        return self.eigensystems[self._segment(t)]
 
     def breakpoints(self, lo: float, hi: float) -> list:
         """Times in (lo, hi) where the integrand of a window quadrature loses
@@ -186,46 +198,27 @@ def dd_schedule(dd: DDSequence, duration: float) -> DriveSchedule:
     )
 
 
-def _segment_step(H: np.ndarray, dt: float) -> np.ndarray:
-    if dt == 0.0:
-        return np.eye(H.shape[0], dtype=complex)
-    if not np.any(H):
-        return np.eye(H.shape[0], dtype=complex)
-    from scipy.linalg import expm
-    return expm(-1j * dt * H)
+def _evolution(lam: np.ndarray, V: np.ndarray, tau) -> np.ndarray:
+    """e^{-i H tau} = V e^{-i lam tau} V^+ for H = V diag(lam) V^+."""
+    return (V * np.exp(-1j * lam * tau)) @ V.conj().T
 
 
-def _propagator_forward(sched: DriveSchedule, t_from: float, t_to: float) -> np.ndarray:
-    """U propagating t_from -> t_to (t_to >= t_from), pulses in [t_from, t_to),
-    boundary segments extended outside [0, duration]."""
-    dim = sched.dim
-    U = np.eye(dim, dtype=complex)
-    if t_to < t_from:
-        raise ValueError("internal: t_to < t_from")
+def _propagator_either(sched: DriveSchedule, t_prime: float, t: float) -> np.ndarray:
+    """U(t', t) for t' on either side of t, boundary segments extended.
 
-    events = [(tp, Up) for tp, Up in sched.pulses if t_from <= tp < t_to]
-    cursor = t_from
-    for tp, Up in events:
-        U = _free_stretch(sched, cursor, tp) @ U
-        U = Up @ U
-        cursor = tp
-    U = _free_stretch(sched, cursor, t_to) @ U
-    return U
-
-
-def _free_stretch(sched: DriveSchedule, a: float, b: float) -> np.ndarray:
-    """Pulse-free evolution a -> b under the piecewise-constant Hamiltonian."""
-    dim = sched.dim
-    U = np.eye(dim, dtype=complex)
-    if b <= a:
-        return U
-    cuts = [a] + [x for x in (t for t0, t1, _ in sched.segments for t in (t0, t1))
-                  if a < x < b] + [b]
-    cuts = sorted(set(cuts))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        H = sched.hamiltonian_at(lo)
-        U = _segment_step(H, hi - lo) @ U
-    return U
+    The forward map over [lo, hi) walks the pieces between segment
+    boundaries and pulse instants; a pulse acts at the start of its piece,
+    so one at lo belongs to the window and one at hi does not, and the
+    empty window is the identity.  The backward map is its adjoint."""
+    lo, hi = min(t, t_prime), max(t, t_prime)
+    pulse_at = dict(sched.pulses)
+    U = np.eye(sched.dim, dtype=complex)
+    cuts = [lo, *sched.breakpoints(lo, hi), hi] if hi > lo else []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if a in pulse_at:
+            U = pulse_at[a] @ U
+        U = _evolution(*sched.eigensystem_at(a), b - a) @ U
+    return U if t_prime >= t else U.conj().T
 
 
 def propagator(sched: DriveSchedule, t_from: float, t_to: float) -> np.ndarray:
@@ -238,16 +231,7 @@ def propagator(sched: DriveSchedule, t_from: float, t_to: float) -> np.ndarray:
     for t in (t_from, t_to):
         if not (-1e-12 <= t <= sched.duration + 1e-12):
             raise ValueError(f"time {t} outside schedule domain [0, {sched.duration}]")
-    if t_to >= t_from:
-        return _propagator_forward(sched, t_from, t_to)
-    return _propagator_forward(sched, t_to, t_from).conj().T
-
-
-def _propagator_either(sched: DriveSchedule, t_prime: float, t: float) -> np.ndarray:
-    """U(t', t) for t' on either side of t, boundary segments extended."""
-    if t_prime >= t:
-        return _propagator_forward(sched, t, t_prime)
-    return _propagator_forward(sched, t_prime, t).conj().T
+    return _propagator_either(sched, t_to, t_from)
 
 
 def heisenberg_A(sched: DriveSchedule, A, t_prime: float, t: float) -> np.ndarray:
@@ -264,7 +248,7 @@ def _panels(sched: DriveSchedule, t: float, lo: float, hi: float, kinks,
     split into equal parts at most ``max_width`` wide and carrying at most
     PANEL_PHASE radians of the fastest oscillation of A(t + tau, t), the
     spectral spread of the schedule's Hamiltonians."""
-    spread = max(float(np.ptp(np.linalg.eigvalsh(H))) for _, _, H in sched.segments)
+    spread = max(float(np.ptp(lam)) for lam, _ in sched.eigensystems)
     max_width = min(max_width, PANEL_PHASE / max(spread, 1e-12))
     inner = [x - t for x in sched.breakpoints(t + lo, t + hi)]
     edges = np.array(sorted({lo, hi, *inner, *(k for k in kinks if lo < k < hi)}))
@@ -279,7 +263,7 @@ def _panel_basis(sched: DriveSchedule, t: float, lo: float, hi: float):
     W = V^+ U(t + m, t), every offset tau inside the panel has
     U(t + tau, t) = V diag(e^{-i lam (tau - m)}) W."""
     m = 0.5 * (lo + hi)
-    lam, V = np.linalg.eigh(sched.hamiltonian_at(t + m))
+    lam, V = sched.eigensystem_at(t + m)
     return m, V, lam, V.conj().T @ _propagator_either(sched, t + m, t)
 
 
@@ -306,8 +290,9 @@ class _Window:
 
 
 def _window(sched: DriveSchedule, A: np.ndarray, t: float, edges, order: int) -> _Window:
-    """One propagator call and one ``eigh`` per panel between ``edges``; the
-    Heisenberg operators at the panel's Gauss nodes follow in one batch."""
+    """One propagator call per panel between ``edges``; with the segment's
+    eigensystem the Heisenberg operators at the panel's Gauss nodes follow
+    in one batch."""
     edges = np.asarray(edges, dtype=float)
     nodes, weights = gauss_panels(edges, order)
     bases = [_panel_basis(sched, t, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]

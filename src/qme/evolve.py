@@ -23,11 +23,9 @@ from .operators import (
     HermitianOperator,
     Superoperator,
     hamiltonian_superop,
+    redfield_halves,
     vectorize_generator,
-    _sandwich,
     _trace_norms,
-    _left,
-    _right,
 )
 from .generators import GeneratorSet, JumpDecomposition
 from .quadrature import CHUNK_ELEMENTS, MAX_PANELS, PANEL_PHASE, cumulative
@@ -323,12 +321,10 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
 
     d = H.dim
     H_sop = hamiltonian_superop(H.entries)
-    Amat = A.entries
     # L(t) = L_H + sum_w g_w(t) * M_w + conj(g_w(t)) * N_w with
     # M_w rho = A rho A_w - rho A_w A,  N_w rho = A_w^+ rho A - A A_w^+ rho;
     # the rows of ``stack`` are every M_w, then every N_w
-    Ms = [_sandwich(Amat, Aw) - _right(Aw @ Amat) for Aw in jd.operators]
-    Ns = [_sandwich(Aw.conj().T, Amat) - _left(Amat @ Aw.conj().T) for Aw in jd.operators]
+    Ms, Ns = zip(*(redfield_halves(A.entries, Aw) for Aw in jd.operators))
     stack = np.array(Ms + Ns, dtype=complex).reshape(-1, d ** 4)
 
     def generator(t):

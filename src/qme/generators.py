@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 WEIGHT_CLIP_TOL = 1e-9
+# Bohr frequencies within FREQ_RTOL * ||H|| of each other are merged
+FREQ_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class JumpDecomposition:
         return float(np.max(np.abs(lhs - rhs)))
 
 
-def decompose_coupling(eig: EigenSystem, A, freq_tol=None) -> JumpDecomposition:
+def decompose_coupling(eig: EigenSystem, A) -> JumpDecomposition:
     """A_w = sum over level pairs with E_m - E_n = w of P_n A P_m."""
     A_mat = A.entries if isinstance(A, HermitianOperator) else np.asarray(A, complex)
     H = eig.reconstruct()
@@ -111,9 +113,7 @@ def decompose_coupling(eig: EigenSystem, A, freq_tol=None) -> JumpDecomposition:
         warnings.warn(
             f"coupling operator norm is {norm_A:.6g}, not 1; error-bound "
             "formulas assume a normalized coupling", stacklevel=2)
-    if freq_tol is None:
-        freq_tol = 1e-8 * operator_norm(H)
-    freq_tol = max(freq_tol, 0.0)
+    freq_tol = FREQ_RTOL * operator_norm(H)
 
     raw = []
     for n, Pn in enumerate(eig.projectors):
@@ -246,24 +246,31 @@ def cgme_gamma(w, wp, T_a, bath) -> float:
     factorization integral f(eps, w) f(eps, -w') d eps on a composite Gauss
     grid."""
     nodes, wt = _epsilon_grid(bath, T_a, (w, -wp))
-    F1 = _filter(bath, T_a, nodes, w)
-    F2 = _filter(bath, T_a, nodes, -wp)
-    return float(np.sum(wt * F1 * F2))
+    F = _filter(bath, T_a, nodes, (w, -wp))
+    return float(np.sum(wt * F[:, 0] * F[:, 1]))
 
 
-def _filter(bath, T_a, eps, w):
-    """f(eps, w) = sqrt(gamma(eps) T_a / 2 pi) sinc[T_a (eps - w) / 2]."""
+def _filter(bath, T_a, eps, freqs):
+    """f(eps, w) = sqrt(gamma(eps) T_a / 2 pi) sinc[T_a (eps - w) / 2] for
+    every w in ``freqs``, shape eps.shape + (len(freqs),).  gamma is
+    evaluated once on ``eps``; the sinc is taken one column at a time, so
+    no (eps x w) temporary beyond the result is built."""
+    eps = np.asarray(eps, dtype=float)
     g = np.maximum(np.asarray(bath.gamma(eps), dtype=float), 0.0)
-    return np.sqrt(g * T_a / (2 * np.pi)) * np.sinc(T_a * (np.asarray(eps) - w) / (2 * np.pi))
+    amplitude = np.sqrt(g * T_a / (2 * np.pi))
+    F = np.empty(eps.shape + (len(freqs),))
+    for j, w in enumerate(freqs):
+        F[..., j] = amplitude * np.sinc(T_a * (eps - w) / (2 * np.pi))
+    return F
 
 
-def _epsilon_grid(bath, T_a, freqs=(), tol=1e-12, order=24):
+def _epsilon_grid(bath, T_a, freqs=(), order=24):
     """Composite Gauss-Legendre filter grid on a window [-W, W] covering the
     support of gamma(eps) and, with ``freqs``, every sinc centre with
     10 / T_a to spare.  Its equal panels of width min(pi / T_a, W / 16)
     resolve the sinc oscillation of period 4 pi / T_a; the panel edges
     include eps = 0."""
-    W = bath.support_radius(tol=tol)
+    W = bath.support_radius()
     if freqs:
         W = max(W, 1.5 * max(abs(f) for f in freqs) + 10.0 / max(T_a, 1e-9))
     width = min(np.pi / max(T_a, 1e-9), max(W / 16.0, 1e-12))
@@ -342,8 +349,8 @@ def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a):
 def cgme_a_epsilon(jd: JumpDecomposition, eps, T_a, bath) -> np.ndarray:
     """A_eps = sum_w f(eps, w) A_w (frequency-sum form)."""
     out = np.zeros((jd.dim, jd.dim), dtype=complex)
-    for w, Aw in jd.terms():
-        out += float(_filter(bath, T_a, np.asarray(eps, float), w)) * Aw
+    for f, Aw in zip(_filter(bath, T_a, eps, jd.frequencies), jd.operators):
+        out += float(f) * Aw
     return out
 
 
@@ -365,9 +372,7 @@ def kossakowski_matrix(jd: JumpDecomposition, bath, T_a,
         de, ks = discretization.delta_epsilon, discretization.k_star
         nodes = de * np.arange(-(ks - 1), ks)
         wt = np.full(nodes.shape, de)
-    F = np.empty((len(nodes), len(freqs)))
-    for j, w in enumerate(freqs):
-        F[:, j] = _filter(bath, T_a, nodes, w)
+    F = _filter(bath, T_a, nodes, freqs)
     return (F * wt[:, None]).T @ F
 
 

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
+# a state may have eigenvalues down to -POSITIVITY_TOL
+POSITIVITY_TOL = 1e-8
+# eigenvalues closer than DEGENERACY_RTOL * max(1, ||H||) share one level
+DEGENERACY_RTOL = 1e-9
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -65,7 +69,6 @@ class DensityMatrix:
     """A physical state: Hermitian, unit trace, positive semidefinite."""
 
     entries: np.ndarray
-    positivity_tol: float = 1e-8
 
     def __post_init__(self):
         m = _as_square_complex(self.entries)
@@ -75,9 +78,9 @@ class DensityMatrix:
         if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
             raise ValueError("density matrix trace differs from 1 beyond 1e-9")
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if min_eig < -self.positivity_tol:
+        if min_eig < -POSITIVITY_TOL:
             raise ValueError(
-                f"density matrix has eigenvalue {min_eig:.3e} below -positivity_tol"
+                f"density matrix has eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL:g}"
             )
         object.__setattr__(self, "entries", m)
         self.entries.setflags(write=False)
@@ -116,16 +119,12 @@ class EigenSystem:
         return out
 
 
-def eigensystem(H: HermitianOperator, degeneracy_tol: float | None = None) -> EigenSystem:
-    """Eigendecompose H, merging eigenvalues closer than ``degeneracy_tol``.
-
-    Default tolerance is 1e-9 * max(1, ||H||): floating-point eigenvalues of a
+def eigensystem(H: HermitianOperator) -> EigenSystem:
+    """Eigendecompose H, merging eigenvalues closer than
+    DEGENERACY_RTOL * max(1, ||H||): floating-point eigenvalues of a
     degenerate level are never exactly equal, but must share one projector.
     """
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * max(1.0, H.norm())
-    if degeneracy_tol < 0:
-        raise ValueError("degeneracy_tol must be >= 0")
+    degeneracy_tol = DEGENERACY_RTOL * max(1.0, H.norm())
     try:
         vals, vecs = np.linalg.eigh(H.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
@@ -214,6 +213,14 @@ def hamiltonian_superop(H_eff: np.ndarray) -> np.ndarray:
     return -1j * (_left(H) - _right(H))
 
 
+def redfield_halves(A: np.ndarray, X: np.ndarray):
+    """Matrices of the two halves of a Redfield dissipator with filtered
+    operator X: rho -> A rho X - rho X A and its adjoint
+    rho -> X^+ rho A - A X^+ rho."""
+    Xd = X.conj().T
+    return _sandwich(A, X) - _right(X @ A), _sandwich(Xd, A) - _left(A @ Xd)
+
+
 def vectorize_generator(H_eff, lindblad_ops) -> Superoperator:
     """Vectorize -i[H_eff, rho] + sum_k w_k (L rho L^+ - 1/2 {L^+L, rho}).
 
@@ -252,12 +259,8 @@ def vectorize_redfield(H, A, A_f) -> Superoperator:
     d = H.shape[0]
     if A.shape != (d, d) or A_f.shape != (d, d):
         raise ValueError("dimension mismatch")
-    mat = hamiltonian_superop(H)
-    # A rho A_f - rho A_f A
-    mat = mat + _sandwich(A, A_f) - _right(A_f @ A)
-    # h.c.: A_f^+ rho A - A A_f^+ rho
-    mat = mat + _sandwich(A_f.conj().T, A) - _left(A @ A_f.conj().T)
-    return Superoperator(mat, d)
+    half, adjoint = redfield_halves(A, A_f)
+    return Superoperator(hamiltonian_superop(H) + half + adjoint, d)
 
 
 def choi_matrix(sop: Superoperator) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qme.cli import main
+from qme.diagnostics import lambda_estimate
 from qme.config import (
     ConfigError,
     load_config,
@@ -150,6 +151,40 @@ class TestCliExitCodes:
         assert code == 2
         assert "coupling" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trajectory_davies.csv").exists()
+
+    def test_matrix_file_key_refused(self, tmp_path, capsys):
+        # the model's Hamiltonian has only the Pauli-string form
+        (tmp_path / "h.txt").write_text("1 0 0\n0 0 0\n0 0 -1\n")
+        doc = _base_doc()
+        doc["model"]["matrix_file"] = str(tmp_path / "h.txt")
+        code = main(["evolve", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown keys ['matrix_file']" in err
+
+    def test_optimize_ta_passes_samples_through(self, tmp_path, monkeypatch):
+        import qme.cli
+
+        seen = []
+
+        def counting(*args, n_samples, **kwargs):
+            seen.append(n_samples)
+            return lambda_estimate(*args, n_samples=n_samples, **kwargs)
+
+        monkeypatch.setattr(qme.cli, "lambda_estimate", counting)
+        doc = _base_doc()
+        assert main(["optimize-ta", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o"), "--samples", "200"]) == 0
+        assert seen == [200]
+
+    @pytest.mark.parametrize("samples", ["99", "0", "-5"])
+    def test_optimize_ta_too_few_samples_refused(self, tmp_path, capsys, samples):
+        code = main(["optimize-ta", "--config", _write(tmp_path, _base_doc()),
+                     "--out", str(tmp_path / "o"), "--samples", samples])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "optimize_ta.txt").exists()
 
     def test_cgme_discrete_refused(self, tmp_path, capsys):
         # its discretization parameters have no config form

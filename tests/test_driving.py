@@ -93,6 +93,44 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagator(sched, 0.0, 2.0)
 
+    # two segments on [0, 1.5], pulses at 0.4 and 1.1
+    SCHED = DriveSchedule(
+        segments=((0.0, 0.7, PAULI_Z), (0.7, 1.5, 0.3 * PAULI_X + PAULI_Z)),
+        pulses=((0.4, -1j * PAULI_X), (1.1, -1j * PAULI_Y)),
+    )
+
+    def test_pulse_at_t_from_acts(self):
+        ref = oracles.expm_propagator(
+            [np.zeros((2, 2)), PAULI_Z, 0.3 * PAULI_X + PAULI_Z],
+            [0.0, 0.3, 0.3], pulses=[-1j * PAULI_X])
+        assert np.max(np.abs(propagator(self.SCHED, 0.4, 1.0) - ref)) < 1e-12
+
+    def test_pulse_at_t_to_does_not_act(self):
+        ref = oracles.expm_propagator([PAULI_Z, 0.3 * PAULI_X + PAULI_Z], [0.2, 0.4])
+        assert np.max(np.abs(propagator(self.SCHED, 0.5, 1.1) - ref)) < 1e-12
+        # backwards over the same window: the adjoint, the pulse still excluded
+        assert np.max(np.abs(propagator(self.SCHED, 1.1, 0.5) - ref.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, 0.7, 1.1, 1.5])
+    def test_empty_window_is_identity(self, t):
+        # a pulse at t lies in neither [t, t) nor its reverse
+        assert np.array_equal(propagator(self.SCHED, t, t), np.eye(2))
+
+    @pytest.mark.parametrize("t_from, t_to", [(-0.1, 1.0), (0.5, 1.6), (1.6, 0.5),
+                                              (-1.0, 2.0)])
+    def test_times_outside_domain_rejected(self, t_from, t_to):
+        with pytest.raises(ValueError, match="outside schedule domain"):
+            propagator(self.SCHED, t_from, t_to)
+
+    def test_heisenberg_outside_domain_extends_boundary_segments(self):
+        # before 0 the first segment's H acts, after 1.5 the last one's
+        ref = oracles.expm_propagator(
+            [PAULI_Z, PAULI_Z, 0.3 * PAULI_X + PAULI_Z, 0.3 * PAULI_X + PAULI_Z],
+            [0.9, 0.3, 0.4, 0.9], pulses=[-1j * PAULI_X, np.eye(2), -1j * PAULI_Y])
+        A = PAULI_X + 0.5 * PAULI_Z
+        got = heisenberg_A(self.SCHED, A, 2.0, -0.5)
+        assert np.max(np.abs(got - ref.conj().T @ A @ ref)) < 1e-12
+
     def test_heisenberg_constant_h(self):
         sched = DriveSchedule(segments=((0.0, 3.0, PAULI_Z),))
         got = heisenberg_A(sched, PAULI_X, 1.3, 2.0)

@@ -8,6 +8,7 @@ from qme import quadrature
 from qme.generators import (
     DiscretizationParams,
     GeneratorConfig,
+    _epsilon_grid,
     cgme_gamma,
     cgme_generator,
     cgme_lamb_F,
@@ -207,6 +208,31 @@ class TestKossakowski:
             for j in (1, 3):
                 ref = oracles.cgme_gamma_reduced(freqs[i], -freqs[j], 1.12, toy_bath.correlation)
                 assert abs(K[i, j] - ref) < 1e-6 * max(1.0, abs(ref))
+
+    def test_one_gamma_call_matches_per_frequency_loop(self, benchmark_jd, toy_bath):
+        # gamma is evaluated once on the eps-grid and shared by every Bohr
+        # frequency's filter column; the result is bit for bit the loop that
+        # evaluates the filter f(eps, w) one frequency at a time
+        calls = []
+
+        class CountingBath:
+            def __getattr__(self, name):
+                return getattr(toy_bath, name)
+
+            def gamma(self, w):
+                calls.append(np.shape(w))
+                return toy_bath.gamma(w)
+
+        t_a = 1.12
+        freqs = benchmark_jd.frequencies
+        K = kossakowski_matrix(benchmark_jd, CountingBath(), t_a)
+        nodes, wt = _epsilon_grid(toy_bath, t_a, tuple(freqs))
+        assert calls == [nodes.shape]
+        F = np.empty((len(nodes), len(freqs)))
+        for j, w in enumerate(freqs):
+            g = np.maximum(np.asarray(toy_bath.gamma(nodes), dtype=float), 0.0)
+            F[:, j] = np.sqrt(g * t_a / (2 * np.pi)) * np.sinc(t_a * (nodes - w) / (2 * np.pi))
+        assert np.array_equal(K, (F * wt[:, None]).T @ F)
 
     def test_dissipator_from_weights_matches_matrix_form(self, benchmark_jd, toy_bath):
         # diagonalized Lindblad form reproduces sum_{ww'} K A X A^dag - ...

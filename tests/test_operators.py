@@ -14,6 +14,7 @@ from qme.operators import (
     eigensystem,
     hamiltonian_superop,
     operator_norm,
+    redfield_halves,
     trace_norm,
     vectorize_generator,
     vectorize_redfield,
@@ -189,6 +190,16 @@ class TestVectorization:
         half = a @ rho @ af - rho @ af @ a
         expected = -1j * (h @ rho - rho @ h) + half + half.conj().T
         assert np.allclose(sop.apply(rho), expected, atol=1e-12)
+
+    def test_redfield_halves_action(self):
+        rng = np.random.default_rng(6)
+        a = _random_hermitian(rng, 3)
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        rho = _random_state(rng, 3)
+        half, adjoint = (Superoperator(m, 3) for m in redfield_halves(a, x))
+        expected = a @ rho @ x - rho @ x @ a
+        assert np.allclose(half.apply(rho), expected, atol=1e-12)
+        assert np.allclose(adjoint.apply(rho), expected.conj().T, atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)

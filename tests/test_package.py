@@ -1,7 +1,7 @@
 """Package surface: every name a module exports exists, every name the
 benchmark's tracer wraps exists, no module imports a name it never uses, no
 module falls back to adaptive quadrature, and importing the package and its
-CLI loads no scipy module."""
+CLI, or propagating a drive schedule, loads no scipy module."""
 
 import ast
 import importlib
@@ -116,6 +116,30 @@ def test_import_loads_no_scipy(module):
     # a fresh interpreter: this one has scipy loaded by the tests
     code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
+
+
+def test_drive_propagation_loads_no_scipy():
+    # a fresh interpreter: every drive propagation reads the segments'
+    # eigensystems, so a schedule with H != 0 needs no matrix exponential
+    code = """
+import sys
+import numpy as np
+from qme.baths import OhmicBath
+from qme.driving import DriveSchedule, propagator
+from qme.evolve import td_cgme_superoperator
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.diag([1.0, -1.0]).astype(complex)
+sched = DriveSchedule(segments=((0.0, 1.0, Z), (1.0, 2.0, 0.3 * X + Z)),
+                      pulses=((0.5, -1j * X),))
+propagator(sched, 0.2, 1.7)
+td_cgme_superoperator(sched, X, OhmicBath(0.1, 1.0, 2.0), 1.0, 0.8,
+                      quadrature_order=6, grid_order=6)
+print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))
+"""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
