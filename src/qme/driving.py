@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +74,18 @@ class DriveSchedule:
     exact instant; windows use the half-open convention [t_from, t_to), i.e. a
     pulse at t_from belongs to the window and one at t_to does not.  Each
     segment's eigensystem (lam, V), H = V diag(lam) V^+, is computed once
-    here and serves every propagation through the segment.
+    here and serves every propagation through the segment, as do the sorted
+    ``cut_times`` (every segment boundary and pulse instant) and the
+    ``pulse_at`` map from pulse time to unitary, so a window's cost grows
+    with the cuts inside it, not with the schedule's length.
     """
 
     segments: tuple
     pulses: tuple = ()
     duration: float = field(init=False, default=0.0)
     eigensystems: tuple = field(init=False, default=(), repr=False, compare=False)
+    cut_times: tuple = field(init=False, default=(), repr=False, compare=False)
+    pulse_at: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -122,6 +128,9 @@ class DriveSchedule:
         object.__setattr__(self, "pulses", tuple(pls))
         object.__setattr__(self, "duration", prev_end)
         object.__setattr__(self, "eigensystems", tuple(np.linalg.eigh(H) for _, _, H in segs))
+        object.__setattr__(self, "cut_times", tuple(sorted(
+            {t for t0, t1, _ in segs for t in (t0, t1)} | {tp for tp, _ in pls})))
+        object.__setattr__(self, "pulse_at", dict(pls))
 
     @property
     def dim(self) -> int:
@@ -130,7 +139,7 @@ class DriveSchedule:
     def _segment(self, t: float) -> int:
         """Index of the segment holding t, the boundary segments extended
         beyond [0, duration] (sliding averaging windows may poke outside)."""
-        return sum(t >= t1 for _, t1, _ in self.segments[:-1])
+        return bisect_right(self.segments, t, hi=len(self.segments) - 1, key=lambda s: s[1])
 
     def hamiltonian_at(self, t: float) -> np.ndarray:
         """Segment Hamiltonian at time t, boundary segments extended."""
@@ -144,15 +153,8 @@ class DriveSchedule:
     def breakpoints(self, lo: float, hi: float) -> list:
         """Times in (lo, hi) where the integrand of a window quadrature loses
         smoothness: segment boundaries (kinks) and pulse instants (jumps)."""
-        pts = set()
-        for t0, t1, _ in self.segments:
-            for x in (t0, t1):
-                if lo < x < hi:
-                    pts.add(x)
-        for tp, _ in self.pulses:
-            if lo < tp < hi:
-                pts.add(tp)
-        return sorted(pts)
+        cuts = self.cut_times
+        return list(cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)])
 
 
 @dataclass(frozen=True)
@@ -211,12 +213,11 @@ def _propagator_either(sched: DriveSchedule, t_prime: float, t: float) -> np.nda
     so one at lo belongs to the window and one at hi does not, and the
     empty window is the identity.  The backward map is its adjoint."""
     lo, hi = min(t, t_prime), max(t, t_prime)
-    pulse_at = dict(sched.pulses)
     U = np.eye(sched.dim, dtype=complex)
     cuts = [lo, *sched.breakpoints(lo, hi), hi] if hi > lo else []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if a in pulse_at:
-            U = pulse_at[a] @ U
+        if a in sched.pulse_at:
+            U = sched.pulse_at[a] @ U
         U = _evolution(*sched.eigensystem_at(a), b - a) @ U
     return U if t_prime >= t else U.conj().T
 

@@ -1,6 +1,10 @@
 """Density-matrix time integration and trajectory monitors.
 
-Propagates a constant vectorized generator exactly by matrix exponentials,
+Every generator preserves Hermiticity, so it is integrated as a real matrix
+on the state's real coordinates in the orthonormal Hermitian basis of
+``operators.to_real`` (the coherence vector of Alicki & Lendi, Quantum
+Dynamical Semigroups, LNP 286 (1987)).  Propagates a constant generator
+exactly by matrix exponentials,
 integrates a time-dependent one (among them the time-local equation whose
 filter integral grows with t, the pre-limit form of the Redfield equation) by
 the commutator-free fourth-order Magnus step of Blanes & Moan, Appl. Numer.
@@ -22,8 +26,11 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     Superoperator,
+    from_real,
     hamiltonian_superop,
     redfield_halves,
+    to_real,
+    to_real_superop,
     vectorize_generator,
     _trace_norms,
 )
@@ -100,7 +107,7 @@ def _propagate_expm(matrix_fn, v0, grid):
             reps.append(steps[k])
         which[k] = len(reps) - 1
     props = [expm(M * h) for h in reps]
-    vs = np.empty((len(grid), len(v0)), dtype=complex)
+    vs = np.empty((len(grid), len(v0)), dtype=np.result_type(M, v0))
     vs[0] = v0
     for i, j in enumerate(which):
         vs[i + 1] = props[j] @ vs[i]
@@ -114,11 +121,12 @@ def _propagate_expm(matrix_fn, v0, grid):
 
 def _cfm4_substeps(L, n, t, h):
     """The CFM4 propagator of every substep [t[s], t[s] + h[s]], an
-    (len(t), n, n) stack, from one stacked ``expm`` call.  The weighted
-    exponents replace the L(t) stack and die on return, so a chunk holds at
-    most two stacks of its size at once besides ``expm``'s own workspace."""
+    (len(t), n, n) stack of L's dtype, from one stacked ``expm`` call.  The
+    weighted exponents replace the L(t) stack and die on return, so a chunk
+    holds at most two stacks of its size at once besides ``expm``'s own
+    workspace."""
     from scipy.linalg import expm
-    X = np.asarray(L((t[:, None] + h[:, None] * CFM4_NODES).ravel()), dtype=complex)
+    X = np.asarray(L((t[:, None] + h[:, None] * CFM4_NODES).ravel()))
     X = CFM4_WEIGHTS @ X.reshape(-1, 2, n * n)
     X *= h[:, None, None]
     E = expm(X.reshape(-1, 2, n, n))
@@ -135,11 +143,13 @@ def _cfm4_propagators(L, n, t0, widths, counts):
     # the position of every substep within its interval
     pos = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)
     t = np.repeat(t0, counts) + pos * h
-    props = np.empty((len(counts), n, n), dtype=complex)
+    props = None
     step = max(1, CHUNK_ELEMENTS // (2 * n * n))
     for lo in range(0, len(h), step):
         k = slice(lo, lo + step)
         P = _cfm4_substeps(L, n, t[k], h[k])
+        if props is None:
+            props = np.empty((len(counts), n, n), dtype=P.dtype)
         for p in np.unique(pos[k]):
             at = np.nonzero(pos[k] == p)[0]
             j = which[k][at]
@@ -153,11 +163,14 @@ def _integrate_cfm4(L, v0, grid):
     Every interval starts at c = 1: its propagators at c and 2c substeps are
     built, the state is carried through the 2c ones, one matrix-vector
     product per interval, and the interval's local estimate is
-    max|(P_2c - P_c) v_i| / 15 with v_i the state at its start.  While the
-    sum of the local estimates, the ``error_estimate``, exceeds CFM4_TOL,
-    every interval whose own estimate exceeds CFM4_TOL / (number of
-    intervals) doubles its c.  The dense output takes CFM4 substeps of at
-    most the interval's final width from the last grid point t_i <= t."""
+    max|(P_2c - P_c) v_i| / 15 with v_i the state at its start, in matrix
+    entries: real coordinates (a float v0) are mapped back to column-stacked
+    entries first, since their max-abs norm weighs off-diagonals up to
+    sqrt2 more.  While the sum of the local estimates, the
+    ``error_estimate``, exceeds CFM4_TOL, every interval whose own estimate
+    exceeds CFM4_TOL / (number of intervals) doubles its c.  The dense
+    output takes CFM4 substeps of at most the interval's final width from
+    the last grid point t_i <= t."""
     starts, widths = grid[:-1], np.diff(grid)
     m, n = len(widths), len(v0)
     counts = np.full(m, 2)     # 2c: the substeps of the accepted propagators
@@ -165,12 +178,14 @@ def _integrate_cfm4(L, v0, grid):
                              np.concatenate((counts // 2, counts)))
     coarse, fine = both[:m], both[m:]
     computed = 3 * m
-    vs = np.empty((m + 1, n), dtype=complex)
+    vs = np.empty((m + 1, n), dtype=np.result_type(both, v0))
     vs[0] = v0
+    entries = from_real if vs.dtype.kind == "f" else np.asarray
     while True:
         for i, P in enumerate(fine):
             vs[i + 1] = P @ vs[i]
-        local = np.max(np.abs(vs[1:] - np.einsum("ijk,ik->ij", coarse, vs[:-1])), axis=1) / 15.0
+        change = vs[1:] - np.einsum("ijk,ik->ij", coarse, vs[:-1])
+        local = np.max(np.abs(entries(change)), axis=1) / 15.0
         estimate = float(local.sum())
         if not math.isfinite(estimate):
             raise ArithmeticError("CFM4 trajectory is not finite")
@@ -203,12 +218,18 @@ def _integrate_cfm4(L, v0, grid):
 def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> EvolutionResult:
     """Integrate d rho/dt = L(t)[rho] on the given strictly increasing grid.
 
-    A constant generator (a ``GeneratorSet`` or ``Superoperator``) is
-    propagated exactly, with one matrix exponential per distinct step.  A
-    time-dependent one is a callable taking a 1-D array of n times to the
-    (n, d^2, d^2) stack of column-stacked generator matrices; it runs on
-    CFM4 substeps, doubled in each grid interval whose local error estimate
-    is too large until the estimates sum to at most CFM4_TOL.
+    L must preserve Hermiticity: the state and the generator are converted
+    once, at entry, to the real coordinates of ``operators.to_real`` and
+    the real matrix Q L Q^+ (ValueError if L has an imaginary part there
+    beyond ``HERMITICITY_TOL``), so every state is Hermitian by construction
+    and ``hermiticity_deviation`` is ~0.  A constant generator (a
+    ``GeneratorSet`` or ``Superoperator``) is propagated exactly, with one
+    matrix exponential per distinct step.  A time-dependent one is a
+    callable taking a 1-D array of n times to the (n, d^2, d^2) stack of
+    column-stacked generator matrices; it runs on CFM4 substeps, doubled in
+    each grid interval whose local error estimate is too large until the
+    estimates sum to at most CFM4_TOL.  ``res.dense(t)`` returns the
+    column-stacked state at t.
 
     ``metadata`` records the integrator that ran (``expm`` or ``cfm4``), its
     cost (``n_expm`` exponentials; for CFM4 also the accepted substeps, in
@@ -220,36 +241,45 @@ def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> Evol
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
-    if isinstance(gen, GeneratorSet):
-        dim, matrix_fn = gen.dim, (lambda: gen.to_superoperator().matrix)
-    elif isinstance(gen, Superoperator):
-        dim, matrix_fn = gen.dim, (lambda: gen.matrix)
-    elif callable(gen):
-        dim = int(round(math.sqrt(np.shape(gen(grid[:1]))[-1])))
-        matrix_fn = None
-    else:
-        raise TypeError("gen must be a GeneratorSet, Superoperator, or callable "
-                        "array of t -> stack of matrices")
-    if rho0.dim != dim:
-        raise ValueError("initial state dimension does not match generator")
-
-    v0 = rho0.entries.reshape(-1, order="F").astype(complex)
-    if matrix_fn is not None:
-        vs, dense, info = _propagate_expm(matrix_fn, v0, grid)
-    else:
-        vs, dense, info = _integrate_cfm4(gen, v0, grid)
-
-    # column-stacked vectors back to matrices, then the monitors on the stack
-    states = np.ascontiguousarray(vs.reshape(len(grid), dim, dim).transpose(0, 2, 1))
-    dag = states.conj().transpose(0, 2, 1)
-    tr = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    herm = np.max(np.abs(states - dag), axis=(1, 2))
-    mineig = np.linalg.eigvalsh(0.5 * (states + dag))[:, 0]
     meta = dict(metadata or {})
     if isinstance(gen, GeneratorSet):
         meta.setdefault("equation_kind", gen.kind)
         if "T_a" in gen.meta:
             meta.setdefault("T_a", gen.meta["T_a"])
+        dim, integrate = gen.dim, _propagate_expm
+        real_gen = lambda: to_real_superop(gen.to_superoperator().matrix)
+    elif isinstance(gen, Superoperator):
+        dim, integrate = gen.dim, _propagate_expm
+        real_gen = lambda: to_real_superop(gen.matrix)
+    elif callable(gen):
+        dim = int(round(math.sqrt(np.shape(gen(grid[:1]))[-1])))
+        integrate = _integrate_cfm4
+        real_gen = lambda t: to_real_superop(gen(t))
+    else:
+        raise TypeError("gen must be a GeneratorSet, Superoperator, or callable "
+                        "array of t -> stack of matrices")
+    if rho0.dim != dim:
+        raise ValueError("initial state dimension does not match generator")
+    return _evolve_real(integrate, real_gen, rho0, grid, meta)
+
+
+def _evolve_real(integrate, real_gen, rho0: DensityMatrix, grid, meta: dict) -> EvolutionResult:
+    """The trajectory of ``integrate(real_gen, x0, grid)``, ``_propagate_expm``
+    or ``_integrate_cfm4`` on the real coordinates x0 of rho0, with its
+    monitors.  ``DensityMatrix`` admits a Hermiticity deviation of 1e-10, so
+    x0 holds the state's Hermitian part."""
+    rho = rho0.entries
+    x0 = to_real((0.5 * (rho + rho.conj().T)).reshape(-1, order="F"))
+    xs, dense_real, info = integrate(real_gen, x0, grid)
+
+    # real coordinates to column-stacked vectors to matrices, then the
+    # monitors on the stack
+    dim = rho0.dim
+    states = np.ascontiguousarray(from_real(xs).reshape(len(grid), dim, dim).transpose(0, 2, 1))
+    dag = states.conj().transpose(0, 2, 1)
+    tr = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    herm = np.max(np.abs(states - dag), axis=(1, 2))
+    mineig = np.linalg.eigvalsh(0.5 * (states + dag))[:, 0]
     meta.update(info)
     meta.update(max_trace_deviation=float(tr.max()),
                 max_hermiticity_deviation=float(herm.max()),
@@ -261,7 +291,7 @@ def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> Evol
         hermiticity_deviation=herm,
         min_eigenvalue=mineig,
         metadata=meta,
-        dense=dense,
+        dense=lambda t: from_real(dense_real(t)),
     )
 
 
@@ -314,26 +344,30 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
 
     H = H if isinstance(H, HermitianOperator) else HermitianOperator(H)
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
+    if rho0.dim != H.dim:
+        raise ValueError("initial state dimension does not match generator")
     if jd is None:
         jd = decompose_coupling(eigensystem(H), A)
     grid = np.asarray(grid, dtype=float)
     g, filter_error = ore_filter(jd, bath, grid[-1])
 
-    d = H.dim
-    H_sop = hamiltonian_superop(H.entries)
-    # L(t) = L_H + sum_w g_w(t) * M_w + conj(g_w(t)) * N_w with
-    # M_w rho = A rho A_w - rho A_w A,  N_w rho = A_w^+ rho A - A A_w^+ rho;
-    # the rows of ``stack`` are every M_w, then every N_w
-    Ms, Ns = zip(*(redfield_halves(A.entries, Aw) for Aw in jd.operators))
-    stack = np.array(Ms + Ns, dtype=complex).reshape(-1, d ** 4)
+    n = H.dim ** 2
+    H_r = to_real_superop(hamiltonian_superop(H.entries))
+    # L(t) = L_H + sum_w g_w(t) M_w + conj(g_w(t)) N_w with
+    # M_w rho = A rho A_w - rho A_w A and N_w rho = A_w^+ rho A - A A_w^+ rho,
+    # i.e. L_H + sum_w Re g_w(t) (M_w + N_w) + Im g_w(t) i (M_w - N_w), both
+    # of which preserve Hermiticity.  With M'_w = Q M_w Q^+, N_w becomes
+    # conj(M'_w): the rows of ``stack`` are every 2 Re M'_w, then every
+    # -2 Im M'_w
+    M, N = np.moveaxis(np.array([redfield_halves(A.entries, Aw) for Aw in jd.operators]), 1, 0)
+    stack = to_real_superop(np.concatenate((M + N, 1j * (M - N)))).reshape(-1, n * n)
 
     def generator(t):
         gt = g(t)
-        return H_sop + (np.concatenate((gt, gt.conj()), axis=-1) @ stack).reshape(
-            -1, d * d, d * d)
+        return H_r + (np.concatenate((gt.real, gt.imag), axis=-1) @ stack).reshape(-1, n, n)
 
     meta = {"equation_kind": "ore", "filter_quad_error": filter_error}
-    return evolve(generator, rho0, grid, metadata=meta)
+    return _evolve_real(_integrate_cfm4, generator, rho0, grid, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Dense complex linear algebra primitives.
 
 Hermitian operators, eigendecompositions with degeneracy clustering, the
-trace/operator norms used for all state and generator comparisons, and the
+trace/operator norms used for all state and generator comparisons, the
 column-stacking vectorization that turns a master-equation right-hand side
-into a dim^2 x dim^2 superoperator matrix.
+into a dim^2 x dim^2 superoperator matrix, and the real coordinates of a
+Hermitian operator in an orthonormal Hermitian basis, in which a generator
+that preserves Hermiticity is a real matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +28,9 @@ __all__ = [
     "vectorize_redfield",
     "choi_matrix",
     "choi_min_eigenvalue",
+    "to_real",
+    "from_real",
+    "to_real_superop",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -285,3 +292,76 @@ def choi_min_eigenvalue(sop: Superoperator, dt: float) -> float:
     C = choi_matrix(step)
     C = 0.5 * (C + C.conj().T)
     return float(np.linalg.eigvalsh(C).min())
+
+
+# ---------------------------------------------------------------------------
+# real coordinates in the orthonormal Hermitian basis
+# ---------------------------------------------------------------------------
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+@lru_cache(maxsize=None)
+def _real_basis(n: int):
+    """Column-stacked positions for the basis of d x d Hermitian matrices,
+    d^2 = n: E_ii, then (E_ij + E_ji)/sqrt2, then i (E_ij - E_ji)/sqrt2 for
+    i < j.  Returns (d, diag, up, lo): the entries (i, i), and (i, j) and
+    (j, i) of every i < j.  Row k of the unitary Q with coordinates x = Q v
+    has at most two nonzeros, so Q is applied by index gathers."""
+    d = math.isqrt(n)
+    if d * d != n:
+        raise ValueError(f"length {n} is not the square of a dimension")
+    i, j = np.triu_indices(d, 1)
+    diag, up, lo = np.arange(d) * (d + 1), i + j * d, j + i * d
+    for a in (diag, up, lo):
+        a.setflags(write=False)
+    return d, diag, up, lo
+
+
+def _gather(v: np.ndarray, axis: int, phase: complex) -> np.ndarray:
+    """Q (phase 1j) or conj(Q) (phase -1j) applied along ``axis`` of v."""
+    d, diag, up, lo = _real_basis(v.shape[axis])
+    u, l = np.take(v, up, axis=axis), np.take(v, lo, axis=axis)
+    return np.concatenate((np.take(v, diag, axis=axis), _SQRT_HALF * (u + l),
+                           (phase * _SQRT_HALF) * (l - u)), axis=axis)
+
+
+def _real_part(z: np.ndarray, what: str) -> np.ndarray:
+    """Re z, or ValueError when Im z exceeds HERMITICITY_TOL * max(1, max|Re z|):
+    dropping it would misread the input."""
+    scale = max(1.0, float(np.max(np.abs(z.real), initial=0.0)))
+    if np.max(np.abs(z.imag), initial=0.0) > HERMITICITY_TOL * scale:
+        raise ValueError(f"{what} beyond {HERMITICITY_TOL:g} relative")
+    return np.ascontiguousarray(z.real)
+
+
+def to_real(v) -> np.ndarray:
+    """Real coordinates x = Q v of column-stacked Hermitian matrices, a
+    (..., d^2) array, in the basis E_ii, (E_ij + E_ji)/sqrt2,
+    i (E_ij - E_ji)/sqrt2 (i < j): x_k = Tr(B_k rho)."""
+    z = _gather(np.asarray(v, dtype=complex), -1, 1j)
+    return _real_part(z, "matrix is not Hermitian")
+
+
+def from_real(x) -> np.ndarray:
+    """Column-stacked complex entries v = Q^+ x of real coordinates x, a
+    (..., d^2) array: the inverse of ``to_real``."""
+    x = np.asarray(x, dtype=float)
+    d, diag, up, lo = _real_basis(x.shape[-1])
+    m = len(up)
+    sym, anti = _SQRT_HALF * x[..., d:d + m], _SQRT_HALF * x[..., d + m:]
+    v = np.empty(x.shape, dtype=complex)
+    v[..., diag] = x[..., :d]
+    # not conj() of the upper entries: that would print a zero imaginary
+    # part as -0
+    v[..., up] = sym + 1j * anti
+    v[..., lo] = sym - 1j * anti
+    return v
+
+
+def to_real_superop(M) -> np.ndarray:
+    """The real matrix Q M Q^+ of a column-stacked superoperator, or of a
+    (..., d^2, d^2) stack of them, acting on ``to_real`` coordinates.
+    ValueError if M does not preserve Hermiticity."""
+    z = _gather(_gather(np.asarray(M, dtype=complex), -2, 1j), -1, -1j)
+    return _real_part(z, "superoperator does not preserve Hermiticity")

@@ -374,6 +374,32 @@ def td_cgme_direct(sched, a, bath, t, t_a, eps_nodes, eps_weights, order):
     return mat - 1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
+def hermitian_basis_unitary(d):
+    """The d^2 x d^2 unitary Q with rows vec(B_k)^+ (column stacking), B_k
+    running over E_ii, then (E_ij + E_ji)/sqrt2, then i (E_ij - E_ji)/sqrt2
+    for i < j (row-major): Q v holds the coordinates Tr(B_k rho)."""
+    basis = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for phase, sign in ((1.0, 1.0), (1j, -1.0)):
+        for i, j in pairs:
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j], e[j, i] = phase, sign * phase
+            basis.append(e / math.sqrt(2.0))
+    return np.array([b.reshape(-1, order="F").conj() for b in basis])
+
+
+def schedule_breakpoints_scan(sched, lo, hi):
+    """Every segment boundary and pulse instant of a drive schedule strictly
+    inside (lo, hi), sorted, by a scan over the whole schedule."""
+    times = [x for t0, t1, _ in sched.segments for x in (t0, t1)]
+    times += [tp for tp, _ in sched.pulses]
+    return sorted({x for x in times if lo < x < hi})
+
+
 def linear_ode_reference(M, v0, grid, rtol=1e-12, atol=1e-14):
     """dv/dt = M v sampled on ``grid`` by adaptive DOP853 at tight tolerances."""
     sol = integrate.solve_ivp(lambda t, v: M @ v, (grid[0], grid[-1]),

@@ -60,6 +60,29 @@ class TestDriveSchedule:
         assert np.allclose(sched.hamiltonian_at(-3.0), PAULI_Z)
         assert np.allclose(sched.hamiltonian_at(5.0), PAULI_X)
 
+    def test_long_schedule_breakpoints_match_full_scan(self):
+        # the cuts are sorted once with the schedule and looked up by
+        # bisection: windows anywhere along a 10,000-interval DD schedule, and
+        # on a segmented one with pulses on segment boundaries, windows
+        # starting or ending exactly on a cut and reaching outside
+        dd = dd_schedule(DDSequence(dt=0.25), 2500.0)
+        segmented = DriveSchedule(
+            segments=((0.0, 1.0, PAULI_Z), (1.0, 2.5, PAULI_X), (2.5, 4.0, PAULI_Y)),
+            pulses=((0.5, PAULI_X), (1.0, PAULI_X), (2.5, PAULI_Z), (3.2, PAULI_Y)))
+        rng = np.random.default_rng(4)
+        for sched in (dd, segmented):
+            cuts = oracles.schedule_breakpoints_scan(sched, -np.inf, np.inf)
+            windows = [(-1.0, sched.duration + 1.0), (0.0, sched.duration), (1.0, 2.5),
+                       (2.5, 1.0), (3.2, 3.2)]
+            windows += [tuple(rng.choice(cuts, 2)) for _ in range(20)]
+            windows += [tuple(rng.uniform(-0.5, sched.duration + 0.5, 2)) for _ in range(20)]
+            for lo, hi in windows:
+                assert sched.breakpoints(lo, hi) == oracles.schedule_breakpoints_scan(
+                    sched, lo, hi)
+            for t in [*cuts, -2.0, 0.3, 2.7, sched.duration + 2.0]:
+                expected = sum(t >= t1 for _, t1, _ in sched.segments[:-1])
+                assert sched.hamiltonian_at(t) is sched.segments[expected][2]
+
 
 class TestPropagator:
     def test_matches_expm_oracle_with_pulses(self):

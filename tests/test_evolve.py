@@ -4,6 +4,7 @@ time-local growing-filter equation, and positivity-crossing detection."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
 from qme.evolve import (
@@ -262,6 +263,62 @@ class TestCFM4:
             assert np.max(np.abs(res.dense(t) - v)) < 2 * CFM4_TOL
 
 
+class TestRealBasis:
+    """``evolve`` integrates in the real coordinates of the orthonormal
+    Hermitian basis: every exponential is of a real matrix, and a generator
+    that does not preserve Hermiticity is rejected, not misread."""
+
+    MINUS_I_Z_LEFT = -1j * np.kron(np.eye(2), PAULI_Z)     # rho -> -i Z rho
+
+    def test_rejects_superoperator_not_preserving_hermiticity(self):
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            evolve(Superoperator(self.MINUS_I_Z_LEFT, 2), _plus_state(), np.linspace(0, 1, 3))
+
+    def test_rejects_callable_not_preserving_hermiticity(self):
+        M = self.MINUS_I_Z_LEFT
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            evolve(lambda ts: np.broadcast_to(M, (len(ts),) + M.shape),
+                   _plus_state(), np.linspace(0, 1, 3))
+
+    def test_three_qubits_match_complex_expm(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = 0.25 * (g + g.conj().T)
+        ops = [(0.3, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+               for _ in range(2)]
+        M = vectorize_generator(h, ops).matrix
+        rho0 = DensityMatrix.from_pure(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        grid = np.array([0.0, 0.1, 0.35, 0.6, 1.0])
+        res = evolve(Superoperator(M, 8), rho0, grid)
+        v0 = rho0.entries.reshape(-1, order="F")
+        for t, rho in zip(grid, res.states):
+            assert np.max(np.abs(rho.reshape(-1, order="F") - expm(M * t) @ v0)) < 1e-12
+        assert np.max(np.abs(res.dense(0.8) - expm(M * 0.8) @ v0)) < 1e-12
+        assert res.metadata["max_hermiticity_deviation"] == 0.0
+
+    def test_every_exponential_is_real(self, monkeypatch, benchmark_jd, benchmark_hamiltonian,
+                                       benchmark_coupling, toy_bath, benchmark_initial):
+        dtypes = []
+
+        def spy(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return expm(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", spy)
+        grid = np.linspace(0.0, 2.0, 5)
+        runs = {
+            "GeneratorSet": lambda: evolve(davies_generator(benchmark_jd, toy_bath),
+                                           benchmark_initial, grid),
+            "callable": lambda: evolve(_stacked(_driven_decay), _plus_state(), grid),
+            "evolve_ore": lambda: evolve_ore(benchmark_hamiltonian, benchmark_coupling,
+                                             toy_bath, benchmark_initial, grid),
+        }
+        for name, run in runs.items():
+            dtypes.clear()
+            run()
+            assert dtypes and all(dt == np.float64 for dt in dtypes), name
+
+
 class TestEvolutionMetadata:
     def test_cfm4_counts_for_time_dependent(self, benchmark_hamiltonian,
                                             benchmark_coupling, toy_bath,
@@ -354,6 +411,14 @@ class TestGrowingFilterEquation:
         # per-interval control computes 920 exponentials on this grid;
         # halving every interval alike computed 1,536
         assert ta_sweep_reference.metadata["n_expm"] <= 1000
+
+    def test_step_control_pinned(self, ta_sweep_reference):
+        # the local estimates are taken in matrix entries, not in the real
+        # coordinates, whose max-abs norm weighs off-diagonals up to sqrt2
+        # more (a control on those grew the count to 1,024)
+        counts = ta_sweep_reference.metadata["interval_substeps"]
+        assert np.array_equal(counts, np.repeat([4, 2], [19, 109]))
+        assert ta_sweep_reference.metadata["n_expm"] == 920
 
     def test_agrees_with_redfield_at_late_times(self, benchmark_hamiltonian,
                                                 benchmark_coupling, toy_bath,

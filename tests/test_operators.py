@@ -12,9 +12,12 @@ from qme.operators import (
     choi_matrix,
     choi_min_eigenvalue,
     eigensystem,
+    from_real,
     hamiltonian_superop,
     operator_norm,
     redfield_halves,
+    to_real,
+    to_real_superop,
     trace_norm,
     vectorize_generator,
     vectorize_redfield,
@@ -244,3 +247,55 @@ class TestChoi:
                 mat[:, i + d * j] = E.T.reshape(-1, order="F")
         c = choi_matrix(Superoperator(mat, 2))
         assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() < -0.5
+
+
+class TestRealBasis:
+    """Real coordinates in the orthonormal Hermitian basis E_ii,
+    (E_ij + E_ji)/sqrt2, i (E_ij - E_ji)/sqrt2, against the dense unitary
+    built from the basis matrices."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_round_trip(self, dim):
+        rng = np.random.default_rng(dim)
+        stack = np.array([_random_hermitian(rng, dim) for _ in range(3)])
+        v = stack.transpose(0, 2, 1).reshape(3, -1)   # column-stacked rows
+        x = to_real(v)
+        assert x.dtype == np.float64 and x.shape == v.shape
+        assert np.max(np.abs(from_real(x) - v)) < 1e-15 * np.max(np.abs(v)) * dim
+        assert np.max(np.abs(x - (oracles.hermitian_basis_unitary(dim) @ v.T).T.real)) < 1e-14
+        # the coordinates are Tr(B_k rho): the diagonal comes first, unchanged
+        assert np.array_equal(x[:, :dim], np.diagonal(stack, axis1=1, axis2=2).real)
+        # a real symmetric matrix comes back with every imaginary part +0,
+        # so a table prints no -0
+        sym = to_real(v.real)
+        assert not np.any(np.signbit(from_real(sym).imag))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_superoperator_matches_dense_oracle(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        Q = oracles.hermitian_basis_unitary(dim)
+        mats = []
+        for _ in range(2):
+            h = _random_hermitian(rng, dim)
+            L = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            mats.append(vectorize_generator(h, [(0.4, L)]).matrix)
+        mats = np.array(mats)
+        R = to_real_superop(mats)
+        assert R.dtype == np.float64 and R.shape == mats.shape
+        assert np.max(np.abs(R - (Q @ mats @ Q.conj().T).real)) < 1e-14 * np.max(np.abs(mats))
+        assert np.array_equal(to_real_superop(mats[0]), R[0])
+
+    def test_rejects_non_hermitian_state(self):
+        v = np.array([[1.0, 1e-9j], [0.0, 0.0]]).reshape(-1, order="F")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            to_real(v)
+
+    def test_rejects_generator_not_preserving_hermiticity(self):
+        # rho -> -i Z rho maps Hermitian matrices to non-Hermitian ones
+        M = -1j * np.kron(np.eye(2), np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            to_real_superop(M)
+
+    def test_rejects_length_not_square(self):
+        with pytest.raises(ValueError, match="not the square"):
+            from_real(np.zeros(5))
