@@ -24,6 +24,7 @@ from .baths import Bath, BathTimescales
 from .evolve import ore_filter
 from .generators import JumpDecomposition, decompose_coupling
 from .operators import HermitianOperator, eigensystem, _trace_norms
+from .quadrature import CHUNK_ELEMENTS
 
 logger = logging.getLogger(__name__)
 
@@ -208,9 +209,17 @@ def lambda_estimate(
         live[k] = xs[k].any()
         if live[k]:
             ts_sample[k] = rng.uniform(t_lo, t_hi)
-    xs = xs[live] / _trace_norms(xs[live])[:, None, None]
+    xs, ts_sample = xs[live], ts_sample[live]
+    xs /= _trace_norms(xs)[:, None, None]
+    # the action in chunks of at most CHUNK_ELEMENTS (sample x frequency x
+    # entry) terms, the size of the filter evaluator's own chunks
+    found = np.empty(len(xs))
+    step = max(1, CHUNK_ELEMENTS // (max(1, len(jd.frequencies)) * dim * dim))
+    for lo in range(0, len(xs), step):
+        k = slice(lo, lo + step)
+        found[k] = _trace_norms(action(xs[k], ts_sample[k]))
     norms = np.zeros(n_samples)
-    norms[live] = _trace_norms(action(xs, ts_sample[live]))
+    norms[live] = found
 
     counts, edges = np.histogram(norms, bins=HISTOGRAM_BINS)
     mode_bin = int(np.argmax(counts))

@@ -178,6 +178,10 @@ class GeneratorSet:
         H = np.asarray(self.H_eff, dtype=complex)
         if np.max(np.abs(H - H.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(H))):
             raise ValueError("H_eff is not Hermitian within 1e-10")
+        # its Hermitian part, as HermitianOperator keeps: evolve takes the
+        # generator to real coordinates, where a deviation admitted here
+        # would be beyond HERMITICITY_TOL
+        object.__setattr__(self, "H_eff", 0.5 * (H + H.conj().T))
         if (self.lindblad_ops is None) == (self.redfield_pair is None):
             raise ValueError("provide exactly one of lindblad_ops / redfield_pair")
         if self.lindblad_ops is not None:

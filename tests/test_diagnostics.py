@@ -168,6 +168,19 @@ class TestLambdaEstimate:
                               n_samples=100, rng_seed=1)
         assert 0.0 <= est.filter_quad_error <= EPSABS
 
+    def test_chunked_action_matches_one_chunk(self, monkeypatch, benchmark_hamiltonian,
+                                              benchmark_coupling, toy_bath):
+        # the action runs in chunks of samples; their size must not move a norm
+        import qme.diagnostics
+        whole = lambda_estimate(benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                                n_samples=300, rng_seed=2)
+        monkeypatch.setattr(qme.diagnostics, "CHUNK_ELEMENTS", 1)
+        single = lambda_estimate(benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                                 n_samples=300, rng_seed=2)
+        assert single.max_norm == whole.max_norm
+        assert single.typical_norm == whole.typical_norm
+        assert np.array_equal(single.histogram_counts, whole.histogram_counts)
+
     def test_requires_enough_samples(self, benchmark_hamiltonian, benchmark_coupling,
                                      toy_bath):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from qme.evolve import (
 from qme.quadrature import EPSABS, EPSREL
 from qme.generators import (
     GeneratorConfig,
+    GeneratorSet,
     cgme_generator,
     davies_generator,
     redfield_filtered,
@@ -279,6 +280,21 @@ class TestRealBasis:
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
             evolve(lambda ts: np.broadcast_to(M, (len(ts),) + M.shape),
                    _plus_state(), np.linspace(0, 1, 3))
+
+    def test_generator_set_keeps_hermitian_part_of_h_eff(self):
+        # GeneratorSet admits a 1e-10 relative anti-Hermitian part in H_eff,
+        # beyond what the real-basis transform accepts; it stores the
+        # Hermitian part, so a set that passes its own check evolves
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        h = 0.5 * PAULI_Z + 0.4 * PAULI_X
+        skewed = GeneratorSet(H_eff=h + 1e-11j * PAULI_Z, kind="davies",
+                              lindblad_ops=((0.2, lower),))
+        assert np.array_equal(skewed.H_eff, h)
+        grid = np.linspace(0.0, 2.0, 5)
+        res = evolve(skewed, _plus_state(), grid)
+        exact = evolve(GeneratorSet(H_eff=h, kind="davies", lindblad_ops=((0.2, lower),)),
+                       _plus_state(), grid)
+        assert np.array_equal(res.states, exact.states)
 
     def test_three_qubits_match_complex_expm(self):
         rng = np.random.default_rng(8)
