@@ -161,6 +161,31 @@ class LambdaEstimate:
     filter_quad_error: float
 
 
+def _ginibre_draws(rng, n_samples: int, dim: int, t_lo: float, t_hi: float):
+    """The test matrices and times of ``lambda_estimate``: (X, t, live).
+
+    The Gaussian scale cancels under trace-norm normalization, so a standard
+    complex Ginibre draw G = a + ib symmetrized to (G + G^dagger)/2
+    realizes the ensemble.  Draws stay in per-sample order (a and b in one
+    call, then t unless X = 0, i.e. unless a + a^T = 0 and b - b^T = 0);
+    X = 0 leaves t = 0 and ``live`` False.  The symmetrization runs on the
+    whole stack."""
+    z = np.empty((n_samples, 2, dim, dim))
+    ts = np.zeros(n_samples)
+    live = np.ones(n_samples, dtype=bool)
+    for k in range(n_samples):
+        a, b = rng.standard_normal(out=z[k])
+        live[k] = (a + a.T).any() or (b - b.T).any()
+        if live[k]:
+            ts[k] = rng.uniform(t_lo, t_hi)
+    a, b = z[:, 0], z[:, 1]
+    xs = np.empty((n_samples, dim, dim), dtype=complex)
+    xs.real = a + a.transpose(0, 2, 1)
+    xs.imag = b - b.transpose(0, 2, 1)
+    xs /= 2.0
+    return xs, ts, live
+
+
 def lambda_estimate(
     hamiltonian: HermitianOperator,
     coupling: HermitianOperator,
@@ -195,20 +220,8 @@ def lambda_estimate(
     action = interaction_picture_action(jd, g)
 
     dim = hamiltonian.dim
-    rng = np.random.default_rng(rng_seed)
-    # The Gaussian scale cancels under trace-norm normalization, so a standard
-    # complex Ginibre draw symmetrized to (G + G^dagger)/2 realizes the ensemble.
-    # Draws stay in per-sample order (X, then t unless X = 0); the norms and
-    # the action run on the whole stack.
-    xs = np.empty((n_samples, dim, dim), dtype=complex)
-    ts_sample = np.zeros(n_samples)
-    live = np.ones(n_samples, dtype=bool)
-    for k in range(n_samples):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        xs[k] = (g + g.conj().T) / 2.0
-        live[k] = xs[k].any()
-        if live[k]:
-            ts_sample[k] = rng.uniform(t_lo, t_hi)
+    xs, ts_sample, live = _ginibre_draws(np.random.default_rng(rng_seed), n_samples,
+                                         dim, t_lo, t_hi)
     xs, ts_sample = xs[live], ts_sample[live]
     xs /= _trace_norms(xs)[:, None, None]
     # the action in chunks of at most CHUNK_ELEMENTS (sample x frequency x

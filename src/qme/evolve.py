@@ -13,6 +13,15 @@ are doubled only in the intervals where the generator still moves, and
 assembles the time-dependent coarse-grained generator from the driving
 machinery.  Every trajectory carries per-point monitors: trace deviation,
 Hermiticity deviation, and minimum eigenvalue.
+
+Every exponential is one numpy kernel, ``_expm_taylor``: the scaled Taylor
+series exp(X) B = T_m(X/s)^s B of Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 488 (2011), applied either to a state or to the identity.  Its s m
+products cost s m n^2 flops on a state of n = d^2 coordinates and s m n^3
+on the identity, so a constant generator's step h that recurs u times on
+the grid is formed once, on the identity, when u >= n, and is otherwise
+applied to the state at each of its u uses.  CFM4 needs every substep's
+propagator and applies the kernel to a stacked identity.
 """
 
 from __future__ import annotations
@@ -62,6 +71,20 @@ CFM4_WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 6.
 # fourth-order method), is at most CFM4_TOL: the error RK45 reached at its
 # old tolerances on the benchmark model
 CFM4_TOL = 2e-8
+# theta_m, the largest ||X||_1 for which the degree-m Taylor polynomial of
+# exp(X) has a backward error of at most TAYLOR_TOL = 2^-53: Higham,
+# Functions of Matrices (2008), Table A.3 (m <= 30), and Al-Mohy & Higham
+# (2011), Table 3.1 (m >= 35)
+TAYLOR_TOL = 2.0 ** -53
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 @dataclass(frozen=True)
@@ -91,73 +114,149 @@ class EvolutionResult:
         return self.states.shape[1]
 
 
+def _taylor_degree(norm: float):
+    """The degree m and scaling s of the Taylor kernel for ||X||_1 = norm:
+    the fewest products m s with norm / s <= theta_m, the smaller m on a
+    tie; (0, 1) for X = 0.  A non-finite X takes one term, which carries
+    it into the result for the caller to detect."""
+    if norm == 0.0 or not math.isfinite(norm):
+        return int(norm != 0.0), 1
+    m = np.fromiter(TAYLOR_THETA, dtype=int)
+    s = np.ceil(norm / np.fromiter(TAYLOR_THETA.values(), dtype=float)).astype(int)
+    k = int(np.argmin(m * s))
+    return int(m[k]), int(s[k])
+
+
+def _smallest_max_abs(F):
+    """The smallest max-abs entry of a vector or of any matrix in a stack."""
+    size = F.shape[-1] * (F.shape[-2] if F.ndim > 1 else 1)
+    return float(np.abs(F).reshape(-1, size).max(axis=1).min())
+
+
+def _expm_taylor(X, B):
+    """exp(X) B and the number of matrix products it took, for X an (n, n)
+    float or complex matrix or an (..., n, n) stack and B a state vector or
+    an (n, n) matrix (the identity, to form exp(X) itself).  X is shifted
+    in place: every caller passes a temporary, so no shifted copy of a
+    stack is held beside it.
+
+    Al-Mohy & Higham (2011): X is shifted by mu = tr X / n, (m, s) come
+    from ``_taylor_degree`` at the largest ||X - mu||_1 of the stack, and
+    each of the s steps B <- e^(mu/s) T_m((X - mu)/s) B stops its series
+    once two consecutive terms fall below TAYLOR_TOL of the partial sum, in
+    max-abs entries, in every matrix of the stack.  The terms' largest
+    entry over the whole stack bounds every matrix's, so the partial sums'
+    entries are only read once that bound passes the test against the
+    sums' running bound."""
+    n = X.shape[-1]
+    mu = np.trace(X, axis1=-2, axis2=-1) / n
+    X[..., range(n), range(n)] -= mu[..., None]
+    m, s = _taylor_degree(float(np.max(np.abs(X).sum(axis=-2))))
+    eta = np.exp(mu / s)
+    if B.ndim > 1:
+        eta = eta[..., None, None]
+    per_product = X[..., 0, 0].size
+    F, products = B, 0
+    for _ in range(s):
+        c1 = bound = float(np.abs(B).max())
+        for j in range(1, m + 1):
+            B = X @ B
+            B /= s * j
+            products += per_product
+            F = F + B if j == 1 else np.add(F, B, out=F)
+            c2 = float(np.abs(B).max())
+            bound += c2
+            if (c1 + c2 <= TAYLOR_TOL * bound
+                    and c1 + c2 <= TAYLOR_TOL * _smallest_max_abs(F)):
+                break
+            c1 = c2
+        F = eta * F if F is B else np.multiply(F, eta, out=F)
+        B = F
+    return F, products
+
+
 def _propagate_expm(matrix_fn, v0, grid):
-    """Exact propagation of dv/dt = M v for a constant M: one expm(M h) per
-    distinct step h (steps within STEP_RTOL of each other share one), and the
-    dense output expm(M (t - t_i)) v_i from the last grid point t_i <= t.
-    ``matrix_fn()`` returns M; a ``GeneratorSet`` is vectorized on each call
-    rather than kept, so the dense output of a stored result does not hold a
-    d^2 x d^2 matrix."""
-    from scipy.linalg import expm
+    """Exact propagation of dv/dt = M v for a constant M by exp(M h) for
+    every distinct step h (steps within STEP_RTOL of each other share one).
+    A step used u >= n = len(v0) times is formed once, on the identity;
+    one used fewer times is applied to the state at each use.  The dense
+    output exp(M (t - t_i)) v_i from the last grid point t_i <= t is a
+    single use and is applied to v_i.  ``matrix_fn()`` returns M; a
+    ``GeneratorSet`` is vectorized on each call rather than kept, so the
+    dense output of a stored result does not hold a d^2 x d^2 matrix."""
     M = matrix_fn()
+    n = len(v0)
     steps = np.diff(grid)
     reps, which = [], np.empty(len(steps), dtype=int)
     for k in np.argsort(steps, kind="stable"):
         if not reps or steps[k] - reps[-1] > STEP_RTOL * steps[k]:
             reps.append(steps[k])
         which[k] = len(reps) - 1
-    props = [expm(M * h) for h in reps]
-    vs = np.empty((len(grid), len(v0)), dtype=np.result_type(M, v0))
+    props, products = [], 0
+    for h, uses in zip(reps, np.bincount(which)):
+        P = None
+        if uses >= n:
+            P, count = _expm_taylor(M * h, np.eye(n))
+            products += count
+        props.append(P)
+    vs = np.empty((len(grid), n), dtype=np.result_type(M, v0))
     vs[0] = v0
     for i, j in enumerate(which):
-        vs[i + 1] = props[j] @ vs[i]
+        if props[j] is None:
+            vs[i + 1], count = _expm_taylor(M * reps[j], vs[i])
+            products += count
+        else:
+            vs[i + 1] = props[j] @ vs[i]
 
     def dense(t):
         i = int(np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2))
-        return expm(matrix_fn() * (t - grid[i])) @ vs[i]
+        return _expm_taylor(matrix_fn() * (t - grid[i]), vs[i])[0]
 
-    return vs, dense, {"integrator": "expm", "n_expm": len(props)}
+    return vs, dense, {"integrator": "expm", "n_expm": len(reps), "n_products": products}
 
 
 def _cfm4_substeps(L, n, t, h):
     """The CFM4 propagator of every substep [t[s], t[s] + h[s]], an
-    (len(t), n, n) stack of L's dtype, from one stacked ``expm`` call.  The
-    weighted exponents replace the L(t) stack and die on return.  On a full
-    chunk (2^16 = CHUNK_ELEMENTS entries of L(t), 4 x 4 states) the
-    ``tracemalloc`` peak of this call, ``expm`` included, is 1.25 MiB for
-    a real callable (one product per call) and 4.75 MiB for a column-stacked
+    (len(t), n, n) stack of L's dtype, and the kernel's product count, from
+    one ``_expm_taylor`` call on the stacked identity.  The weighted
+    exponents replace the L(t) stack and die on return.  On a full chunk
+    (2^16 = CHUNK_ELEMENTS entries of L(t), 4 x 4 states) the
+    ``tracemalloc`` peak of this call, the kernel included, is 2.0 MiB for
+    a real callable (one product per call; the kernel holds the exponents,
+    the partial sums and two terms) and 4.75 MiB for a column-stacked
     callable that ``evolve`` wraps in ``to_real_superop``: its complex
     stack (1 MiB) and the transform's gathers live beside the real one."""
-    from scipy.linalg import expm
     X = np.asarray(L((t[:, None] + h[:, None] * CFM4_NODES).ravel()))
     X = CFM4_WEIGHTS @ X.reshape(-1, 2, n * n)
     X *= h[:, None, None]
-    E = expm(X.reshape(-1, 2, n, n))
-    return E[:, 1] @ E[:, 0]
+    E, products = _expm_taylor(X.reshape(-1, 2, n, n), np.eye(n))
+    return E[:, 1] @ E[:, 0], products
 
 
 def _cfm4_propagators(L, n, t0, widths, counts):
     """CFM4 propagator over [t0[i], t0[i] + widths[i]] in counts[i] equal
-    substeps, for every i: an (len(t0), n, n) stack.  The substeps run in
-    chunks of at most CHUNK_ELEMENTS matrix entries; each substep's
-    propagator multiplies its interval's from the left."""
+    substeps, for every i: an (len(t0), n, n) stack, and the exponential
+    kernel's product count.  The substeps run in chunks of at most
+    CHUNK_ELEMENTS matrix entries; each substep's propagator multiplies its
+    interval's from the left."""
     which = np.repeat(np.arange(len(counts)), counts)
     h = np.repeat(widths / counts, counts)
     # the position of every substep within its interval
     pos = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)
     t = np.repeat(t0, counts) + pos * h
-    props = None
+    props, products = None, 0
     step = max(1, CHUNK_ELEMENTS // (2 * n * n))
     for lo in range(0, len(h), step):
         k = slice(lo, lo + step)
-        P = _cfm4_substeps(L, n, t[k], h[k])
+        P, count = _cfm4_substeps(L, n, t[k], h[k])
+        products += count
         if props is None:
             props = np.empty((len(counts), n, n), dtype=P.dtype)
         for p in np.unique(pos[k]):
             at = np.nonzero(pos[k] == p)[0]
             j = which[k][at]
             props[j] = P[at] if p == 0 else P[at] @ props[j]
-    return props
+    return props, products
 
 
 def _integrate_cfm4(L, v0, grid):
@@ -177,8 +276,8 @@ def _integrate_cfm4(L, v0, grid):
     starts, widths = grid[:-1], np.diff(grid)
     m, n = len(widths), len(v0)
     counts = np.full(m, 2)     # 2c: the substeps of the accepted propagators
-    both = _cfm4_propagators(L, n, np.tile(starts, 2), np.tile(widths, 2),
-                             np.concatenate((counts // 2, counts)))
+    both, products = _cfm4_propagators(L, n, np.tile(starts, 2), np.tile(widths, 2),
+                                       np.concatenate((counts // 2, counts)))
     coarse, fine = both[:m], both[m:]
     computed = 3 * m
     vs = np.empty((m + 1, n))
@@ -199,8 +298,9 @@ def _integrate_cfm4(L, v0, grid):
             raise ArithmeticError(
                 f"CFM4 not converged within {MAX_PANELS} substeps per grid interval")
         coarse[grow] = fine[grow]
-        fine[grow] = _cfm4_propagators(L, n, starts[grow], widths[grow], counts[grow])
+        fine[grow], count = _cfm4_propagators(L, n, starts[grow], widths[grow], counts[grow])
         computed += int(counts[grow].sum())
+        products += count
     width = widths / counts
 
     def dense(t):
@@ -209,11 +309,12 @@ def _integrate_cfm4(L, v0, grid):
         if span == 0.0:
             return vs[i].copy()
         k = int(np.ceil(span / width[min(i, m - 1)]))
-        return _cfm4_propagators(L, n, grid[i:i + 1], np.array([span]), np.array([k]))[0] @ vs[i]
+        props, _ = _cfm4_propagators(L, n, grid[i:i + 1], np.array([span]), np.array([k]))
+        return props[0] @ vs[i]
 
     info = {"integrator": "cfm4", "n_substeps": int(counts.sum()),
             "interval_substeps": counts, "n_expm": 2 * computed,
-            "error_estimate": estimate}
+            "n_products": products, "error_estimate": estimate}
     return vs, dense, info
 
 
@@ -226,7 +327,8 @@ def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> Evol
     beyond ``HERMITICITY_TOL``), so every state is Hermitian by construction
     and ``hermiticity_deviation`` is ~0.  A constant generator (a
     ``GeneratorSet`` or ``Superoperator``) is propagated exactly, with one
-    matrix exponential per distinct step.  A time-dependent one is a
+    matrix exponential per distinct step, formed once or applied to the
+    state at each use (see the module docstring).  A time-dependent one is a
     callable taking a 1-D array of n times to the (n, d^2, d^2) stack of
     column-stacked generator matrices; it runs on CFM4 substeps, doubled in
     each grid interval whose local error estimate is too large until the
@@ -234,9 +336,11 @@ def evolve(gen, rho0: DensityMatrix, grid, metadata: dict | None = None) -> Evol
     column-stacked state at t.
 
     ``metadata`` records the integrator that ran (``expm`` or ``cfm4``), its
-    cost (``n_expm`` exponentials; for CFM4 also the accepted substeps, in
-    all (``n_substeps``) and per grid interval (``interval_substeps``), and
-    the ``error_estimate``, the sum of the intervals' local estimates) and
+    cost (``n_expm`` exponentials: one per distinct step, or two per CFM4
+    substep computed; ``n_products``, the matrix and matrix-vector products
+    the exponential kernel ran; for CFM4 also the accepted substeps, in all
+    (``n_substeps``) and per grid interval (``interval_substeps``), and the
+    ``error_estimate``, the sum of the intervals' local estimates) and
     the trajectory's health: the largest trace and Hermiticity deviations
     and the smallest eigenvalue over the grid.
     """

@@ -95,9 +95,10 @@ class JumpDecomposition:
         return self.operators[idx]
 
     def conjugation_residual(self, t=0.37):
-        """Max-norm residual of exp(iHt) A exp(-iHt) = sum_w exp(-iwt) A_w."""
-        from scipy.linalg import expm
-        U = expm(1j * self.hamiltonian * t)
+        """Max-norm residual of exp(iHt) A exp(-iHt) = sum_w exp(-iwt) A_w,
+        with exp(iHt) from the eigensystem of H."""
+        E, V = np.linalg.eigh(self.hamiltonian)
+        U = (V * np.exp(1j * E * t)) @ V.conj().T
         lhs = U @ self.coupling @ U.conj().T
         rhs = sum(np.exp(-1j * w * t) * Aw
                   for w, Aw in zip(self.frequencies, self.operators))
@@ -383,23 +384,18 @@ def kossakowski_matrix(jd: JumpDecomposition, bath, T_a,
 def _lindblad_from_kossakowski(operators, K):
     """Lindblad terms (weight, L_mu = sum_i v_i^mu operators[i]) from the
     eigenpairs of the Hermitian part of K; raises ArithmeticError when an
-    eigenvalue falls below -WEIGHT_CLIP_TOL and drops the clipped ones."""
+    eigenvalue falls below -WEIGHT_CLIP_TOL and drops the clipped ones.
+    Every kept L_mu comes from one contraction of the eigenvectors with the
+    stacked operators."""
     K = 0.5 * (K + np.conj(K).T)
     vals, vecs = np.linalg.eigh(K)
     if np.min(vals) < -WEIGHT_CLIP_TOL:
         raise ArithmeticError(
             f"Kossakowski matrix eigenvalue {np.min(vals):.3e} below "
             f"-{WEIGHT_CLIP_TOL}: positivity violated")
-    ops = []
-    for mu in range(len(vals)):
-        wgt = max(float(vals[mu]), 0.0)
-        if wgt == 0.0:
-            continue
-        L = np.zeros(operators[0].shape, dtype=complex)
-        for i, Aw in enumerate(operators):
-            L += vecs[i, mu] * Aw
-        ops.append((wgt, L))
-    return tuple(ops)
+    keep = vals > 0
+    L = np.tensordot(vecs[:, keep], np.asarray(operators, dtype=complex), axes=(0, 0))
+    return tuple(zip(vals[keep].tolist(), L))
 
 
 def discretization_params(bath_timescales, commutator_norm) -> DiscretizationParams:

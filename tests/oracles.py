@@ -502,6 +502,43 @@ def generator_norm_samples(terms, filters, dim, n_samples, seed, t_lo, t_hi):
     return norms
 
 
+def lindblad_from_kossakowski_loop(operators, K, clip_tol):
+    """Lindblad terms from the eigenpairs of the Hermitian part of K, one
+    weight and one sum over the operators at a time, as first written:
+    ArithmeticError below -clip_tol, and weights clipped at 0 dropped."""
+    K = 0.5 * (K + np.conj(K).T)
+    vals, vecs = np.linalg.eigh(K)
+    if np.min(vals) < -clip_tol:
+        raise ArithmeticError("Kossakowski matrix positivity violated")
+    ops = []
+    for mu in range(len(vals)):
+        wgt = max(float(vals[mu]), 0.0)
+        if wgt == 0.0:
+            continue
+        L = np.zeros(operators[0].shape, dtype=complex)
+        for i, Aw in enumerate(operators):
+            L += vecs[i, mu] * Aw
+        ops.append((wgt, L))
+    return tuple(ops)
+
+
+def ginibre_draws_loop(seed, n_samples, dim, t_lo, t_hi):
+    """The generator-norm draws one sample at a time, as first written: per
+    sample a complex Ginibre G from two (dim, dim) draws, X = (G + G^+)/2,
+    then (unless X = 0) a uniform t.  Returns (X stack, t, X != 0)."""
+    rng = np.random.default_rng(seed)
+    xs = np.empty((n_samples, dim, dim), dtype=complex)
+    ts = np.zeros(n_samples)
+    live = np.ones(n_samples, dtype=bool)
+    for k in range(n_samples):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        xs[k] = (g + g.conj().T) / 2.0
+        live[k] = xs[k].any()
+        if live[k]:
+            ts[k] = rng.uniform(t_lo, t_hi)
+    return xs, ts, live
+
+
 def dephasing_offdiagonal(t, rate):
     """Single-qubit pure dephasing: off-diagonal decays as e^{-2 rate t}
     for the Lindblad term rate * (Z rho Z - rho)."""

@@ -6,6 +6,7 @@ import pytest
 
 from qme.diagnostics import (
     BoundParams,
+    _ginibre_draws,
     bound_summary,
     c_bm_bound,
     interaction_picture_action,
@@ -180,6 +181,15 @@ class TestLambdaEstimate:
         assert single.max_norm == whole.max_norm
         assert single.typical_norm == whole.typical_norm
         assert np.array_equal(single.histogram_counts, whole.histogram_counts)
+
+    @pytest.mark.parametrize("seed, n_samples, dim", [(0, 500, 4), (3, 300, 2), (71, 200, 8)])
+    def test_draws_match_per_sample_loop(self, seed, n_samples, dim):
+        # one (2, d, d) draw per sample is the stream of two (d, d) draws,
+        # and the stacked symmetrization is exact: the draws are bit-identical
+        got = _ginibre_draws(np.random.default_rng(seed), n_samples, dim, 0.5, 25.6)
+        ref = oracles.ginibre_draws_loop(seed, n_samples, dim, 0.5, 25.6)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
 
     def test_requires_enough_samples(self, benchmark_hamiltonian, benchmark_coupling,
                                      toy_bath):

@@ -2,15 +2,17 @@
 ODE oracle, the CFM4 integrator for time-dependent generators, monitors, the
 time-local growing-filter equation, and positivity-crossing detection."""
 
+import importlib
+
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import expm
 
 from qme.evolve import (
     CFM4_TOL,
     EvolutionResult,
     _cfm4_propagators,
+    _expm_taylor,
     evolve,
     evolve_ore,
     ore_filter,
@@ -30,6 +32,7 @@ from qme.operators import (
     DensityMatrix,
     Superoperator,
     hamiltonian_superop,
+    to_real_superop,
     vectorize_generator,
 )
 
@@ -158,7 +161,7 @@ def _stacked(fn):
 def _cfm4_states(L, v0, grid, counts):
     """The states at grid[1:] through the CFM4 interval propagators at
     counts[i] substeps in grid interval i."""
-    props = _cfm4_propagators(L, len(v0), grid[:-1], np.diff(grid), counts)
+    props, _ = _cfm4_propagators(L, len(v0), grid[:-1], np.diff(grid), counts)
     states = [v0]
     for P in props:
         states.append(P @ states[-1])
@@ -264,6 +267,86 @@ class TestCFM4:
             assert np.max(np.abs(res.dense(t) - v)) < 2 * CFM4_TOL
 
 
+def _random_generator(d, rng):
+    """A random d-level Lindblad generator: H and two jump operators with
+    Gaussian entries, column-stacked."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    ops = [(rng.uniform(0.1, 1.0), rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+           for _ in range(2)]
+    return vectorize_generator(0.5 * (g + g.conj().T), ops).matrix
+
+
+def _relative(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestTaylorKernel:
+    """``_expm_taylor`` against scipy's ``expm`` on real-basis Lindblad
+    generators scaled to a given 1-norm, and the constant-generator
+    propagation on both sides of its u >= n rule."""
+
+    NORMS = (0.0, 1e-3, 0.5, 5.0, 50.0)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("n", (16, 64, 256))
+    def test_matches_scipy_expm(self, n, norm):
+        # a (2, 2, n, n) stack of four generators at norm, norm/2, norm/4
+        # and norm/8; the vector and the identity take the first
+        rng = np.random.default_rng(n)
+        d = int(round(np.sqrt(n)))
+        X = []
+        for f in (1.0, 0.5, 0.25, 0.125):
+            M = to_real_superop(_random_generator(d, rng))
+            X.append(M * (f * norm / np.abs(M).sum(axis=0).max()))
+        X = np.array(X).reshape(2, 2, n, n)
+        ref = np.array([expm(x) for x in X.reshape(-1, n, n)])
+        v = rng.standard_normal(n)
+        # the kernel overwrites X
+        assert _relative(_expm_taylor(X[0, 0].copy(), v)[0], ref[0] @ v) <= 1e-13
+        assert _relative(_expm_taylor(X[0, 0].copy(), np.eye(n))[0], ref[0]) <= 1e-13
+        stack = _expm_taylor(X, np.eye(n))[0].reshape(-1, n, n)
+        assert max(_relative(a, b) for a, b in zip(stack, ref)) <= 1e-13
+
+    def test_non_finite_input_gives_non_finite_output(self):
+        X = np.full((2, 2, 4, 4), np.nan)
+        assert not np.any(np.isfinite(_expm_taylor(X, np.eye(4))[0]))
+
+    def test_ladder_size_trajectory_both_sides_of_the_rule(self, monkeypatch):
+        # a 4-qubit generator (n = 256 real coordinates): the step h recurs
+        # 256 times and is formed once on the identity, the step 0.3 h
+        # recurs 3 times and is applied to the state; the reference is the
+        # complex propagator expm(M h) stepped as before the Taylor kernel
+        rng = np.random.default_rng(16)
+        M = _random_generator(16, rng)
+        h = 0.5 / np.abs(to_real_superop(M)).sum(axis=0).max()
+        grid = np.concatenate((h * np.arange(257), 256 * h + 0.3 * h * np.arange(1, 4)))
+        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        rho0 = DensityMatrix.from_pure(psi)
+        module = importlib.import_module("qme.evolve")
+        kernel, applied_to = module._expm_taylor, []
+
+        def spy(X, B):
+            applied_to.append(B.ndim)
+            return kernel(X, B)
+
+        monkeypatch.setattr(module, "_expm_taylor", spy)
+        res = evolve(Superoperator(M, 16), rho0, grid)
+        assert sorted(applied_to) == [1, 1, 1, 2]
+        assert res.metadata["n_expm"] == 2
+        long, short = expm(M * h), expm(M * 0.3 * h)
+        v = [rho0.entries.reshape(-1, order="F")]
+        for step in np.diff(grid):
+            v.append((long if step > 0.5 * h else short) @ v[-1])
+        got = np.array([rho.reshape(-1, order="F") for rho in res.states])
+        assert np.max(np.abs(got - np.array(v))) <= 1e-13
+        # the dense output is one use, applied to the state
+        for i, frac in ((3, 0.4), (257, 0.7)):
+            t = grid[i] + frac * (grid[i + 1] - grid[i])
+            ref = expm(M * (t - grid[i])) @ v[i]
+            assert np.max(np.abs(res.dense(t) - ref)) <= 1e-13
+        assert applied_to[4:] == [1, 1]
+
+
 class TestRealBasis:
     """``evolve`` integrates in the real coordinates of the orthonormal
     Hermitian basis: every exponential is of a real matrix, and a generator
@@ -315,12 +398,15 @@ class TestRealBasis:
     def test_every_exponential_is_real(self, monkeypatch, benchmark_jd, benchmark_hamiltonian,
                                        benchmark_coupling, toy_bath, benchmark_initial):
         dtypes = []
+        # the package exports the function ``evolve`` under the module's name
+        module = importlib.import_module("qme.evolve")
+        kernel = module._expm_taylor
 
-        def spy(a, *args, **kwargs):
-            dtypes.append(np.asarray(a).dtype)
-            return expm(a, *args, **kwargs)
+        def spy(X, B):
+            dtypes.append(np.asarray(X).dtype)
+            return kernel(X, B)
 
-        monkeypatch.setattr(scipy.linalg, "expm", spy)
+        monkeypatch.setattr(module, "_expm_taylor", spy)
         grid = np.linspace(0.0, 2.0, 5)
         runs = {
             "GeneratorSet": lambda: evolve(davies_generator(benchmark_jd, toy_bath),

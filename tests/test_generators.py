@@ -6,7 +6,9 @@ import pytest
 
 from qme import quadrature
 from qme.generators import (
+    WEIGHT_CLIP_TOL,
     DiscretizationParams,
+    _lindblad_from_kossakowski,
     GeneratorConfig,
     _epsilon_grid,
     cgme_gamma,
@@ -255,6 +257,46 @@ class TestKossakowski:
             ldl = L.conj().T @ L
             via_lindblad += wgt * (L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
         assert np.max(np.abs(direct - via_lindblad)) < 1e-8
+
+
+class TestLindbladFromKossakowski:
+    """The one-contraction Lindblad terms against the per-weight loop."""
+
+    @staticmethod
+    def _case(eigenvalues, seed=5):
+        rng = np.random.default_rng(seed)
+        n = len(eigenvalues)
+        ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(n)]
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return ops, (q * np.asarray(eigenvalues)) @ q.conj().T
+
+    @pytest.mark.parametrize("eigenvalues", [
+        (2.0, 0.7, 0.1, 0.03, 1e-4, 0.5),
+        (2.0, 0.7, 0.0, -3e-12, -5e-10, 0.5),     # clipped weights are dropped
+    ])
+    def test_matches_loop(self, eigenvalues):
+        ops, K = self._case(eigenvalues)
+        got = _lindblad_from_kossakowski(ops, K)
+        ref = oracles.lindblad_from_kossakowski_loop(ops, K, WEIGHT_CLIP_TOL)
+        assert [w for w, _ in got] == [w for w, _ in ref]
+        tol = 8 * len(ops) * np.finfo(float).eps * max(np.max(np.abs(a)) for a in ops)
+        for (_, a), (_, b) in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= tol
+
+    def test_matches_loop_on_benchmark(self, benchmark_jd, toy_bath):
+        K = kossakowski_matrix(benchmark_jd, toy_bath, 1.12)
+        got = _lindblad_from_kossakowski(benchmark_jd.operators, K)
+        ref = oracles.lindblad_from_kossakowski_loop(benchmark_jd.operators, K, WEIGHT_CLIP_TOL)
+        assert [w for w, _ in got] == [w for w, _ in ref]
+        for (_, a), (_, b) in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 8 * len(got) * np.finfo(float).eps
+
+    def test_raises_below_clip_tolerance(self):
+        ops, K = self._case((2.0, 0.7, -2e-9, 0.5))
+        with pytest.raises(ArithmeticError):
+            oracles.lindblad_from_kossakowski_loop(ops, K, WEIGHT_CLIP_TOL)
+        with pytest.raises(ArithmeticError, match="positivity violated"):
+            _lindblad_from_kossakowski(ops, K)
 
 
 class TestCgmeGenerator:

@@ -1,7 +1,8 @@
 """Package surface: every name a module exports exists, every name the
 benchmark's tracer wraps exists, no module imports a name it never uses, no
-module falls back to adaptive quadrature, and importing the package and its
-CLI, or propagating a drive schedule, loads no scipy module."""
+module imports scipy, and importing the package and its
+CLI, propagating a drive schedule, evolving a state or sampling the
+generator norm loads no scipy module."""
 
 import ast
 import importlib
@@ -86,47 +87,43 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-# no module imports from these: every integral runs on qme.quadrature and
-# every time-dependent generator on CFM4 steps
-NON_QUADRATURE = {"scipy.integrate", "scipy.interpolate"}
-
-
-def non_quadrature_imports(path: pathlib.Path):
-    """Every import of a NON_QUADRATURE module or of a name from one."""
+def scipy_imports(path: pathlib.Path):
+    """The line of every import of scipy or of a scipy submodule."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in NON_QUADRATURE:
-            found += [f"{node.module}.{a.name}" for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            found += [f"scipy.{a.name}" for a in node.names
-                      if f"scipy.{a.name}" in NON_QUADRATURE]
-        elif isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name in NON_QUADRATURE]
-    return found
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+            or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy"
+                                                    for a in node.names)]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("src/qme/*.py")), ids=lambda p: p.name)
 def test_no_adaptive_quadrature(path):
-    assert non_quadrature_imports(path) == []
+    # no module imports scipy: every integral runs on qme.quadrature, every
+    # time-dependent generator on CFM4 steps and every exponential on the
+    # Taylor kernel of qme.evolve; scipy is a test dependency only
+    assert scipy_imports(path) == []
+
+
+def scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter
+    (this one has scipy loaded by the tests), as a printed sorted list."""
+    code = ("import sys\n" + code + "\nprint(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    return out.stdout.strip()
 
 
 @pytest.mark.parametrize("module", ["qme", "qme.cli"])
 def test_import_loads_no_scipy(module):
-    # a fresh interpreter: this one has scipy loaded by the tests
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    assert scipy_modules_after(f"import {module}") == "[]"
 
 
 def test_drive_propagation_loads_no_scipy():
-    # a fresh interpreter: every drive propagation reads the segments'
-    # eigensystems, so a schedule with H != 0 needs no matrix exponential
-    code = """
-import sys
+    # every drive propagation reads the segments' eigensystems, so a
+    # schedule with H != 0 needs no matrix exponential
+    assert scipy_modules_after("""
 import numpy as np
 from qme.baths import OhmicBath
 from qme.driving import DriveSchedule, propagator
@@ -138,9 +135,29 @@ sched = DriveSchedule(segments=((0.0, 1.0, Z), (1.0, 2.0, 0.3 * X + Z)),
 propagator(sched, 0.2, 1.7)
 td_cgme_superoperator(sched, X, OhmicBath(0.1, 1.0, 2.0), 1.0, 0.8,
                       quadrature_order=6, grid_order=6)
-print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))
-"""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+""") == "[]"
+
+
+def test_evolution_loads_no_scipy():
+    # every exponential is the numpy Taylor kernel of ``qme.evolve``, so no
+    # trajectory and no norm sample needs scipy
+    assert scipy_modules_after("""
+import numpy as np
+from qme.baths import ToyBath
+from qme.diagnostics import lambda_estimate
+from qme.evolve import evolve, evolve_ore
+from qme.generators import davies_generator, decompose_coupling
+from qme.operators import DensityMatrix, HermitianOperator, eigensystem, vectorize_generator
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.diag([1.0, -1.0]).astype(complex)
+H, A = HermitianOperator(Z + 0.4 * X), HermitianOperator(Z)
+bath = ToyBath()
+rho0 = DensityMatrix.from_pure([1.0, 1.0])
+grid = np.linspace(0.0, 2.0, 5)
+jd = decompose_coupling(eigensystem(H), A)
+evolve(davies_generator(jd, bath), rho0, grid).dense(0.3)
+M = vectorize_generator(H.entries, [(0.2, Z)]).matrix
+evolve(lambda ts: np.array([(1.0 + t) * M for t in ts]), rho0, grid).dense(0.3)
+evolve_ore(H, A, bath, rho0, grid)
+lambda_estimate(H, A, bath, n_samples=100)
+""") == "[]"
