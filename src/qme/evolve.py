@@ -16,12 +16,16 @@ Hermiticity deviation, and minimum eigenvalue.
 
 Every exponential is one numpy kernel, ``_expm_taylor``: the scaled Taylor
 series exp(X) B = T_m(X/s)^s B of Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 488 (2011), applied either to a state or to the identity.  Its s m
-products cost s m n^2 flops on a state of n = d^2 coordinates and s m n^3
-on the identity, so a constant generator's step h that recurs u times on
-the grid is formed once, on the identity, when u >= n, and is otherwise
-applied to the state at each of its u uses.  CFM4 needs every substep's
-propagator and applies the kernel to a stacked identity.
+33, 488 (2011), applied either to a state or to the identity, where
+exp(X) = T_m(X/s)^s is formed by squaring, so its cost grows with
+log2 ||X||_1.  Without scaling, its m products cost m n^2 flops on a state
+of n = d^2 coordinates and m n^3 on the identity, so a constant
+generator's step h that recurs u times on the grid would be formed once,
+on the identity, when u >= n, and otherwise applied to the state at each
+of its u uses.  ``_forms_first`` makes that choice with the scaling of
+both sides and numpy's cost per product counted (PRODUCT_OVERHEAD), which
+moves the crossover to u = 2-3 for n <= 64.  CFM4 needs every substep's
+propagator and forms the kernel on a stacked identity.
 """
 
 from __future__ import annotations
@@ -85,6 +89,11 @@ TAYLOR_THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
+# the cost of one of the kernel's products beyond its own multiply-adds, in
+# multiply-adds: the numpy calls around each Taylor term take ~8 us, and the
+# BLAS runs ~17e9 multiply-adds/s on n = 64 and 256 (2-core x86-64 Xeon,
+# OpenBLAS), so below n ~ 50 a product costs about as much as a matrix-vector one
+PRODUCT_OVERHEAD = 1.3e5
 
 
 @dataclass(frozen=True)
@@ -114,17 +123,53 @@ class EvolutionResult:
         return self.states.shape[1]
 
 
-def _taylor_degree(norm: float):
-    """The degree m and scaling s of the Taylor kernel for ||X||_1 = norm:
-    the fewest products m s with norm / s <= theta_m, the smaller m on a
-    tie; (0, 1) for X = 0.  A non-finite X takes one term, which carries
-    it into the result for the caller to detect."""
+def _taylor_degree(norm: float, squaring: bool = False):
+    """The degree m and scaling s of the Taylor kernel for ||X||_1 = norm,
+    with norm / s <= theta_m.  Applied to a state, the s steps of m
+    products are chosen at the fewest products m s; the costs are compared
+    as floats and only the chosen s is made an integer, so no norm
+    overflows the m = 1 entry, and a tie goes to the smaller m.  Formed on
+    the identity and squared log2 s times, s is the smallest power of two
+    with norm / s <= theta_55 and m the smallest degree that then reaches:
+    each squaring can double the relative rounding error, and choosing the
+    fewest products m - 1 + log2 s instead squares ten times at norm 50,
+    and was 10-30 times less accurate there against a 40-digit exponential.
+    X = 0 takes (0, 1).  A non-finite X takes one term, which carries it
+    into the result for the caller to detect."""
     if norm == 0.0 or not math.isfinite(norm):
         return int(norm != 0.0), 1
     m = np.fromiter(TAYLOR_THETA, dtype=int)
-    s = np.ceil(norm / np.fromiter(TAYLOR_THETA.values(), dtype=float)).astype(int)
+    theta = np.fromiter(TAYLOR_THETA.values(), dtype=float)
+    if squaring:
+        s = 1
+        while norm / s > theta[-1]:
+            s *= 2
+        return int(m[np.argmax(theta >= norm / s)]), s
+    with np.errstate(over="ignore"):
+        s = np.ceil(norm / theta)
     k = int(np.argmin(m * s))
     return int(m[k]), int(s[k])
+
+
+def _forms_first(norm: float, n: int, uses: int, norm_formed: float | None = None) -> bool:
+    """Whether exp(X), n x n with ||X - tr(X)/n||_1 = norm, costs less
+    formed once on the identity and then multiplied into ``uses`` vectors,
+    m - 1 + log2 s matrix products with (m, s) for squaring and ``uses``
+    matrix-vector ones, than applied to each vector, uses s m matrix-vector
+    products with its own (m, s).  ``norm_formed`` is the 1-norm of the
+    exponent that is formed, when it differs (a reused one is unshifted).
+    A product costs its n^3 or n^2 multiply-adds and PRODUCT_OVERHEAD more.
+    Without scaling and without the overhead this is uses >= n.  With it,
+    on the Davies generators of the 2-, 3- and 4-qubit Pauli ladder
+    (||X||_1 ~ 4) this forms from uses = 2, 3 and ~90 at n = 16, 64 and
+    256; timed, forming wins from uses = 2-3, 3 and ~40 (a matrix-vector
+    product at n = 256 runs well below the BLAS rate of a matrix
+    product)."""
+    m, s = _taylor_degree(norm)
+    m_id, s_id = _taylor_degree(norm if norm_formed is None else norm_formed, squaring=True)
+    product, matvec = n ** 3 + PRODUCT_OVERHEAD, n ** 2 + PRODUCT_OVERHEAD
+    formed = (max(m_id - 1, 0) + math.log2(s_id)) * product + uses * matvec
+    return formed <= uses * m * s * matvec
 
 
 def _smallest_max_abs(F):
@@ -133,59 +178,113 @@ def _smallest_max_abs(F):
     return float(np.abs(F).reshape(-1, size).max(axis=1).min())
 
 
-def _expm_taylor(X, B):
-    """exp(X) B and the number of matrix products it took, for X an (n, n)
-    float or complex matrix or an (..., n, n) stack and B a state vector or
-    an (n, n) matrix (the identity, to form exp(X) itself).  X is shifted
-    in place: every caller passes a temporary, so no shifted copy of a
-    stack is held beside it.
-
-    Al-Mohy & Higham (2011): X is shifted by mu = tr X / n, (m, s) come
-    from ``_taylor_degree`` at the largest ||X - mu||_1 of the stack, and
-    each of the s steps B <- e^(mu/s) T_m((X - mu)/s) B stops its series
-    once two consecutive terms fall below TAYLOR_TOL of the partial sum, in
-    max-abs entries, in every matrix of the stack.  The terms' largest
-    entry over the whole stack bounds every matrix's, so the partial sums'
-    entries are only read once that bound passes the test against the
-    sums' running bound."""
-    n = X.shape[-1]
-    mu = np.trace(X, axis1=-2, axis2=-1) / n
-    X[..., range(n), range(n)] -= mu[..., None]
-    m, s = _taylor_degree(float(np.max(np.abs(X).sum(axis=-2))))
-    eta = np.exp(mu / s)
-    if B.ndim > 1:
-        eta = eta[..., None, None]
-    per_product = X[..., 0, 0].size
-    F, products = B, 0
-    for _ in range(s):
+def _taylor_series(X, B, m, s, compensated=False):
+    """T_m(X/s) B, for B None the identity, and the number of matrix
+    products it took.  The series stops once two consecutive terms fall
+    below TAYLOR_TOL of the partial sum, in max-abs entries, in every
+    matrix of the stack.  The terms' largest entry over the whole stack
+    bounds every matrix's, so the partial sums' entries are only read once
+    that bound passes the test against the sums' running bound.
+    ``compensated`` adds the terms to the identity by Kahan's compensated
+    summation, whose carry starts with the rounding of I + X/s."""
+    carry = None
+    if B is None:
+        # the first term, X/s, takes no product
+        identity = np.eye(X.shape[-1])
+        term = X / s
+        F = term + identity
+        if compensated:
+            carry = (F - identity) - term
+        c1 = float(np.abs(term).max())
+        bound, first = 1.0 + c1, 2
+    else:
+        term, F = B, B.astype(np.result_type(X, B))
         c1 = bound = float(np.abs(B).max())
-        for j in range(1, m + 1):
-            B = X @ B
-            B /= s * j
-            products += per_product
-            F = F + B if j == 1 else np.add(F, B, out=F)
-            c2 = float(np.abs(B).max())
-            bound += c2
-            if (c1 + c2 <= TAYLOR_TOL * bound
-                    and c1 + c2 <= TAYLOR_TOL * _smallest_max_abs(F)):
-                break
-            c1 = c2
-        F = eta * F if F is B else np.multiply(F, eta, out=F)
-        B = F
+        first = 1
+    per_product, products = X[..., 0, 0].size, 0
+    for j in range(first, m + 1):
+        term = X @ term
+        term /= s * j
+        products += per_product
+        if carry is None:
+            F += term
+        else:
+            y = term - carry
+            total = F + y
+            carry = (total - F) - y
+            F = total
+        c2 = float(np.abs(term).max())
+        bound += c2
+        if (c1 + c2 <= TAYLOR_TOL * bound
+                and c1 + c2 <= TAYLOR_TOL * _smallest_max_abs(F)):
+            break
+        c1 = c2
     return F, products
+
+
+def _expm_taylor(X, B=None, reused=False):
+    """exp(X) B for X an (n, n) float or complex matrix and B a vector of n
+    coordinates, or exp(X) itself for B None and X an (n, n) matrix or an
+    (..., n, n) stack, and the number of matrix and matrix-vector products
+    it took.  X is shifted in place: every caller passes a temporary, so
+    no shifted copy of a stack is held beside it.
+
+    Al-Mohy & Higham (2011): X is shifted by mu = tr X / n, and (m, s) come
+    from ``_taylor_degree`` at the largest ||X - mu||_1 of the stack.  On a
+    vector, each of the s steps is B <- e^(mu/s) T_m((X - mu)/s) B, unless
+    ``_forms_first`` finds exp(X) cheaper to form for this one use.  exp(X)
+    itself is (e^(mu/s) T_m((X - mu)/s))^s, s a power of two, by squaring,
+    so its cost grows with log2 ||X - mu||_1.
+
+    A ``reused`` exp(X), a propagator taken on many steps, is formed
+    unshifted and its series summed with Kahan's compensation.  The
+    shift's factor e^(mu/s) rounds every entry, the plain sum rounds its
+    partial sums, and a trace-preserving trajectory carries both into its
+    trace on each reuse.  Over 45 benchmark-model trajectories (129 to
+    4,001 points), the median (largest) of their largest trace deviation
+    read 2.8e-14 (4.2e-13) shifted, 2.4e-14 (2.7e-13) shifted and
+    compensated, 3.7e-14 (3.4e-13) unshifted, and 1.3e-14 (1.2e-13)
+    unshifted and compensated, as with scipy's Pade approximant."""
+    n = X.shape[-1]
+    mu = np.zeros(X.shape[:-2]) if reused else np.trace(X, axis1=-2, axis2=-1) / n
+    X[..., range(n), range(n)] -= mu[..., None]
+    norm = float(np.max(np.abs(X).sum(axis=-2)))
+    if B is not None and not _forms_first(norm, n, 1):
+        m, s = _taylor_degree(norm)
+        eta, products = np.exp(mu / s), 0
+        for _ in range(s):
+            B, count = _taylor_series(X, B, m, s)
+            B *= eta
+            products += count
+        return B, products
+    m, s = _taylor_degree(norm, squaring=True)
+    F, products = _taylor_series(X, None, m, s, compensated=reused)
+    F *= np.exp(mu / s)[..., None, None]
+    for _ in range(s.bit_length() - 1):
+        F = F @ F
+        products += X[..., 0, 0].size
+    if B is None:
+        return F, products
+    return F @ B, products + 1
 
 
 def _propagate_expm(matrix_fn, v0, grid):
     """Exact propagation of dv/dt = M v for a constant M by exp(M h) for
     every distinct step h (steps within STEP_RTOL of each other share one).
-    A step used u >= n = len(v0) times is formed once, on the identity;
-    one used fewer times is applied to the state at each use.  The dense
+    A step used u times is formed once, on the identity and as a reused
+    propagator, when ``_forms_first`` finds that cheaper than
+    applying it to the state at each use (without scaling, when u >= n =
+    len(v0)); otherwise it is applied to the state at each use.  The dense
     output exp(M (t - t_i)) v_i from the last grid point t_i <= t is a
-    single use and is applied to v_i.  ``matrix_fn()`` returns M; a
+    single use of the kernel on v_i.  ``matrix_fn()`` returns M; a
     ``GeneratorSet`` is vectorized on each call rather than kept, so the
     dense output of a stored result does not hold a d^2 x d^2 matrix."""
     M = matrix_fn()
     n = len(v0)
+    # the 1-norms at h = 1 of the exponent the kernel applies (shifted) and
+    # of the one it forms for reuse (unshifted)
+    norm = float(np.abs(M - np.trace(M) / n * np.eye(n)).sum(axis=0).max())
+    norm_formed = float(np.abs(M).sum(axis=0).max())
     steps = np.diff(grid)
     reps, which = [], np.empty(len(steps), dtype=int)
     for k in np.argsort(steps, kind="stable"):
@@ -195,8 +294,8 @@ def _propagate_expm(matrix_fn, v0, grid):
     props, products = [], 0
     for h, uses in zip(reps, np.bincount(which)):
         P = None
-        if uses >= n:
-            P, count = _expm_taylor(M * h, np.eye(n))
+        if _forms_first(h * norm, n, uses, h * norm_formed):
+            P, count = _expm_taylor(M * h, reused=True)
             products += count
         props.append(P)
     vs = np.empty((len(grid), n), dtype=np.result_type(M, v0))
@@ -222,14 +321,14 @@ def _cfm4_substeps(L, n, t, h):
     exponents replace the L(t) stack and die on return.  On a full chunk
     (2^16 = CHUNK_ELEMENTS entries of L(t), 4 x 4 states) the
     ``tracemalloc`` peak of this call, the kernel included, is 2.0 MiB for
-    a real callable (one product per call; the kernel holds the exponents,
-    the partial sums and two terms) and 4.75 MiB for a column-stacked
+    a real callable (the kernel holds the exponents, the partial sums and
+    two terms) and 4.75 MiB for a column-stacked
     callable that ``evolve`` wraps in ``to_real_superop``: its complex
     stack (1 MiB) and the transform's gathers live beside the real one."""
     X = np.asarray(L((t[:, None] + h[:, None] * CFM4_NODES).ravel()))
     X = CFM4_WEIGHTS @ X.reshape(-1, 2, n * n)
     X *= h[:, None, None]
-    E, products = _expm_taylor(X.reshape(-1, 2, n, n), np.eye(n))
+    E, products = _expm_taylor(X.reshape(-1, 2, n, n))
     return E[:, 1] @ E[:, 0], products
 
 

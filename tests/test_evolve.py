@@ -13,6 +13,7 @@ from qme.evolve import (
     EvolutionResult,
     _cfm4_propagators,
     _expm_taylor,
+    _forms_first,
     evolve,
     evolve_ore,
     ore_filter,
@@ -283,15 +284,19 @@ def _relative(got, ref):
 class TestTaylorKernel:
     """``_expm_taylor`` against scipy's ``expm`` on real-basis Lindblad
     generators scaled to a given 1-norm, and the constant-generator
-    propagation on both sides of its u >= n rule."""
+    propagation on both sides of its rule for forming a step's propagator
+    or applying it to the state."""
 
-    NORMS = (0.0, 1e-3, 0.5, 5.0, 50.0)
+    NORMS = (0.0, 1e-3, 0.5, 5.0, 50.0, 1e4, 1e7)
 
     @pytest.mark.parametrize("norm", NORMS)
     @pytest.mark.parametrize("n", (16, 64, 256))
     def test_matches_scipy_expm(self, n, norm):
         # a (2, 2, n, n) stack of four generators at norm, norm/2, norm/4
-        # and norm/8; the vector and the identity take the first
+        # and norm/8; the vector and the identity take the first.  The
+        # exponential's relative condition number is at least ||X||
+        # (Van Loan 1977), so past ||X||_1 = 1e3 the bound grows with it
+        tol = max(1e-13, 1e-16 * norm)
         rng = np.random.default_rng(n)
         d = int(round(np.sqrt(n)))
         X = []
@@ -302,14 +307,27 @@ class TestTaylorKernel:
         ref = np.array([expm(x) for x in X.reshape(-1, n, n)])
         v = rng.standard_normal(n)
         # the kernel overwrites X
-        assert _relative(_expm_taylor(X[0, 0].copy(), v)[0], ref[0] @ v) <= 1e-13
-        assert _relative(_expm_taylor(X[0, 0].copy(), np.eye(n))[0], ref[0]) <= 1e-13
-        stack = _expm_taylor(X, np.eye(n))[0].reshape(-1, n, n)
-        assert max(_relative(a, b) for a, b in zip(stack, ref)) <= 1e-13
+        assert _relative(_expm_taylor(X[0, 0].copy(), v)[0], ref[0] @ v) <= tol
+        assert _relative(_expm_taylor(X[0, 0].copy())[0], ref[0]) <= tol
+        assert _relative(_expm_taylor(X[0, 0].copy(), reused=True)[0], ref[0]) <= tol
+        stack = _expm_taylor(X)[0].reshape(-1, n, n)
+        assert max(_relative(a, b) for a, b in zip(stack, ref)) <= tol
+
+    def test_form_or_apply_rule(self):
+        # at ||X||_1 = 4, without scaling, the flops alone would form from
+        # u = n uses; a product's overhead moves that to u = 2 at n = 16
+        # and 3 at n = 64, and to ~90 at n = 256.  A step that needs
+        # scaling is formed for one use, and X = 0 is never formed
+        assert [_forms_first(4.0, 16, u) for u in (1, 2)] == [False, True]
+        assert [_forms_first(4.0, 64, u) for u in (2, 3)] == [False, True]
+        assert [_forms_first(4.0, 256, u) for u in (5, 256)] == [False, True]
+        assert _forms_first(1e4, 16, 1) and _forms_first(1e4, 256, 1)
+        assert not _forms_first(0.0, 16, 100)
 
     def test_non_finite_input_gives_non_finite_output(self):
         X = np.full((2, 2, 4, 4), np.nan)
-        assert not np.any(np.isfinite(_expm_taylor(X, np.eye(4))[0]))
+        assert not np.any(np.isfinite(_expm_taylor(X)[0]))
+        assert not np.any(np.isfinite(_expm_taylor(X[0, 0], np.ones(4))[0]))
 
     def test_ladder_size_trajectory_both_sides_of_the_rule(self, monkeypatch):
         # a 4-qubit generator (n = 256 real coordinates): the step h recurs
@@ -325,13 +343,13 @@ class TestTaylorKernel:
         module = importlib.import_module("qme.evolve")
         kernel, applied_to = module._expm_taylor, []
 
-        def spy(X, B):
-            applied_to.append(B.ndim)
-            return kernel(X, B)
+        def spy(X, B=None, **kwargs):
+            applied_to.append("identity" if B is None else "state")
+            return kernel(X, B, **kwargs)
 
         monkeypatch.setattr(module, "_expm_taylor", spy)
         res = evolve(Superoperator(M, 16), rho0, grid)
-        assert sorted(applied_to) == [1, 1, 1, 2]
+        assert sorted(applied_to) == ["identity", "state", "state", "state"]
         assert res.metadata["n_expm"] == 2
         long, short = expm(M * h), expm(M * 0.3 * h)
         v = [rho0.entries.reshape(-1, order="F")]
@@ -344,7 +362,24 @@ class TestTaylorKernel:
             t = grid[i] + frac * (grid[i + 1] - grid[i])
             ref = expm(M * (t - grid[i])) @ v[i]
             assert np.max(np.abs(res.dense(t) - ref)) <= 1e-13
-        assert applied_to[4:] == [1, 1]
+        assert applied_to[4:] == ["state", "state"]
+
+    def test_long_step_is_formed_by_squaring(self):
+        # one step of ||M h||_1 = 1e4 on a two-point grid: applied to the
+        # state it would take s = 1,011 Taylor steps of up to 55 products;
+        # formed on the identity it takes m - 1 products and 10 squarings.
+        # The exponential's relative condition number is at least ||M h||
+        # (Van Loan, SIAM J. Numer. Anal. 14, 971 (1977)), hence 1e-12
+        rng = np.random.default_rng(4)
+        M = _random_generator(4, rng)
+        T = 1e4 / np.abs(to_real_superop(M)).sum(axis=0).max()
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rho0 = DensityMatrix.from_pure(psi)
+        v0 = rho0.entries.reshape(-1, order="F")
+        res = evolve(Superoperator(M, 4), rho0, np.array([0.0, T]))
+        assert np.max(np.abs(res.states[-1].reshape(-1, order="F") - expm(M * T) @ v0)) <= 1e-12
+        assert res.metadata["n_products"] <= 70
+        assert np.max(np.abs(res.dense(0.6 * T) - expm(M * 0.6 * T) @ v0)) <= 1e-12
 
 
 class TestRealBasis:
@@ -402,9 +437,9 @@ class TestRealBasis:
         module = importlib.import_module("qme.evolve")
         kernel = module._expm_taylor
 
-        def spy(X, B):
+        def spy(X, *args, **kwargs):
             dtypes.append(np.asarray(X).dtype)
-            return kernel(X, B)
+            return kernel(X, *args, **kwargs)
 
         monkeypatch.setattr(module, "_expm_taylor", spy)
         grid = np.linspace(0.0, 2.0, 5)
@@ -422,6 +457,12 @@ class TestRealBasis:
 
 
 class TestEvolutionMetadata:
+    def test_zero_generator_takes_no_products(self, benchmark_initial):
+        res = evolve(Superoperator(np.zeros((16, 16)), 4), benchmark_initial,
+                     np.linspace(0.0, 1.0, 40))
+        assert res.metadata["n_products"] == 0
+        assert np.array_equal(res.states[-1], benchmark_initial.entries)
+
     def test_cfm4_counts_for_time_dependent(self, benchmark_hamiltonian,
                                             benchmark_coupling, toy_bath,
                                             benchmark_initial):
@@ -513,6 +554,9 @@ class TestGrowingFilterEquation:
         # per-interval control computes 920 exponentials on this grid;
         # halving every interval alike computed 1,536
         assert ta_sweep_reference.metadata["n_expm"] <= 1000
+        # and the Taylor kernel runs 11,504 matrix products for them, 12.5
+        # per exponential; the first term, X/s, takes none
+        assert ta_sweep_reference.metadata["n_products"] == 11504
 
     def test_step_control_pinned(self, ta_sweep_reference):
         # the local estimates are taken in matrix entries, not in the real
