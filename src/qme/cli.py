@@ -287,11 +287,11 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
 
     tags = [_equation_tag(eq) for eq in equations]
     rows = []
-    averages = []
+    averages = {}
     for i in range(len(equations)):
         for j in range(i + 1, len(equations)):
             series, average = trace_distance_series(results[i], results[j])
-            averages.append((tags[i], tags[j], average))
+            averages[i, j] = average
             for t, v in zip(grid, series):
                 rows.append((float(t), tags[i], tags[j], float(v)))
     _write_csv(
@@ -302,7 +302,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
     _write_csv(
         os.path.join(out_dir, "compare_averages.csv"),
         ["equation_a", "equation_b", "time_average_trace_distance"],
-        averages,
+        [(tags[i], tags[j], average) for (i, j), average in averages.items()],
     )
     if cfg.sweep is not None and cfg.sweep.parameter == "t_a":
         # score against the time-local reference when listed, else against
@@ -317,7 +317,9 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
             for k, eq in enumerate(equations):
                 if not eq.equation_kind.startswith("cgme"):
                     continue
-                _, average = trace_distance_series(results[k], results[reference])
+                # the pair's own entry: a trace norm does not depend on
+                # the difference's sign
+                average = averages[min(k, reference), max(k, reference)]
                 sweep_rows.append((float(eq.T_a), average))
                 if best is None or average < best[1]:
                     best = (float(eq.T_a), average)

@@ -175,7 +175,8 @@ def _ginibre_draws(rng, n_samples: int, dim: int, t_lo: float, t_hi: float):
     live = np.ones(n_samples, dtype=bool)
     for k in range(n_samples):
         a, b = rng.standard_normal(out=z[k])
-        live[k] = (a + a.T).any() or (b - b.T).any()
+        # a_00 != 0 already makes a + a^T nonzero
+        live[k] = z[k, 0, 0, 0] != 0.0 or (a + a.T).any() or (b - b.T).any()
         if live[k]:
             ts[k] = rng.uniform(t_lo, t_hi)
     a, b = z[:, 0], z[:, 1]

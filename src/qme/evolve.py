@@ -510,7 +510,10 @@ def ore_filter(jd: JumpDecomposition, bath, t_max: float):
     (``quadrature.cumulative``).  Returns ``(g, error)``: g takes an array of
     t and returns shape t.shape + (n_w,), column k for jd.frequencies[k];
     ``error`` is the largest change of any running sum over the last panel
-    halving.
+    halving.  g evaluates no C(t): it holds the integrand on the converged
+    grid, panels x 16 x n_w complex (0.82 MiB for the 13 frequencies of
+    the benchmark model on [0, 25.6]), and integrates its interpolant over
+    the partial panel.
 
     The starting panels carry at most PANEL_PHASE radians of the fastest of
     e^{i w t'} and of the bath's own frequency scale, with an edge at the

@@ -2,7 +2,10 @@
 fixed-grid integral runs on: ``refine`` for a definite integral (the
 coarse-grained Lamb coefficients, the dispersive part S(omega), the DD
 suppression ratio and the bath timescale integrals) and ``cumulative`` for a
-running one (the filter of the time-local reference)."""
+running one (the filter of the time-local reference).  A running integral
+keeps its integrand's values on the converged grid and answers every query
+from them: the partial panel up to t is the integral of the polynomial that
+interpolates those values on the panel's Gauss nodes."""
 
 from __future__ import annotations
 
@@ -85,18 +88,46 @@ def refine(term, factor, edges, epsabs=EPSABS):
 
 
 def _running_sums(integrand, edges):
-    """int_{edges[0]}^{e} integrand for every edge e, on the order-ORDER rule."""
+    """int_{edges[0]}^{e} integrand for every edge e, on the order-ORDER rule,
+    and the integrand on the rule's nodes, shape (panels, ORDER, ...)."""
     nodes, weights = gauss_panels(edges, ORDER)
     f = integrand(nodes)
-    shape = (len(edges) - 1, ORDER)
-    panels = np.einsum("pk,pk...->p...", weights.reshape(shape), f.reshape(shape + f.shape[1:]))
-    return np.concatenate([np.zeros((1,) + panels.shape[1:], panels.dtype),
+    values = f.reshape((len(edges) - 1, ORDER) + f.shape[1:])
+    panels = np.einsum("pk,pk...->p...", weights.reshape(values.shape[:2]), values)
+    sums = np.concatenate([np.zeros((1,) + panels.shape[1:], panels.dtype),
                            np.cumsum(panels, axis=0)])
+    return sums, values
 
 
-def _evaluator(integrand, edges, sums):
-    """t -> the running sum to the edge below t plus the partial panel."""
-    x, w = _leggauss(ORDER)
+@lru_cache(maxsize=None)
+def _legendre_at_nodes(order: int):
+    """(w_j / 2) P_n(x_j) for n < order (rows) on the order-``order`` Gauss
+    nodes x_j (columns)."""
+    x, w = _leggauss(order)
+    table = 0.5 * w * np.polynomial.legendre.legvander(x, order - 1).T
+    table.setflags(write=False)
+    return table
+
+
+def _basis_integrals(tau, order: int):
+    """W_j(tau) = int_{-1}^{tau} l_j for the Lagrange basis l_j on the
+    order-``order`` Gauss nodes, shape (len(tau), order).  With
+    l_j = w_j sum_n (n + 1/2) P_n(x_j) P_n and int_{-1}^{tau} P_n =
+    (P_{n+1} - P_{n-1})(tau) / (2n + 1) for n >= 1,
+
+        W_j(tau) = (w_j / 2) [(tau + 1) + sum_{n=1}^{order-1} P_n(x_j) (P_{n+1} - P_{n-1})(tau)];
+
+    P_n(-1) = (-1)^n exactly, so W(-1) = 0 exactly."""
+    P = np.polynomial.legendre.legvander(tau, order)
+    D = np.empty((len(tau), order))
+    D[:, 0] = tau + 1.0
+    D[:, 1:] = P[:, 2:] - P[:, :-2]
+    return D @ _legendre_at_nodes(order)
+
+
+def _evaluator(edges, sums, values):
+    """t -> the running sum to the edge below t plus the partial panel, the
+    integral of the ORDER-node interpolant of ``values`` up to t."""
     tail = sums.shape[1:]
     step = max(1, CHUNK_ELEMENTS // (ORDER * max(1, sums[0].size)))
 
@@ -109,10 +140,10 @@ def _evaluator(integrand, edges, sums):
         for lo in range(0, len(flat), step):
             tc = flat[lo:lo + step]
             k = np.clip(np.searchsorted(edges, tc, side="right") - 1, 0, len(edges) - 2)
-            half = 0.5 * (tc - edges[k])
-            nodes = (edges[k] + half)[:, None] + half[:, None] * x
-            f = integrand(nodes.ravel()).reshape(nodes.shape + tail)
-            out[lo:lo + step] = sums[k] + np.einsum("nk,nk...->n...", half[:, None] * w, f)
+            half = 0.5 * (edges[k + 1] - edges[k])
+            weights = half[:, None] * _basis_integrals((tc - edges[k]) / half - 1.0, ORDER)
+            partial = weights[:, None, :] @ values[k].reshape(len(k), ORDER, -1)
+            out[lo:lo + step] = sums[k] + partial.reshape((len(k),) + tail)
         return out.reshape(t.shape + tail)
 
     return running
@@ -126,21 +157,26 @@ def cumulative(integrand, edges):
     ``integrand(x)`` takes a 1-D array of points and returns an array of
     shape (len(x), ...).  Returns ``(G, error)``: G takes an array of t in
     [edges[0], edges[-1]] and returns shape t.shape + (...), the running sum
-    to the panel edge below each t plus one order-ORDER Gauss rule on the
-    partial panel up to t, over chunks of at most CHUNK_ELEMENTS
-    (entry x node) terms; ``error`` is the largest change of the last
-    halving.  Raises ArithmeticError when the panel count would exceed
-    MAX_PANELS.
+    to the panel edge below each t plus the partial panel up to t, the
+    integral of the polynomial that interpolates the integrand on the
+    panel's ORDER nodes (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991)),
+    over chunks of at most CHUNK_ELEMENTS (query x node x entry) terms.  G
+    holds the converged level's integrand values, (panels, ORDER, ...), and
+    calls no integrand; G(edges[0]) is exactly 0.  ``error`` is the largest
+    change of the last halving.  Raises ArithmeticError when the panel count
+    would exceed MAX_PANELS.
     """
     edges = np.asarray(edges, dtype=float)
-    sums = _running_sums(integrand, edges)
+    sums = _running_sums(integrand, edges)[0]
     while 2 * (len(edges) - 1) <= MAX_PANELS:
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        fine = _running_sums(integrand, edges)
+        fine, values = _running_sums(integrand, edges)
         change = np.abs(fine[::2] - sums)
         if np.all(change <= np.maximum(EPSABS, EPSREL * np.abs(fine[::2]))):
-            return _evaluator(integrand, edges, fine), float(np.max(change, initial=0.0))
+            return _evaluator(edges, fine, values), float(np.max(change, initial=0.0))
+        # the next level is evaluated with no earlier level's values alive
         sums = fine
+        del values
     raise ArithmeticError(
         f"running integral not converged within {MAX_PANELS} panels on "
         f"[{edges[0]:g}, {edges[-1]:g}]")

@@ -440,6 +440,46 @@ def ore_filter_quad(w, corr, t, epsabs=1e-14):
     return complex(part(lambda z: z.real), part(lambda z: z.imag))
 
 
+def cumulative_fresh_gauss(integrand, edges, order=16, epsabs=1e-12, epsrel=1e-10):
+    """The running integral G(t) = int_{edges[0]}^t integrand on a composite
+    order-``order`` Gauss rule, every panel halved until no running sum at a
+    starting edge moves by more than max(epsabs, epsrel |G|); G(t) is the sum
+    to the converged edge below t plus a fresh order-``order`` Gauss rule on
+    the partial panel [edge, t], which evaluates the integrand at ``order``
+    new nodes per query.  Returns (G, error, converged edges); G takes a 1-D
+    array of t."""
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def running_sums(edges):
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        nodes = (mid[:, None] + half[:, None] * x).ravel()
+        f = integrand(nodes)
+        f = f.reshape((len(edges) - 1, order) + f.shape[1:])
+        panels = np.einsum("pk,pk...->p...", half[:, None] * w, f)
+        return np.concatenate([np.zeros((1,) + panels.shape[1:], panels.dtype),
+                               np.cumsum(panels, axis=0)])
+
+    edges = np.asarray(edges, dtype=float)
+    sums = running_sums(edges)
+    while True:
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+        fine = running_sums(edges)
+        change = np.abs(fine[::2] - sums)
+        if np.all(change <= np.maximum(epsabs, epsrel * np.abs(fine[::2]))):
+            break
+        sums = fine
+
+    def G(t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+        half = 0.5 * (t - edges[k])
+        nodes = (edges[k] + half)[:, None] + half[:, None] * x
+        f = integrand(nodes.ravel()).reshape(nodes.shape + fine.shape[1:])
+        return fine[k] + np.einsum("nk,nk...->n...", half[:, None] * w, f)
+
+    return G, float(np.max(change, initial=0.0)), edges
+
+
 def ore_reference(h, a, terms, corr, rho0, grid, panel=0.05, order=24):
     """The time-local equation d rho/dt = -i[h, rho] + (a rho a_f - rho a_f a)
     + h.c., a_f(t) = sum_w g_w(t) a_w, by DOP853 at rtol 1e-12 on the state

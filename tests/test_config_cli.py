@@ -386,6 +386,29 @@ class TestCliOutputs:
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == 1
 
+    def test_compare_sweep_read_from_pair_table(self, tmp_path, monkeypatch):
+        # the sweep's averages are the (ore, CGME) rows of compare_averages.csv,
+        # and every pair's series is computed once
+        import qme.cli
+
+        calls = []
+        series = qme.cli.trace_distance_series
+        monkeypatch.setattr(qme.cli, "trace_distance_series",
+                            lambda a, b: calls.append(1) or series(a, b))
+        doc = _base_doc()
+        doc["equations"] = [{"kind": "davies"}, {"kind": "ore"},
+                            {"kind": "cgme_frequency", "t_a": 1.0}]
+        doc["sweep"] = {"parameter": "t_a", "values": [0.5, 2.0, 3.0]}
+        out = tmp_path / "o"
+        assert main(["compare", "--config", _write(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert len(calls) == 5 * 4 // 2
+        pairs = {tuple(line.split(",")[:2]): line.split(",")[2] for line in
+                 (out / "compare_averages.csv").read_text().splitlines()[1:]}
+        sweep = (out / "ta_sweep.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in sweep] == [
+            pairs["ore", f"cgme_frequency_ta{t_a:g}"] for t_a in (0.5, 2.0, 3.0)]
+
     def test_bounds_table(self, tmp_path):
         # the benchmark model on a coarse grid: the strongest bound starts at
         # zero and stays above the measured coarse-graining error

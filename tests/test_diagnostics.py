@@ -191,6 +191,35 @@ class TestLambdaEstimate:
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
+    def test_zero_draw_takes_no_time(self):
+        # samples 1 and 2 have a_00 = 0, so the full X = 0 test decides:
+        # sample 1 has a + a^T != 0; sample 2 has an antisymmetric a and a
+        # symmetric b, so X = 0 and no time is drawn for it
+        draws = iter(np.array([
+            [[[0.3, 1.0], [2.0, 4.0]], [[0.5, -1.0], [0.7, 0.2]]],
+            [[[0.0, 1.0], [2.0, 0.0]], [[1.0, 2.0], [2.0, 3.0]]],
+            [[[0.0, 1.0], [-1.0, 0.0]], [[1.0, 2.0], [2.0, 3.0]]],
+            [[[-1.2, 0.1], [0.4, 0.9]], [[0.0, 0.6], [-0.3, 1.1]]],
+        ]))
+        calls = []
+
+        class StubRng:
+            def standard_normal(self, out):
+                calls.append("normal")
+                out[...] = next(draws)
+                return out
+
+            def uniform(self, lo, hi):
+                calls.append("uniform")
+                return 0.5 * (lo + hi)
+
+        xs, ts, live = _ginibre_draws(StubRng(), 4, 2, 0.5, 25.6)
+        assert live.tolist() == [True, True, False, True]
+        assert ts[2] == 0.0 and np.all(ts[[0, 1, 3]] == 13.05)
+        assert np.all(xs[2] == 0.0)
+        assert calls == ["normal", "uniform", "normal", "uniform", "normal",
+                         "normal", "uniform"]
+
     def test_requires_enough_samples(self, benchmark_hamiltonian, benchmark_coupling,
                                      toy_bath):
         with pytest.raises(ValueError):

@@ -520,7 +520,8 @@ class TestGrowingFilterEquation:
 
     def test_filter_matches_per_frequency_quad(self, benchmark_jd, toy_bath):
         # the running sums converge to max(EPSABS, EPSREL |g|) with |g| < 0.1,
-        # and a partial panel is narrower than the converged panel holding it
+        # and a partial panel integrates the interpolant on the converged
+        # panel's nodes, within 1e-14 of a fresh Gauss rule (test_quadrature)
         g, error = ore_filter(benchmark_jd, toy_bath, 5.0)
         t = np.concatenate((np.linspace(0.0, 5.0, 6),
                             np.random.default_rng(2).uniform(0.0, 5.0, 5)))
