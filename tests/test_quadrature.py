@@ -78,7 +78,7 @@ class TestInterpolantEvaluator:
         if tau_c is not None:
             # RectangleBath.correlation reads g^2/2 wherever |t| is within
             # rtol 1e-5 of tau_c; for t - tau_c below ~2e-3 the oracle's rule
-            # on [tau_c, t] has a node there and reads up to 2e-6 off, so
+            # on [tau_c, t] has a node there and reads up to ~3e-6 off, so
             # those t are left to test_rectangle_filter_matches_closed_form
             assert tau_c in edges
             t = t[(t <= tau_c) | (t >= tau_c + 0.01)]
