@@ -60,6 +60,7 @@ class Bath:
 
     def __init__(self):
         self._timescales_cache = {}
+        self._support_radius_cache = {}
 
     # -- spectral density -------------------------------------------------
 
@@ -67,7 +68,14 @@ class Bath:
         raise NotImplementedError
 
     def support_radius(self, tol=1e-12):
-        """Half-width W such that gamma is negligible outside [-W, W]."""
+        """Half-width W such that gamma is negligible outside [-W, W],
+        searched once per tol."""
+        key = float(tol)
+        if key not in self._support_radius_cache:
+            self._support_radius_cache[key] = self._search_radius(key)
+        return self._support_radius_cache[key]
+
+    def _search_radius(self, tol):
         gm = self.gamma_scale()
         W = self._initial_radius()
         while W < 1e7:
@@ -237,23 +245,30 @@ class Bath:
                 )
 
 
+# Bernoulli numbers B_2 ... B_18 of the trigamma asymptotic series
+_BERNOULLI_2K = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+                 -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0)
+
+
 def _trigamma(z):
     """Trigamma function for complex z with Re z > 0, vectorized.
 
-    Recurrence pushes the argument up by K, then the asymptotic series
-    psi_1(z) ~ 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1) finishes the job.
+    The recurrence psi_1(z) = psi_1(z + 1) + 1/z^2 pushes the argument up by
+    K to |z + K| >= 12, where the asymptotic series
+    psi_1(z) ~ 1/z + 1/(2 z^2) + sum_{k=1}^{9} B_2k / z^(2k+1), truncated
+    after B_18, is accurate to ~1e-19 relative.
     """
     z = np.asarray(z, dtype=complex)
-    K = max(0, int(np.ceil(24 - np.min(np.abs(z))))) if z.size else 0
+    K = max(0, int(np.ceil(12 - np.min(np.abs(z))))) if z.size else 0
     acc = np.zeros_like(z)
     for k in range(K):
         acc += 1.0 / (z + k) ** 2
-    zz = z + K
-    inv = 1.0 / zz
+    inv = 1.0 / (z + K)
     inv2 = inv * inv
-    series = inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0
-                    + inv2 * (-1.0 / 30.0 + inv2 * (1.0 / 42.0 - inv2 / 30.0)))))
-    return acc + series
+    tail = _BERNOULLI_2K[-1]
+    for b in _BERNOULLI_2K[-2::-1]:
+        tail = b + inv2 * tail
+    return acc + inv * (1.0 + inv * (0.5 + inv * tail))
 
 
 class OhmicBath(Bath):
@@ -290,7 +305,9 @@ class OhmicBath(Bath):
     def correlation(self, t):
         t = np.asarray(t, dtype=float)
         x = (1.0 / self.omega_c + 1j * t) / self.beta
-        C = (self.kappa / self.beta ** 2) * (_trigamma(x) + _trigamma(np.conj(x) + 1.0))
+        # psi_1(x) + psi_1(conj(x) + 1) with psi_1(x) = psi_1(x + 1) + 1/x^2
+        # and psi_1(conj(z)) = conj(psi_1(z)): one trigamma per t
+        C = (self.kappa / self.beta ** 2) * (2.0 * _trigamma(x + 1.0).real + 1.0 / x ** 2)
         return C if C.ndim else complex(C)
 
     def _compute_timescales(self, T_cutoff):
@@ -402,7 +419,7 @@ class RectangleBath(Bath):
         t = np.asarray(t, dtype=float)
         out = np.where(np.abs(t) < self.tau_c, self.g ** 2, 0.0).astype(complex)
         # half weight exactly on the edge, as the Fourier inversion gives
-        out[np.isclose(np.abs(t), self.tau_c)] = 0.5 * self.g ** 2
+        out[np.abs(t) == self.tau_c] = 0.5 * self.g ** 2
         return out if out.ndim else complex(out)
 
     def lamb_amplitude_S(self, w):

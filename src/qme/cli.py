@@ -340,9 +340,9 @@ def cmd_dd(cfg: ExperimentConfig, out_dir: str, args) -> int:
     for beta in cfg.dd.beta:
         for omega_c in cfg.dd.omega_c:
             bath = OhmicBath(kappa=cfg.dd.kappa, omega_c=omega_c, beta=beta)
-            for dt in cfg.dd.dt:
-                xi = dd_suppression_xi(bath, dt, cfg.dd.k_prime)
-                rows.append((float(beta), float(omega_c), float(dt), float(xi)))
+            xis = dd_suppression_xi(bath, np.asarray(cfg.dd.dt), cfg.dd.k_prime)
+            rows.extend((float(beta), float(omega_c), float(dt), float(xi))
+                        for dt, xi in zip(cfg.dd.dt, xis))
     _write_csv(
         os.path.join(out_dir, "dd.csv"),
         ["beta[time]", "omega_c[1/time]", "dt[time]", "xi[dimensionless]"],

@@ -22,7 +22,8 @@ one (eps x node) phase-matrix contraction with the stack, the Lamb shift is a
 contraction with the correlation on node differences, and the Redfield
 filter one weighted sum over the stack.  ``heisenberg_A`` and ``propagator``
 stay as the per-point API.  The DD suppression ratios integrate over
-frequency on the refined Gauss grid of ``quadrature.refine``.
+frequency on the refined Gauss grid of ``quadrature.refine``, one grid for
+every dt of a call.
 """
 
 from __future__ import annotations
@@ -481,48 +482,59 @@ def _tan_sinc_factor(x, k_prime: int):
     return 2.0 * s * np.sinc(x / math.pi) / (2.0 * k_prime)
 
 
-def _xi_ratio(bath, num_filter, den_filter) -> float:
+def _xi_ratio(bath, num_filter, den_filter):
     """int gamma num_filter / int gamma den_filter over [-W, W], both on one
     refined Gauss grid (``quadrature.refine``) with an edge at w = 0, where
-    the integrands peak and gamma has a kink.  gamma is scaled by its
-    maximum, which leaves the ratio unchanged and keeps the absolute
-    tolerance of the refinement negligible against both integrals."""
+    the integrands peak and gamma has a kink.  Each filter maps the nodes w
+    to an array of shape (..., len(w)), one row per ratio, so every ratio
+    shares the grid and its gamma values, and the grid is refined until
+    each numerator and denominator meets the tolerance on its own.  gamma
+    is scaled by its maximum, which leaves the ratios unchanged and keeps
+    the absolute tolerance of the refinement negligible against every
+    integral.  Returns a float for 0-d rows, else an array of their shape."""
     W = bath.support_radius()
     scale = bath.gamma_scale()
 
     def term(w, wt, g):
-        return np.array([np.sum(wt * g * num_filter(w)), np.sum(wt * g * den_filter(w))])
+        wg = wt * g
+        return np.stack([num_filter(w) @ wg, den_filter(w) @ wg], axis=-1)
 
-    (numerator, denominator), _ = refine(
+    total, _ = refine(
         term, lambda w: np.real(np.asarray(bath.gamma(w))) / scale, (-W, 0.0, W))
-    if denominator <= 0:
+    numerator, denominator = total[..., 0], total[..., 1]
+    if np.any(denominator <= 0):
         raise ArithmeticError("vanishing reference decoherence rate")
-    return float(numerator / denominator)
+    ratio = numerator / denominator
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def dd_suppression_xi(bath, dt: float, k_prime: int = 1) -> float:
+def dd_suppression_xi(bath, dt, k_prime: int = 1):
     """DD suppression ratio at pulse-aligned times with averaging time
     T_a = 4 k' dt:
 
         xi = int gamma(w) |sinc(2k' w dt) tan(w dt)|^2 dw
            / int gamma(w) |sinc(2k' w dt)|^2 dw
 
-    over the bath's support [-W, W], both integrals on one refined
-    composite Gauss grid.  xi < 1 is guaranteed when the bath's
-    high-frequency cutoff satisfies omega_c * dt < pi/4.
+    over the bath's support [-W, W].  ``dt`` may be a scalar, which gives a
+    float, or an array, which gives an array of its shape: every xi of one
+    call shares one refined composite Gauss grid and one set of gamma
+    values, refined until each integral of each dt has converged.  xi < 1
+    is guaranteed when the bath's high-frequency cutoff satisfies
+    omega_c * dt < pi/4.
 
     dt is half the pulse spacing: xi equals
     ``dd_suppression_xi_general(bath, 2*dt, T_a=4*k_prime*dt)``, pulses
     every 2 dt (``DDSequence(dt=2*dt)``), to roundoff.
     """
-    if dt <= 0:
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(dt > 0):
         raise ValueError("dt must be > 0")
     if int(k_prime) != k_prime or k_prime < 1:
         raise ValueError("k_prime must be an integer >= 1")
     return _xi_ratio(
         bath,
-        lambda w: _tan_sinc_factor(w * dt, k_prime) ** 2,
-        lambda w: np.sinc(2 * k_prime * w * dt / math.pi) ** 2)
+        lambda w: _tan_sinc_factor(np.multiply.outer(dt, w), k_prime) ** 2,
+        lambda w: np.sinc(2 * k_prime * np.multiply.outer(dt, w) / math.pi) ** 2)
 
 
 def dd_suppression_xi_general(bath, dt: float, T_a: float, t: float = 0.0) -> float:

@@ -80,7 +80,7 @@ def refine(term, factor, edges, epsabs=EPSABS):
         fine = _on_grid(term, factor, edges)
         change = np.abs(fine - value)
         if np.all(change <= np.maximum(epsabs, EPSREL * np.abs(fine))):
-            return fine, float(np.max(change))
+            return fine, float(np.max(change, initial=0.0))
         value = fine
     raise ArithmeticError(
         f"quadrature not converged within {MAX_PANELS} panels on "

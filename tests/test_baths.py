@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
-from qme.baths import Bath, OhmicBath, ToyBath, make_bath
+from qme.baths import Bath, OhmicBath, ToyBath, _trigamma, make_bath
 
 import oracles
 
@@ -82,6 +82,35 @@ class TestOhmicBath:
         ref = 2 * np.pi * kappa * np.exp(-abs(w) / omega_c) * (1 + x / 2 + x * x / 12) / beta
         assert abs(float(bath.gamma(w)) - ref) <= 1e-14 * ref
 
+    def test_support_radius_searched_once_per_tol(self, monkeypatch):
+        bath = OhmicBath(kappa=1.0, omega_c=1.0, beta=1.0)
+        calls = []
+        gamma = bath.gamma
+        monkeypatch.setattr(bath, "gamma", lambda w: calls.append(w) or gamma(w))
+        W = bath.support_radius()
+        assert calls
+        calls.clear()
+        assert bath.support_radius() == W
+        assert bath.support_radius(tol=1e-12) == W
+        assert bath.support_radius(tol=1e-10) > 0
+        assert calls == []
+
+    def test_correlation_matches_mpmath(self):
+        # C = (kappa/beta^2) (psi_1(x) + psi_1(conj(x) + 1)), x = (1/omega_c + i t)/beta,
+        # to 1e-14 of the size of the two terms, which cancel at late t
+        mpmath = pytest.importorskip("mpmath")
+        kappa, omega_c, beta = 0.3, 2.0, 5.0
+        bath = OhmicBath(kappa=kappa, omega_c=omega_c, beta=beta)
+        t = np.concatenate([np.linspace(-3.0, 3.0, 61), np.geomspace(1e-3, 200.0, 30)])
+        with mpmath.workdps(30):
+            terms = []
+            for s in t:
+                x = (1 / mpmath.mpf(omega_c) + 1j * mpmath.mpf(s)) / beta
+                terms.append((complex(mpmath.polygamma(1, x)),
+                              complex(mpmath.polygamma(1, mpmath.conj(x) + 1))))
+        a, b = (kappa / beta ** 2) * np.array(terms).T
+        assert np.all(np.abs(bath.correlation(t) - (a + b)) <= 1e-14 * (np.abs(a) + np.abs(b)))
+
     def test_correlation_of_empty_array(self, ohmic_bath):
         out = ohmic_bath.correlation(np.array([]))
         assert isinstance(out, np.ndarray) and out.shape == (0,)
@@ -109,6 +138,44 @@ class TestOhmicBath:
         assert t2 > t1
 
 
+class TestTrigamma:
+    """psi_1 for the Ohmic C(t): the recurrence from |z| >= 12 and the
+    asymptotic series through B_18."""
+
+    def test_reflection(self):
+        # psi_1(z) + psi_1(1 - z) = pi^2 / sin^2(pi z), for 0 < Re z < 1
+        rng = np.random.default_rng(21)
+        z = rng.uniform(0.02, 0.98, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
+        lhs = _trigamma(z) + _trigamma(1.0 - z)
+        rhs = np.pi ** 2 / np.sin(np.pi * z) ** 2
+        scale = np.abs(_trigamma(z)) + np.abs(_trigamma(1.0 - z))
+        assert np.all(np.abs(lhs - rhs) <= 1e-14 * scale)
+
+    def test_recurrence(self):
+        # psi_1(z + 1) = psi_1(z) - 1/z^2, each z on its own so that the
+        # shift count runs from 12 down to 0
+        rng = np.random.default_rng(22)
+        z = rng.uniform(0.05, 20.0, 200) + 1j * rng.uniform(-20.0, 20.0, 200)
+        here = np.array([_trigamma(x) for x in z])
+        up = np.array([_trigamma(x + 1.0) for x in z])
+        assert np.all(np.abs(up - (here - 1.0 / z ** 2))
+                      <= 1e-14 * (np.abs(here) + 1.0 / np.abs(z) ** 2))
+
+    def test_at_one(self):
+        assert abs(_trigamma(1.0) - np.pi ** 2 / 6.0) <= 1e-15 * np.pi ** 2 / 6.0
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(23)
+        z = np.concatenate([rng.uniform(0.01, 5.0, 150) + 1j * rng.uniform(-40.0, 40.0, 150),
+                            0.25 + 1j * np.linspace(-10.0, 10.0, 41),
+                            np.linspace(0.01, 30.0, 40) + 0j])
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.polygamma(1, mpmath.mpc(x.real, x.imag)))
+                            for x in z])
+        assert np.max(np.abs(_trigamma(z) - ref) / np.abs(ref)) <= 2e-15
+
+
 class TestRectangleBath:
     def test_gamma_is_sinc(self, rectangle_bath):
         g, tau_c = 0.5, 1.0
@@ -127,6 +194,12 @@ class TestRectangleBath:
     def test_correlation_is_rectangle(self, rectangle_bath):
         assert np.isclose(rectangle_bath.correlation(0.5), 0.25)
         assert np.isclose(rectangle_bath.correlation(1.5), 0.0)
+
+    def test_half_weight_only_on_the_edge(self, rectangle_bath):
+        # g^2 = 0.25 inside, 0 outside, g^2/2 at |t| = tau_c exactly
+        t = np.array([1.0 - 1e-7, 1.0, 1.0 + 1e-7])
+        for sign in (1.0, -1.0):
+            assert np.array_equal(rectangle_bath.correlation(sign * t), [0.25, 0.125, 0.0])
 
     def test_timescales(self, rectangle_bath):
         ts = rectangle_bath.timescales()

@@ -356,6 +356,44 @@ class TestCliOutputs:
         assert "xi" in lines[0]
         assert len(lines) == 1 + 2
 
+    # dd.csv of the benchmark's DD table as written when every xi ran its own
+    # grid, one dd_suppression_xi call per dt
+    DD_TABLE_CSV = """\
+beta[time],omega_c[1/time],dt[time],xi[dimensionless]
+0.5,0.5,0.2,0.0198629022088
+0.5,0.5,0.4,0.0691134133948
+0.5,0.5,0.6,0.13015458929
+0.5,0.5,0.8,0.191719207696
+0.5,1,0.2,0.0754792049425
+0.5,1,0.4,0.202204244399
+0.5,1,0.6,0.310416656118
+0.5,1,0.8,0.394684218356
+0.5,2,0.2,0.237406085835
+0.5,2,0.4,0.426653073669
+0.5,2,0.6,0.53559562147
+0.5,2,0.8,0.606838822747
+5,0.5,0.2,0.0428979623415
+5,0.5,0.4,0.14435493102
+5,0.5,0.6,0.258662298893
+5,0.5,0.8,0.359455826857
+5,1,0.2,0.177467403675
+5,1,0.4,0.467921890251
+5,1,0.6,0.678923456386
+5,1,0.8,0.803367419254
+5,2,0.2,0.528345777896
+5,2,0.4,0.985065237498
+5,2,0.6,1.18033803608
+5,2,0.8,1.25181745672
+"""
+
+    def test_dd_table_unchanged_by_shared_grid(self, tmp_path):
+        # one grid per bath for the whole dt list writes the same bytes
+        doc = {"dd": {"beta": [0.5, 5.0], "omega_c": [0.5, 1.0, 2.0],
+                      "dt": [0.2, 0.4, 0.6, 0.8], "k_prime": 1, "kappa": 1.0}}
+        out = tmp_path / "o"
+        assert main(["dd", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+        assert (out / "dd.csv").read_bytes() == self.DD_TABLE_CSV.encode()
+
     def test_optimize_ta_report(self, tmp_path, capsys):
         doc = _base_doc()
         del doc["model"]  # bath-only variant: formula + discrepancy only

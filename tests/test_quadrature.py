@@ -76,12 +76,10 @@ class TestInterpolantEvaluator:
         t = np.concatenate(([0.0, t_max], np.random.default_rng(11).uniform(0.0, t_max, 500)))
         tau_c = getattr(bath, "tau_c", None)
         if tau_c is not None:
-            # RectangleBath.correlation reads g^2/2 wherever |t| is within
-            # rtol 1e-5 of tau_c; for t - tau_c below ~2e-3 the oracle's rule
-            # on [tau_c, t] has a node there and reads up to ~3e-6 off, so
-            # those t are left to test_rectangle_filter_matches_closed_form
+            # just past the kink, where the oracle's rule on [tau_c, t] has
+            # every node within t - tau_c of it
             assert tau_c in edges
-            t = t[(t <= tau_c) | (t >= tau_c + 0.01)]
+            t = np.concatenate((t, tau_c + np.geomspace(1e-9, 1e-2, 15)))
         assert np.max(np.abs(g(t) - ref(t))) <= 1e-14
         assert np.all(g(0.0) == 0.0)
 
