@@ -19,8 +19,9 @@ resulting Lindblad weights is automatic up to roundoff.
 
 The coarse-grained Lamb shift H_LS = sum F_{w w'} A_{w'} A_w takes every
 coefficient F_{w w'} from one composite Gauss-Legendre grid on [0, T_a]:
-C(theta) is evaluated once per grid and F is one contraction over
-(Bohr pair, node).  Panels are halved by ``quadrature.refine`` until no
+C(theta) is evaluated once per grid, F is assembled pairwise from the
+half-range transforms of C at the Bohr frequencies and their negatives, and
+only the pairs with w + w' near 0 take a contraction over nodes.  Panels are halved by ``quadrature.refine`` until no
 coefficient moves by more than its tolerances; the last change is reported
 as the quadrature error estimate (``GeneratorSet.meta["lamb_quad_error"]``).
 Davies and Redfield generators take S(w) for every Bohr frequency from one
@@ -68,6 +69,13 @@ __all__ = [
 WEIGHT_CLIP_TOL = 1e-9
 # Bohr frequencies within FREQ_RTOL * ||H|| of each other are merged
 FREQ_RTOL = 1e-8
+# The transform form of a Lamb coefficient leaves 2 T_a w+ F as the
+# difference of two terms of the size of C^, so it loses about
+# eps / (|w+| T_a) of F to rounding (up to 7 times that, measured on the
+# ToyBath): at this phase ~1e-13 relative, far below the quadrature
+# tolerance EPSREL.  Pairs with |w+| T_a below it take the
+# cancellation-free sinc form.
+LAMB_PHASE_CUT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -292,9 +300,25 @@ def _lamb_coefficients(w, wp, T_a, bath):
     coefficient moves by more than its tolerances.  Returns F and the
     largest change of the last halving.
 
-    Re[i e^{i w- th} C(th)] = -Im[e^{i w th/2} e^{-i w' th/2} C(th)], so the
-    phase factor is an outer product; the sinc term couples i and j and
-    forces the (i, j, node) tensor, which ``refine`` builds in chunks.
+    With the half-range transform C^(f) = int_0^{T_a} C(th) e^{i f th} dth,
+
+        F_{w w'} = Re[e^{-i T_a w+} C^(w) - e^{i T_a w+} C^(-w')] / (2 T_a w+),
+
+    so a chunk of nodes costs one exponential row per distinct |f| over
+    f in {w_i} and {-wp_j} (C^(-|f|) comes from the same row, conjugated),
+    one matrix product for the transforms, and O(n^2) to combine them:
+    O(n n_th + n^2) in all for n frequencies and n_th nodes, not the
+    O(n^2 n_th) of a (pair x node) tensor.
+
+    Pairs with |w+| T_a < LAMB_PHASE_CUT, among them the w+ = 0 pairs of
+    every +-w, would lose their two near-equal terms to cancellation; they
+    keep the pair form, restricted to them,
+
+        F_{w w'} = -(1/T_a) int_0^{T_a} Im[e^{i w- th} C(th)] x sinc(w+ x / pi) dth,
+
+    with x = th - T_a and their phases w- among the exponential rows.  F is
+    linear in the integrand, so ``refine`` tests convergence per F entry
+    whichever form a pair takes.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     wp = np.atleast_1d(np.asarray(wp, dtype=float))
@@ -305,26 +329,53 @@ def _lamb_coefficients(w, wp, T_a, bath):
     if tau_c is not None and 0.0 < tau_c < T_a:
         edges = np.union1d(edges, [tau_c])
     w_plus = 0.5 * (w[:, None] + wp[None, :])
+    near = np.abs(w_plus) * T_a < LAMB_PHASE_CUT
+    si, sj = np.nonzero(near)
+    scale = 2.0 * T_a * np.where(near, 1.0, w_plus)
+    left = np.where(near, 0.0, np.exp(-1j * T_a * w_plus) / scale)
+    right = np.where(near, 0.0, np.exp(1j * T_a * w_plus) / scale)
+    # every frequency a chunk needs: the transforms at w and -w', then the
+    # phases w- of the near pairs; e^{-i f th} is the conjugate of
+    # e^{i f th}, so one exponential row per distinct |f| serves both signs
+    freqs = np.concatenate([w, -wp, 0.5 * (w[si] - wp[sj])])
+    mags, row = np.unique(np.abs(freqs), return_inverse=True)
+    negative = freqs < 0
+    n, m = len(w), len(w) + len(wp)
+    x_plus = w_plus[si, sj] / np.pi
 
-    def term(theta, wt, scaled_corr):
-        left = np.exp(0.5j * np.outer(w, theta))
-        right = np.exp(-0.5j * np.outer(wp, theta)) * (wt * scaled_corr)
-        phase = (left[:, None, :] * right[None, :, :]).imag
-        # sin(w+ x)/w+ written as x*sinc to stay analytic at w+ = 0
-        sinc = np.sinc(w_plus[:, :, None] * (theta - T_a) / np.pi)
-        return -np.einsum("ijk,ijk->ij", phase, sinc) / T_a
+    def term(theta, wt, corr):
+        weighted = wt * corr
+        rows = np.exp(1j * np.outer(mags, theta))
+        # C^(-|f|) = conj(sum_k e^{i|f| th_k} conj(wt_k C_k)); two
+        # matrix-vector products, whose sums round alike for nearby |f|,
+        # so the near-cancelling pairs above the cut lose less than they
+        # would from one two-column matrix product
+        positive = rows @ weighted
+        mirrored = (rows @ weighted.conj()).conj()
+        transform = np.where(negative[:m], mirrored[row[:m]], positive[row[:m]])
+        F = (left * transform[:n, None] - right * transform[None, n:]).real
+        if len(si):
+            x = theta - T_a
+            phase = rows[row[m:]]
+            phase = np.where(negative[m:, None], phase.conj(), phase)
+            # sin(w+ x)/w+ written as x*sinc to stay analytic at w+ = 0
+            sinc = np.sinc(np.outer(x_plus, x))
+            F[si, sj] = -np.einsum("pk,pk->p", (phase * (x * weighted)).imag, sinc) / T_a
+        return F
 
-    return refine(term, lambda theta: (theta - T_a) * np.asarray(
-        bath.correlation(theta), dtype=complex), edges)
+    return refine(term, lambda theta: np.asarray(bath.correlation(theta), dtype=complex),
+                  edges)
 
 
 def cgme_lamb_F(w, wp, T_a, bath) -> float:
     """Lamb-shift coefficient
 
     F_{w w'} = (1/(2 T_a w+)) Re int_0^{T_a}
-               (exp(i(w th - T_a w+)) - exp(-i(w' th - T_a w+))) C(th) dth,
+               (exp(i(w th - T_a w+)) - exp(-i(w' th - T_a w+))) C(th) dth
+             = Re[e^{-i T_a w+} C^(w) - e^{i T_a w+} C^(-w')] / (2 T_a w+),
 
-    evaluated through the identity
+    with C^(f) = int_0^{T_a} C(th) e^{i f th} dth.  When |w+| T_a <
+    LAMB_PHASE_CUT it is evaluated through the identity
     (...) = 2i exp(i w- th) sin(w+ (th - T_a)), which makes the w+ -> 0
     limit manifestly removable (sin(w+ x)/w+ -> x).  One pair of the
     refined composite Gauss-Legendre grid of ``cgme_lamb_shift``."""
@@ -338,9 +389,15 @@ def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a):
         H_LS = sum_{w w'} F_{w w'} A_{w'} A_w
 
     and the largest change of any F_{w w'} over the last grid refinement.
-    Every F_{w w'} comes from one contraction over a shared composite
-    Gauss-Legendre grid on [0, T_a] (see ``_lamb_coefficients``), with C
-    evaluated once per grid."""
+    Every F_{w w'} comes from a shared composite Gauss-Legendre grid on
+    [0, T_a], with C evaluated once per grid: the half-range transforms
+    C^(w) and C^(-w) of the n Bohr frequencies are combined pairwise,
+
+        F_{w w'} = Re[e^{-i T_a w+} C^(w) - e^{i T_a w+} C^(-w')] / (2 T_a w+),
+
+    and only the pairs with |w+| T_a < LAMB_PHASE_CUT (the +-w pairs and
+    near-degenerate ones) take the sinc contraction over nodes instead, so
+    the cost is O(n n_th + n^2) for n_th nodes (see ``_lamb_coefficients``)."""
     F, err = _lamb_coefficients(jd.frequencies, jd.frequencies, T_a, bath)
     ops = np.array(jd.operators)
     B = np.tensordot(F, ops, axes=(0, 0))          # B_j = sum_i F_ij A_i

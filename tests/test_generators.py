@@ -6,11 +6,13 @@ import pytest
 
 from qme import quadrature
 from qme.generators import (
+    LAMB_PHASE_CUT,
     WEIGHT_CLIP_TOL,
     DiscretizationParams,
     _lindblad_from_kossakowski,
     GeneratorConfig,
     _epsilon_grid,
+    _lamb_coefficients,
     cgme_gamma,
     cgme_generator,
     cgme_lamb_F,
@@ -24,7 +26,7 @@ from qme.generators import (
 )
 from qme.operators import HermitianOperator, eigensystem, operator_norm
 
-from conftest import PAULI_X, PAULI_Z
+from conftest import IDENT, PAULI_X, PAULI_Y, PAULI_Z
 import oracles
 
 
@@ -138,10 +140,19 @@ class TestCoarseGrainedCoefficients:
             assert abs(ours - ref) < 1e-5 * max(1.0, abs(ref))
 
     def test_lamb_F_removable_singularity(self, toy_bath):
-        # w+ = 0 exactly vs a tiny offset: the sinc form must be continuous
-        at_zero = cgme_lamb_F(2.0, -2.0, self.T_A, toy_bath)
-        nearby = cgme_lamb_F(2.0 + 1e-7, -2.0 + 1e-7, self.T_A, toy_bath)
-        assert abs(at_zero - nearby) < 1e-5
+        # w+ = 0 exactly, |w+| T_a = 1e-7, and just below and above the cut
+        # between the sinc form and the transform form: each against the
+        # direct oracle, and F continuous across the cut
+        phases = (0.0, 1e-7, LAMB_PHASE_CUT * (1 - 1e-9), LAMB_PHASE_CUT * (1 + 1e-9))
+        F = []
+        for phase in phases:
+            w, wp = 2.0 + phase / self.T_A, -2.0 + phase / self.T_A
+            F.append(cgme_lamb_F(w, wp, self.T_A, toy_bath))
+            ref = oracles.lamb_f_direct(w, wp, self.T_A, toy_bath.correlation)
+            assert abs(F[-1] - ref) < 1e-8 * max(1.0, abs(ref))
+        assert abs(0.5 * (w + wp)) * self.T_A > LAMB_PHASE_CUT
+        assert abs(F[1] - F[0]) < 1e-12
+        assert abs(F[3] - F[2]) < 1e-12 * abs(F[3])
 
 
 def _lamb_shift_oracle(jd, bath, t_a):
@@ -160,6 +171,82 @@ class _HiddenJumpBath:
 
     def correlation(self, t):
         return np.where(np.abs(t) < 0.7, 0.25, 0.0).astype(complex)
+
+
+def _sinc_lamb_coefficients(w, wp, T_a, bath):
+    """F[i, j] as one (pair x node) contraction per chunk, on the grid and
+    refinement of ``_lamb_coefficients``: the reference the transform form
+    replaced.  Re[i e^{i w- th} C(th)] = -Im[e^{i w th/2} e^{-i w' th/2}
+    C(th)], and sin(w+ x)/w+ = x sinc(w+ x / pi) with x = th - T_a."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    wp = np.atleast_1d(np.asarray(wp, dtype=float))
+    w_max = max(float(np.max(np.abs(w))), float(np.max(np.abs(wp))))
+    n_panels = max(1, int(np.ceil(T_a * w_max / quadrature.PANEL_PHASE)))
+    edges = np.linspace(0.0, T_a, n_panels + 1)
+    tau_c = getattr(bath, "tau_c", None)
+    if tau_c is not None and 0.0 < tau_c < T_a:
+        edges = np.union1d(edges, [tau_c])
+    w_plus = 0.5 * (w[:, None] + wp[None, :])
+
+    def term(theta, wt, scaled_corr):
+        left = np.exp(0.5j * np.outer(w, theta))
+        right = np.exp(-0.5j * np.outer(wp, theta)) * (wt * scaled_corr)
+        phase = (left[:, None, :] * right[None, :, :]).imag
+        sinc = np.sinc(w_plus[:, :, None] * (theta - T_a) / np.pi)
+        return -np.einsum("ijk,ijk->ij", phase, sinc) / T_a
+
+    return quadrature.refine(term, lambda theta: (theta - T_a) * np.asarray(
+        bath.correlation(theta), dtype=complex), edges)
+
+
+def _parity_model_jd():
+    """A 3-qubit Pauli model whose terms all commute with ZZZ, coupled
+    through ZII: two parity sectors of 4 levels, 25 Bohr frequencies."""
+    paulis = {"I": IDENT, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    terms = {"ZII": 0.768349, "IZI": 1.0218, "IIZ": -0.308396, "XXI": -0.597012,
+             "YYI": -0.438379, "ZZI": -0.227511, "IXX": -0.684532,
+             "IYY": -0.732595, "IZZ": 0.42013, "ZYX": 0.181048}
+
+    def string(label):
+        out = np.ones((1, 1), dtype=complex)
+        for c in label:
+            out = np.kron(out, paulis[c])
+        return out
+
+    H = sum(c * string(label) for label, c in terms.items())
+    return decompose_coupling(eigensystem(HermitianOperator(H)),
+                              HermitianOperator(string("ZII")))
+
+
+class TestLambTransform:
+    """The transform form of every F_{w w'} against the (pair x node) sinc
+    contraction it replaced, on the same grids."""
+
+    @pytest.mark.parametrize("t_a", [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 1.17])
+    def test_matches_sinc_path_benchmark(self, benchmark_jd, toy_bath, t_a):
+        w = benchmark_jd.frequencies
+        ours, err = _lamb_coefficients(w, w, t_a, toy_bath)
+        ref, ref_err = _sinc_lamb_coefficients(w, w, t_a, toy_bath)
+        assert np.max(np.abs(ours - ref)) <= 1e-15
+        assert err <= max(quadrature.EPSABS, quadrature.EPSREL * np.max(np.abs(ours)))
+
+    @pytest.mark.parametrize("t_a", [1.0, 5.25])
+    def test_matches_sinc_path_parity_model(self, toy_bath, t_a):
+        w = _parity_model_jd().frequencies
+        assert len(w) == 25
+        ours, _ = _lamb_coefficients(w, w, t_a, toy_bath)
+        ref, _ = _sinc_lamb_coefficients(w, w, t_a, toy_bath)
+        assert np.max(np.abs(ours - ref)) <= 1e-15
+
+    def test_unequal_frequency_sets(self, ohmic_bath):
+        # w and w' need not mirror each other: every transform row serves
+        # its own sign, and the near pairs sit off the anti-diagonal
+        w = np.array([-2.3, -0.4, 0.0, 1.1, 3.2])
+        wp = np.array([2.3 + 1e-4, 0.5, -1.1, 0.7])
+        ours, _ = _lamb_coefficients(w, wp, 1.5, ohmic_bath)
+        ref, _ = _sinc_lamb_coefficients(w, wp, 1.5, ohmic_bath)
+        assert ours.shape == (5, 4)
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestLambShiftGrid:
@@ -195,6 +282,42 @@ class TestLambShiftGrid:
                                 HermitianOperator(PAULI_X))
         with pytest.raises(ArithmeticError, match="not converged"):
             cgme_lamb_shift(jd, _HiddenJumpBath(), 2.0)
+
+
+class TestGapClosing:
+    """Small level spacing: H = (1 + d/2) ZI + (1 - d/2) IZ with
+    A = (XI + IX)/2 has Bohr frequencies +-(2 + d) and +-(2 - d), so its
+    pairs have w+ = +-d; at d = 0 they merge to +-2.  The coarse-grained
+    Lamb shift must approach the merged one continuously, while the
+    secular (Davies) Lamb shift keeps a finite jump."""
+
+    T_A = 5.25
+    DELTAS = (1e-1, 1e-2, 1e-3)
+
+    @staticmethod
+    def _jd(delta):
+        H = (1 + delta / 2) * np.kron(PAULI_Z, IDENT) + (1 - delta / 2) * np.kron(IDENT, PAULI_Z)
+        A = 0.5 * (np.kron(PAULI_X, IDENT) + np.kron(IDENT, PAULI_X))
+        return decompose_coupling(eigensystem(HermitianOperator(H)), HermitianOperator(A))
+
+    def test_cgme_lamb_shift_continuous(self, toy_bath):
+        merged = self._jd(0.0)
+        assert np.allclose(merged.frequencies, [-2.0, 2.0], atol=1e-12)
+        H_merged, _ = cgme_lamb_shift(merged, toy_bath, self.T_A)
+        davies_merged = davies_generator(merged, toy_bath).meta["H_LS"]
+        gaps, davies_gaps = [], []
+        for delta in self.DELTAS:
+            jd = self._jd(delta)
+            assert len(jd.frequencies) == 4 and delta > jd.freq_tol
+            H_LS, _ = cgme_lamb_shift(jd, toy_bath, self.T_A)
+            gaps.append(np.linalg.norm(H_LS - H_merged, 2))
+            davies = davies_generator(jd, toy_bath).meta["H_LS"]
+            davies_gaps.append(np.linalg.norm(davies - davies_merged, 2))
+        for k in range(len(self.DELTAS) - 1):
+            shrink = self.DELTAS[k + 1] / self.DELTAS[k]
+            assert gaps[k + 1] <= 1.05 * shrink * gaps[k]
+        assert gaps[-1] < 1e-5
+        assert min(davies_gaps) > 1e3 * gaps[-1]
 
 
 class TestKossakowski:
