@@ -21,9 +21,10 @@ The coarse-grained Lamb shift H_LS = sum F_{w w'} A_{w'} A_w takes every
 coefficient F_{w w'} from one composite Gauss-Legendre grid on [0, T_a]:
 C(theta) is evaluated once per grid, F is assembled pairwise from the
 half-range transforms of C at the Bohr frequencies and their negatives, and
-only the pairs with w + w' near 0 take a contraction over nodes.  Panels are halved by ``quadrature.refine`` until no
-coefficient moves by more than its tolerances; the last change is reported
-as the quadrature error estimate (``GeneratorSet.meta["lamb_quad_error"]``).
+only the pairs with w + w' near 0 take a contraction over nodes.  Panels
+are halved by ``quadrature.refine`` until no coefficient moves by more than
+its tolerances; the last change is reported as the quadrature error
+estimate (``GeneratorSet.meta["lamb_quad_error"]``).
 Davies and Redfield generators take S(w) for every Bohr frequency from one
 call on the bath's refined grid and report its error the same way.
 """

@@ -147,10 +147,10 @@ class TestCoarseGrainedCoefficients:
         F = []
         for phase in phases:
             w, wp = 2.0 + phase / self.T_A, -2.0 + phase / self.T_A
+            assert (abs(0.5 * (w + wp)) * self.T_A < LAMB_PHASE_CUT) == (phase < LAMB_PHASE_CUT)
             F.append(cgme_lamb_F(w, wp, self.T_A, toy_bath))
             ref = oracles.lamb_f_direct(w, wp, self.T_A, toy_bath.correlation)
             assert abs(F[-1] - ref) < 1e-8 * max(1.0, abs(ref))
-        assert abs(0.5 * (w + wp)) * self.T_A > LAMB_PHASE_CUT
         assert abs(F[1] - F[0]) < 1e-12
         assert abs(F[3] - F[2]) < 1e-12 * abs(F[3])
 
