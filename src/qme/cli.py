@@ -116,7 +116,10 @@ def _run_equation(
     elif eq.equation_kind == "davies":
         gen = davies_generator(jd, bath, lambless=eq.lambless)
     else:
-        gen = cgme_generator(jd, bath, eq)
+        try:
+            gen = cgme_generator(jd, bath, eq)
+        except ValueError as exc:   # e.g. a bath that is not CP-admissible
+            raise ConfigError(f"{_equation_tag(eq)}: {exc}") from exc
     return evolve(gen, rho0, grid, metadata={"equation_kind": eq.equation_kind})
 
 

@@ -9,22 +9,24 @@ Builds, from a Hamiltonian eigensystem and a coupling operator:
   frequency form (Kossakowski matrix over Bohr pairs, diagonalized into
   Lindblad operators) and the discretized continuous-filter form.
 
-All coarse-grained coefficient integrals reduce the filter overlap
+The coarse-grained coefficients are double time integrals of C over the
+averaging window (Majenz et al., PRA 88, 012103 (2013)): the Kossakowski
+matrix K_ij = gamma_{w_i, -w_j} with
 
-    gamma_{w w'} = integral f(eps, w) f(eps, -w') d eps,
-    f(eps, w) = sqrt(gamma(eps) T_a / 2 pi) sinc[T_a (eps - w)/2]
+    gamma_{w w'} = (1/T_a) int int_{[0, T_a]^2} C(s' - s) e^{i(w s - w' s')} ds ds',
 
-to quadratures that are assembled as Gram matrices, so positivity of the
-resulting Lindblad weights is automatic up to roundoff.
-
-The coarse-grained Lamb shift H_LS = sum F_{w w'} A_{w'} A_w takes every
-coefficient F_{w w'} from one composite Gauss-Legendre grid on [0, T_a]:
-C(theta) is evaluated once per grid, F is assembled pairwise from the
-half-range transforms of C at the Bohr frequencies and their negatives, and
-only the pairs with w + w' near 0 take a contraction over nodes.  Panels
-are halved by ``quadrature.refine`` until no coefficient moves by more than
-its tolerances; the last change is reported as the quadrature error
-estimate (``GeneratorSet.meta["lamb_quad_error"]``).
+and the Lamb coefficients F_{w w'} of H_LS = sum F_{w w'} A_{w'} A_w.  Both
+come from one composite Gauss-Legendre grid on [0, T_a]: C(theta) is
+evaluated once per grid, the coefficients are assembled pairwise from the
+half-range transforms of C at the Bohr frequencies, and only near-degenerate
+pairs take a contraction over nodes.  Panels are halved by
+``quadrature.refine`` until no coefficient moves by more than its
+tolerances; the last change is the error estimate ``GeneratorSet.meta``
+reports.  For gamma >= 0, K equals the filter overlap int f(eps, w_i)
+f(eps, w_j) d eps, f(eps, w) = sqrt(gamma(eps) T_a / 2 pi) sinc[T_a (eps - w)/2],
+a Gram matrix, so positive semidefinite up to that error; a bath with
+gamma < 0 somewhere is refused.  The filter form serves the discretized and
+the driven generators.
 Davies and Redfield generators take S(w) for every Bohr frequency from one
 call on the bath's refined grid and report its error the same way.
 """
@@ -259,7 +261,7 @@ def cgme_gamma(w, wp, T_a, bath) -> float:
     """Square-domain coefficient gamma_{w w'} (always real), by the filter
     factorization integral f(eps, w) f(eps, -w') d eps on a composite Gauss
     grid."""
-    nodes, wt = _epsilon_grid(bath, T_a, (w, -wp))
+    nodes, wt = _epsilon_grid(bath, T_a)
     F = _filter(bath, T_a, nodes, (w, -wp))
     return float(np.sum(wt * F[:, 0] * F[:, 1]))
 
@@ -278,48 +280,41 @@ def _filter(bath, T_a, eps, freqs):
     return F
 
 
-def _epsilon_grid(bath, T_a, freqs=(), order=24):
+def _epsilon_grid(bath, T_a, order=24):
     """Composite Gauss-Legendre filter grid on a window [-W, W] covering the
-    support of gamma(eps) and, with ``freqs``, every sinc centre with
-    10 / T_a to spare.  Its equal panels of width min(pi / T_a, W / 16)
-    resolve the sinc oscillation of period 4 pi / T_a; the panel edges
-    include eps = 0."""
+    support of gamma(eps), outside which every filter product vanishes.  Its
+    equal panels of width min(pi / T_a, W / 16) resolve the sinc oscillation
+    of period 4 pi / T_a; the panel edges include eps = 0."""
     W = bath.support_radius()
-    if freqs:
-        W = max(W, 1.5 * max(abs(f) for f in freqs) + 10.0 / max(T_a, 1e-9))
     width = min(np.pi / max(T_a, 1e-9), max(W / 16.0, 1e-12))
     n_half = int(np.ceil(W / width))
     return gauss_panels(np.linspace(-n_half * width, n_half * width, 2 * n_half + 1), order)
 
 
-def _lamb_coefficients(w, wp, T_a, bath):
-    """All Lamb coefficients F[i, j] = F_{w_i, wp_j} on one refined grid.
+def _cgme_coefficients(w, wp, T_a, bath, lamb=True):
+    """K[i, j] = gamma_{w_i, -wp_j} and, with ``lamb``, the Lamb coefficients
+    F[i, j] = F_{w_i, wp_j} on one refined grid: (K, F or None, the largest
+    change of any of them over the last halving).  The starting grid on
+    [0, T_a] has panels of at most PANEL_PHASE radians at the largest
+    |frequency| and an edge at the kink tau_c of a finite-support C.
 
-    The starting grid on [0, T_a] has panels of at most PANEL_PHASE radians
-    at the largest |frequency| and an edge at the kink tau_c of a bath with
-    a finite-support correlation function; ``refine`` halves it until no
-    coefficient moves by more than its tolerances.  Returns F and the
-    largest change of the last halving.
+    With C^(f) = int_0^{T_a} C(th) e^{i f th} dth, d = wp - w, w+- = (w +- wp)/2,
 
-    With the half-range transform C^(f) = int_0^{T_a} C(th) e^{i f th} dth,
+        K_{w wp} = 2 Im[e^{i d T_a/2} (C^(w) + conj C^(wp))] / (d T_a),
+        F_{w wp} = Re[e^{-i T_a w+} C^(w) - e^{i T_a w+} C^(-wp)] / (2 T_a w+).
 
-        F_{w w'} = Re[e^{-i T_a w+} C^(w) - e^{i T_a w+} C^(-w')] / (2 T_a w+),
+    A chunk of nodes costs one exponential row per distinct |f| (C^(-|f|)
+    from the same row, conjugated) and matrix-vector products; the O(n^2)
+    combination runs once per grid, as ``refine``'s ``finish``.  Pairs with
+    |d| T_a (K) or |w+| T_a (F) below LAMB_PHASE_CUT would lose their two
+    near-equal terms to cancellation and take, with y = T_a - th and
+    sinc(x) = sin(x)/x, the cancellation-free forms
 
-    so a chunk of nodes costs one exponential row per distinct |f| over
-    f in {w_i} and {-wp_j} (C^(-|f|) comes from the same row, conjugated),
-    one matrix product for the transforms, and O(n^2) to combine them:
-    O(n n_th + n^2) in all for n frequencies and n_th nodes, not the
-    O(n^2 n_th) of a (pair x node) tensor.
+        K_{w wp} = (2/T_a) Re int_0^{T_a} e^{i w+ th} C(th) y sinc(d y/2) dth,
+        F_{w wp} = (1/T_a) Im int_0^{T_a} e^{i w- th} C(th) y sinc(w+ y) dth:
 
-    Pairs with |w+| T_a < LAMB_PHASE_CUT, among them the w+ = 0 pairs of
-    every +-w, would lose their two near-equal terms to cancellation; they
-    keep the pair form, restricted to them,
-
-        F_{w w'} = -(1/T_a) int_0^{T_a} Im[e^{i w- th} C(th)] x sinc(w+ x / pi) dth,
-
-    with x = th - T_a and their phases w- among the exponential rows.  F is
-    linear in the integrand, so ``refine`` tests convergence per F entry
-    whichever form a pair takes.
+    a transform of y C where the sinc is 1 (every diagonal K entry, the
+    w+ = 0 pairs of every +-w), else a contraction over the chunk's nodes.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     wp = np.atleast_1d(np.asarray(wp, dtype=float))
@@ -329,84 +324,85 @@ def _lamb_coefficients(w, wp, T_a, bath):
     tau_c = getattr(bath, "tau_c", None)
     if tau_c is not None and 0.0 < tau_c < T_a:
         edges = np.union1d(edges, [tau_c])
+    n, m = len(w), len(wp)
     w_plus = 0.5 * (w[:, None] + wp[None, :])
-    near = np.abs(w_plus) * T_a < LAMB_PHASE_CUT
-    si, sj = np.nonzero(near)
-    scale = 2.0 * T_a * np.where(near, 1.0, w_plus)
-    left = np.where(near, 0.0, np.exp(-1j * T_a * w_plus) / scale)
-    right = np.where(near, 0.0, np.exp(1j * T_a * w_plus) / scale)
-    # every frequency a chunk needs: the transforms at w and -w', then the
-    # phases w- of the near pairs; e^{-i f th} is the conjugate of
-    # e^{i f th}, so one exponential row per distinct |f| serves both signs
-    freqs = np.concatenate([w, -wp, 0.5 * (w[si] - wp[sj])])
-    mags, row = np.unique(np.abs(freqs), return_inverse=True)
-    negative = freqs < 0
-    n, m = len(w), len(w) + len(wp)
-    x_plus = w_plus[si, sj] / np.pi
+    delta = wp[None, :] - w[:, None]
+    near_k = np.abs(delta) * T_a < LAMB_PHASE_CUT
+    near_f = (np.abs(w_plus) * T_a < LAMB_PHASE_CUT) & lamb
+    (ki, kj), (fi, fj) = np.nonzero(near_k), np.nonzero(near_f)
+    half = 0.5 * T_a * np.where(near_k, 1.0, delta)
+    k_phase = np.exp(1j * half) / half
+    if lamb:
+        scale = 2.0 * T_a * np.where(near_f, 1.0, w_plus)
+        left, right = np.exp(-1j * T_a * w_plus) / scale, np.exp(1j * T_a * w_plus) / scale
+    # the near pairs' phases and sinc rates (over pi), K's first
+    phases = np.concatenate([w_plus[ki, kj], 0.5 * (w[fi] - wp[fj])])
+    rates = np.concatenate([0.5 * delta[ki, kj], w_plus[fi, fj]]) / np.pi
+    mags, row = np.unique(np.abs(np.concatenate([w, wp, phases])), return_inverse=True)
+    moving = np.flatnonzero(rates)          # the near pairs whose sinc is not 1
+    n_k, n_rows, near_rows = len(ki), len(mags), row[n + m:]
 
     def term(theta, wt, corr):
         weighted = wt * corr
+        y_weighted = (T_a - theta) * weighted
         rows = np.exp(1j * np.outer(mags, theta))
-        # C^(-|f|) = conj(sum_k e^{i|f| th_k} conj(wt_k C_k)); two
-        # matrix-vector products, whose sums round alike for nearby |f|,
-        # so the near-cancelling pairs above the cut lose less than they
-        # would from one two-column matrix product
-        positive = rows @ weighted
-        mirrored = (rows @ weighted.conj()).conj()
-        transform = np.where(negative[:m], mirrored[row[:m]], positive[row[:m]])
-        F = (left * transform[:n, None] - right * transform[None, n:]).real
-        if len(si):
-            x = theta - T_a
-            phase = rows[row[m:]]
-            phase = np.where(negative[m:, None], phase.conj(), phase)
-            # sin(w+ x)/w+ written as x*sinc to stay analytic at w+ = 0
-            sinc = np.sinc(np.outer(x_plus, x))
-            F[si, sj] = -np.einsum("pk,pk->p", (phase * (x * weighted)).imag, sinc) / T_a
-        return F
+        vectors = (weighted, weighted.conj(), y_weighted, y_weighted.conj())
+        sinc = np.sinc(np.outer(rates[moving], T_a - theta)) * rows[near_rows[moving]]
+        # sum_k e^{-i|f| th_k} v_k = conj(sum_k e^{i|f| th_k} conj(v_k)); one
+        # matrix-vector product per vector rounds alike for nearby |f|, so
+        # the pairs just above the cut lose less than in one matrix product
+        return np.concatenate([rows @ v for v in vectors] + [sinc @ v for v in vectors[2:]])
 
-    return refine(term, lambda theta: np.asarray(bath.correlation(theta), dtype=complex),
-                  edges)
+    def finish(total):
+        pos, neg, y_pos, y_neg, s_pos, s_neg = np.split(
+            total, np.cumsum([n_rows] * 4 + [len(moving)]))
+
+        def at(f, idx, pos, neg):          # sum_k e^{i f th_k} v_k
+            return np.where(f < 0, neg[idx].conj(), pos[idx])
+
+        c_w, c_wp = at(w, row[:n], pos, neg), at(wp, row[n:n + m], pos, neg)
+        near = at(phases, near_rows, y_pos, y_neg)
+        near[moving] = at(phases[moving], slice(None), s_pos, s_neg)
+        near /= T_a
+        # its own array: a view would keep the complex (n x m) buffer alive
+        K = (k_phase * (c_w[:, None] + c_wp.conj())).imag.copy()
+        K[ki, kj] = 2.0 * near[:n_k].real
+        if not lamb:
+            return K
+        F = (left * c_w[:, None] - right * at(-wp, row[n:n + m], pos, neg)).real
+        F[fi, fj] = near[n_k:].imag
+        return np.stack([K, F])
+
+    out, err = refine(term, lambda theta: np.asarray(bath.correlation(theta), dtype=complex),
+                      edges, finish=finish)
+    return (out[0].copy(), out[1], err) if lamb else (out, None, err)
 
 
 def cgme_lamb_F(w, wp, T_a, bath) -> float:
-    """Lamb-shift coefficient
-
-    F_{w w'} = (1/(2 T_a w+)) Re int_0^{T_a}
-               (exp(i(w th - T_a w+)) - exp(-i(w' th - T_a w+))) C(th) dth
-             = Re[e^{-i T_a w+} C^(w) - e^{i T_a w+} C^(-w')] / (2 T_a w+),
-
-    with C^(f) = int_0^{T_a} C(th) e^{i f th} dth.  When |w+| T_a <
-    LAMB_PHASE_CUT it is evaluated through the identity
-    (...) = 2i exp(i w- th) sin(w+ (th - T_a)), which makes the w+ -> 0
-    limit manifestly removable (sin(w+ x)/w+ -> x).  One pair of the
-    refined composite Gauss-Legendre grid of ``cgme_lamb_shift``."""
-    F, _ = _lamb_coefficients(w, wp, T_a, bath)
-    return float(F[0, 0])
+    """Lamb-shift coefficient F_{w w'} = (1/(2 T_a w+)) Re int_0^{T_a}
+    (exp(i(w th - T_a w+)) - exp(-i(w' th - T_a w+))) C(th) dth, one pair
+    of ``_cgme_coefficients`` (the w+ -> 0 limit is removable)."""
+    return float(_cgme_coefficients(w, wp, T_a, bath)[1][0, 0])
 
 
-def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a):
-    """(H_LS, quad_error): the Hermitian Lamb shift
-
-        H_LS = sum_{w w'} F_{w w'} A_{w'} A_w
-
-    and the largest change of any F_{w w'} over the last grid refinement.
-    Every F_{w w'} comes from a shared composite Gauss-Legendre grid on
-    [0, T_a], with C evaluated once per grid: the half-range transforms
-    C^(w) and C^(-w) of the n Bohr frequencies are combined pairwise,
-
-        F_{w w'} = Re[e^{-i T_a w+} C^(w) - e^{i T_a w+} C^(-w')] / (2 T_a w+),
-
-    and only the pairs with |w+| T_a < LAMB_PHASE_CUT (the +-w pairs and
-    near-degenerate ones) take the sinc contraction over nodes instead, so
-    the cost is O(n n_th + n^2) for n_th nodes (see ``_lamb_coefficients``)."""
-    F, err = _lamb_coefficients(jd.frequencies, jd.frequencies, T_a, bath)
+def _lamb_operator(jd: JumpDecomposition, F):
+    """The Hermitian H_LS = sum_{w w'} F_{w w'} A_{w'} A_w."""
     ops = np.array(jd.operators)
     B = np.tensordot(F, ops, axes=(0, 0))          # B_j = sum_i F_ij A_i
     H_LS = np.einsum("jab,jbc->ac", ops, B)       # sum_j A_j B_j
     sym = 0.5 * (H_LS + H_LS.conj().T)
     if np.max(np.abs(H_LS - sym)) > 1e-9 * max(1.0, np.max(np.abs(sym))):
         raise ArithmeticError("Lamb shift failed to come out Hermitian")
-    return sym, err
+    return sym
+
+
+def cgme_lamb_shift(jd: JumpDecomposition, bath, T_a):
+    """(H_LS, quad_error): the Hermitian Lamb shift
+    H_LS = sum_{w w'} F_{w w'} A_{w'} A_w and the largest change of any
+    coefficient over the last halving of the grid it shares with the
+    Kossakowski matrix (``_cgme_coefficients``)."""
+    _, F, err = _cgme_coefficients(jd.frequencies, jd.frequencies, T_a, bath)
+    return _lamb_operator(jd, F), err
 
 
 def cgme_a_epsilon(jd: JumpDecomposition, eps, T_a, bath) -> np.ndarray:
@@ -417,43 +413,43 @@ def cgme_a_epsilon(jd: JumpDecomposition, eps, T_a, bath) -> np.ndarray:
     return out
 
 
+def _require_cp_admissible(bath):
+    if not getattr(bath, "cp_admissible", True):
+        raise ValueError(f"{bath.not_cp_message}; the coarse-grained generator needs gamma >= 0")
+
+
 def kossakowski_matrix(jd: JumpDecomposition, bath, T_a,
                        discretization: DiscretizationParams | None = None):
-    """Coefficient matrix K[i, j] = integral f(eps, w_i) f(eps, w_j) d eps
-    over the Bohr frequencies of ``jd``.
-
-    With continuous eps this is gamma_{w_i, -w_j}; passing discretization
-    parameters replaces the integral by its Riemann sum over the
-    (2 k* - 1) grid points, which is exactly the discretized generator's
-    coefficient matrix.  Either way K is a Gram matrix, hence positive
-    semidefinite up to roundoff.
-    """
-    freqs = jd.frequencies
+    """Coefficient matrix K[i, j] = gamma_{w_i, -w_j} over the Bohr
+    frequencies of ``jd``, from the half-range transforms of C on one refined
+    grid (``_cgme_coefficients``).  It equals the filter overlap
+    int f(eps, w_i) f(eps, w_j) d eps; passing discretization parameters
+    replaces that integral by its Riemann sum over the (2 k* - 1) grid
+    points, the discretized generator's coefficient matrix.  A bath that is
+    not CP-admissible (gamma < 0 somewhere) raises ValueError."""
+    _require_cp_admissible(bath)
     if discretization is None:
-        nodes, wt = _epsilon_grid(bath, T_a, tuple(freqs))
-    else:
-        de, ks = discretization.delta_epsilon, discretization.k_star
-        nodes = de * np.arange(-(ks - 1), ks)
-        wt = np.full(nodes.shape, de)
-    F = _filter(bath, T_a, nodes, freqs)
-    return (F * wt[:, None]).T @ F
+        return _cgme_coefficients(jd.frequencies, jd.frequencies, T_a, bath, lamb=False)[0]
+    de, ks = discretization.delta_epsilon, discretization.k_star
+    F = _filter(bath, T_a, de * np.arange(-(ks - 1), ks), jd.frequencies)
+    return (F * de).T @ F
 
 
 def _lindblad_from_kossakowski(operators, K):
-    """Lindblad terms (weight, L_mu = sum_i v_i^mu operators[i]) from the
-    eigenpairs of the Hermitian part of K; raises ArithmeticError when an
-    eigenvalue falls below -WEIGHT_CLIP_TOL and drops the clipped ones.
-    Every kept L_mu comes from one contraction of the eigenvectors with the
-    stacked operators."""
+    """(Lindblad terms (weight, L_mu = sum_i v_i^mu operators[i]) from the
+    eigenpairs of the Hermitian part of K, those at or below 0 dropped, and
+    its smallest eigenvalue); raises ArithmeticError when that is below
+    -WEIGHT_CLIP_TOL.  The L_mu come from one contraction of the kept
+    eigenvectors with the stacked operators."""
     K = 0.5 * (K + np.conj(K).T)
     vals, vecs = np.linalg.eigh(K)
-    if np.min(vals) < -WEIGHT_CLIP_TOL:
+    if vals[0] < -WEIGHT_CLIP_TOL:
         raise ArithmeticError(
-            f"Kossakowski matrix eigenvalue {np.min(vals):.3e} below "
+            f"Kossakowski matrix eigenvalue {vals[0]:.3e} below "
             f"-{WEIGHT_CLIP_TOL}: positivity violated")
     keep = vals > 0
     L = np.tensordot(vecs[:, keep], np.asarray(operators, dtype=complex), axes=(0, 0))
-    return tuple(zip(vals[keep].tolist(), L))
+    return tuple(zip(vals[keep].tolist(), L)), float(vals[0])
 
 
 def discretization_params(bath_timescales, commutator_norm) -> DiscretizationParams:
@@ -482,26 +478,30 @@ def discretization_params(bath_timescales, commutator_norm) -> DiscretizationPar
 def cgme_generator(jd: JumpDecomposition, bath, config: GeneratorConfig) -> GeneratorSet:
     """Coarse-grained generator in Lindblad form.
 
-    equation_kind "cgme_frequency" integrates the filter overlap exactly;
-    "cgme_discrete" uses the finite filter grid (config.discretization,
-    with the Lamb shift still taken from the frequency form)."""
+    equation_kind "cgme_frequency" takes K and the Lamb coefficients from
+    one refined grid (``_cgme_coefficients``); "cgme_discrete" takes K from
+    the finite filter grid (config.discretization).  ``meta`` records each
+    refined grid's error estimate (None where there is none) and the
+    smallest eigenvalue of K, whose negative part the Lindblad weights clip.
+    A bath that is not CP-admissible raises ValueError."""
     if config.equation_kind not in ("cgme_frequency", "cgme_discrete"):
         raise ValueError("config.equation_kind must be cgme_frequency or cgme_discrete")
-    disc = None
-    if config.equation_kind == "cgme_discrete":
-        disc = config.discretization
-        if disc is None:
-            raise ValueError("cgme_discrete requires discretization parameters")
-    K = kossakowski_matrix(jd, bath, config.T_a, discretization=disc)
-    ops = _lindblad_from_kossakowski(jd.operators, K)
-    if config.lambless:
-        H_LS, lamb_err = np.zeros((jd.dim, jd.dim), dtype=complex), None
-    else:
-        H_LS, lamb_err = cgme_lamb_shift(jd, bath, config.T_a)
+    disc = config.discretization if config.equation_kind == "cgme_discrete" else None
+    if config.equation_kind == "cgme_discrete" and disc is None:
+        raise ValueError("cgme_discrete requires discretization parameters")
+    _require_cp_admissible(bath)
+    lamb = not config.lambless
+    K = F = err = None
+    if disc is None or lamb:
+        K, F, err = _cgme_coefficients(jd.frequencies, jd.frequencies, config.T_a, bath, lamb)
+    K, k_err = (K, err) if disc is None else (kossakowski_matrix(jd, bath, config.T_a, disc), None)
+    ops, k_min = _lindblad_from_kossakowski(jd.operators, K)
+    H_LS = _lamb_operator(jd, F) if lamb else np.zeros((jd.dim, jd.dim), dtype=complex)
     return GeneratorSet(
         H_eff=jd.hamiltonian + H_LS, kind=config.equation_kind,
         lindblad_ops=ops,
         meta={"T_a": config.T_a, "lambless": config.lambless,
-              "H_LS": H_LS, "lamb_quad_error": lamb_err, "kossakowski": K,
+              "H_LS": H_LS, "lamb_quad_error": err if lamb else None, "kossakowski": K,
+              "kossakowski_quad_error": k_err, "kossakowski_min_eigenvalue": k_min,
               "discretization": disc},
     )

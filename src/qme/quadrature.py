@@ -1,8 +1,9 @@
 """Composite Gauss-Legendre rules and the panel-halving loops every refined
 fixed-grid integral runs on: ``refine`` for a definite integral (the
-coarse-grained Lamb coefficients, the dispersive part S(omega), the DD
-suppression ratio and the bath timescale integrals) and ``cumulative`` for a
-running one (the filter of the time-local reference).  A running integral
+coarse-grained Kossakowski and Lamb coefficients, the dispersive part
+S(omega), the DD suppression ratio and the bath timescale integrals) and
+``cumulative`` for a running one (the filter of the time-local reference).
+A running integral
 keeps its integrand's values on the converged grid and answers every query
 from them: the partial panel up to t is the integral of the polynomial that
 interpolates those values on the panel's Gauss nodes."""
@@ -60,7 +61,7 @@ def _on_grid(term, factor, edges):
     return total
 
 
-def refine(term, factor, edges, epsabs=EPSABS):
+def refine(term, factor, edges, epsabs=EPSABS, finish=None):
     """An integral on the composite Gauss rule over ``edges``, refined by
     halving every panel until no entry moves by more than
     max(epsabs, EPSREL |value|).  An integral whose own size sets its scale,
@@ -70,14 +71,21 @@ def refine(term, factor, edges, epsabs=EPSABS):
     evaluated once per grid; ``term(nodes, weights, factor_values)`` returns
     the contribution of a chunk of nodes, an array of any fixed shape, and is
     summed over chunks of at most CHUNK_ELEMENTS (entry x node) terms.
-    Returns the finer value and the largest change of the last halving;
-    raises ArithmeticError when the panel count would exceed MAX_PANELS.
+    ``finish``, a linear map, takes each grid's sum to the value whose
+    entries are tested, so a term may return a few integrals that many
+    entries combine.  Returns the finer value and the largest change of the
+    last halving; raises ArithmeticError when the panel count would exceed
+    MAX_PANELS.
     """
+    def level(edges):
+        total = _on_grid(term, factor, edges)
+        return total if finish is None else finish(total)
+
     edges = np.asarray(edges, dtype=float)
-    value = _on_grid(term, factor, edges)
+    value = level(edges)
     while 2 * (len(edges) - 1) <= MAX_PANELS:
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        fine = _on_grid(term, factor, edges)
+        fine = level(edges)
         change = np.abs(fine - value)
         if np.all(change <= np.maximum(epsabs, EPSREL * np.abs(fine))):
             return fine, float(np.max(change, initial=0.0))

@@ -164,6 +164,16 @@ class TestTrigamma:
     def test_at_one(self):
         assert abs(_trigamma(1.0) - np.pi ** 2 / 6.0) <= 1e-15 * np.pi ** 2 / 6.0
 
+    def test_array_matches_each_entry(self):
+        # every entry takes its own shift count, so an array call equals the
+        # scalar calls, whatever the other entries are, up to the rounding
+        # of numpy's array and scalar complex arithmetic
+        rng = np.random.default_rng(24)
+        z = (rng.uniform(0.01, 20.0, 120) + 1j * rng.uniform(-15.0, 15.0, 120)).reshape(3, 40)
+        each = np.array([[_trigamma(x) for x in line] for line in z])
+        assert np.all(np.abs(_trigamma(z) - each) <= 4e-16 * np.abs(each))
+        assert _trigamma(z[:0]).shape == (0, 40)
+
     def test_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(23)

@@ -311,6 +311,14 @@ class TestCliOutputs:
         assert code == 0
         assert "not CP-admissible" in (out / "bath_info.txt").read_text()
 
+    def test_cgme_refuses_bath_that_is_not_cp_admissible(self, tmp_path, capsys):
+        doc = _base_doc()
+        doc["bath"] = {"kind": "rectangle", "params": {"g": 0.5, "tau_c": 1.0}}
+        doc["equations"] = [{"kind": "cgme_frequency", "t_a": 1.0}]
+        code = main(["evolve", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "not CP-admissible" in capsys.readouterr().err
+
     def test_evolve_csv_shape(self, tmp_path):
         out = tmp_path / "o"
         code = main(["evolve", "--config", _write(tmp_path, _base_doc()),

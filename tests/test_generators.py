@@ -1,6 +1,8 @@
 """Generator construction: jump decompositions, Redfield/Davies, coarse-grained
 coefficients against independent quadrature oracles, and limit relations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,7 @@ from qme.generators import (
     DiscretizationParams,
     _lindblad_from_kossakowski,
     GeneratorConfig,
-    _epsilon_grid,
-    _lamb_coefficients,
+    _cgme_coefficients,
     cgme_gamma,
     cgme_generator,
     cgme_lamb_F,
@@ -24,7 +25,9 @@ from qme.generators import (
     redfield_filtered,
     redfield_generator,
 )
-from qme.operators import HermitianOperator, eigensystem, operator_norm
+from qme.diagnostics import BoundParams, bound_summary
+from qme.evolve import evolve, evolve_ore, trace_distance_series
+from qme.operators import DensityMatrix, HermitianOperator, eigensystem, operator_norm
 
 from conftest import IDENT, PAULI_X, PAULI_Y, PAULI_Z
 import oracles
@@ -175,7 +178,7 @@ class _HiddenJumpBath:
 
 def _sinc_lamb_coefficients(w, wp, T_a, bath):
     """F[i, j] as one (pair x node) contraction per chunk, on the grid and
-    refinement of ``_lamb_coefficients``: the reference the transform form
+    refinement of ``_cgme_coefficients``: the reference the transform form
     replaced.  Re[i e^{i w- th} C(th)] = -Im[e^{i w th/2} e^{-i w' th/2}
     C(th)], and sin(w+ x)/w+ = x sinc(w+ x / pi) with x = th - T_a."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -225,7 +228,7 @@ class TestLambTransform:
     @pytest.mark.parametrize("t_a", [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 1.17])
     def test_matches_sinc_path_benchmark(self, benchmark_jd, toy_bath, t_a):
         w = benchmark_jd.frequencies
-        ours, err = _lamb_coefficients(w, w, t_a, toy_bath)
+        _, ours, err = _cgme_coefficients(w, w, t_a, toy_bath)
         ref, ref_err = _sinc_lamb_coefficients(w, w, t_a, toy_bath)
         assert np.max(np.abs(ours - ref)) <= 1e-15
         assert err <= max(quadrature.EPSABS, quadrature.EPSREL * np.max(np.abs(ours)))
@@ -234,7 +237,7 @@ class TestLambTransform:
     def test_matches_sinc_path_parity_model(self, toy_bath, t_a):
         w = _parity_model_jd().frequencies
         assert len(w) == 25
-        ours, _ = _lamb_coefficients(w, w, t_a, toy_bath)
+        _, ours, _ = _cgme_coefficients(w, w, t_a, toy_bath)
         ref, _ = _sinc_lamb_coefficients(w, w, t_a, toy_bath)
         assert np.max(np.abs(ours - ref)) <= 1e-15
 
@@ -243,7 +246,7 @@ class TestLambTransform:
         # its own sign, and the near pairs sit off the anti-diagonal
         w = np.array([-2.3, -0.4, 0.0, 1.1, 3.2])
         wp = np.array([2.3 + 1e-4, 0.5, -1.1, 0.7])
-        ours, _ = _lamb_coefficients(w, wp, 1.5, ohmic_bath)
+        _, ours, _ = _cgme_coefficients(w, wp, 1.5, ohmic_bath)
         ref, _ = _sinc_lamb_coefficients(w, wp, 1.5, ohmic_bath)
         assert ours.shape == (5, 4)
         assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -295,10 +298,15 @@ class TestGapClosing:
     DELTAS = (1e-1, 1e-2, 1e-3)
 
     @staticmethod
-    def _jd(delta):
+    def _model(delta):
         H = (1 + delta / 2) * np.kron(PAULI_Z, IDENT) + (1 - delta / 2) * np.kron(IDENT, PAULI_Z)
         A = 0.5 * (np.kron(PAULI_X, IDENT) + np.kron(IDENT, PAULI_X))
-        return decompose_coupling(eigensystem(HermitianOperator(H)), HermitianOperator(A))
+        return HermitianOperator(H), HermitianOperator(A)
+
+    @classmethod
+    def _jd(cls, delta):
+        H, A = cls._model(delta)
+        return decompose_coupling(eigensystem(H), A)
 
     def test_cgme_lamb_shift_continuous(self, toy_bath):
         merged = self._jd(0.0)
@@ -319,6 +327,36 @@ class TestGapClosing:
         assert gaps[-1] < 1e-5
         assert min(davies_gaps) > 1e3 * gaps[-1]
 
+    def test_trajectory_error_continuous(self, toy_bath):
+        # max trace distance to the time-local reference from |++> over
+        # 2.56 tau_SB: the coarse-grained error at d = 0.01 stays at its
+        # merged (d = 0) value, 0.068; Davies jumps from 0.043 to 0.381,
+        # below its a-priori bound, which grows as 1/sqrt(tau_SB d)
+        ts = toy_bath.timescales()
+        grid = np.linspace(0.0, 2.56 * ts.tau_SB, 65)
+        rho0 = DensityMatrix.from_pure(np.full(4, 0.5))
+
+        def errors(delta):
+            H, A = self._model(delta)
+            jd = decompose_coupling(eigensystem(H), A)
+            ref = evolve_ore(H, A, toy_bath, rho0, grid)
+            cgme = cgme_generator(jd, toy_bath, GeneratorConfig("cgme_frequency", T_a=self.T_A))
+            return [float(np.max(trace_distance_series(evolve(gen, rho0, grid), ref)[0]))
+                    for gen in (cgme, davies_generator(jd, toy_bath))]
+
+        cgme_merged, davies_merged = errors(0.0)
+        bp = BoundParams(tau_b=ts.tau_B, tau_sb=ts.tau_SB, t_a=self.T_A)
+        bounds = []
+        for delta in self.DELTAS:
+            cgme, davies = errors(delta)
+            if delta == 1e-2:
+                assert abs(cgme - cgme_merged) < 1e-3
+                assert davies > 5.0 * davies_merged
+            # the bound grows with t, so at t = 0 it is its smallest
+            bounds.append(bound_summary(bp, 0.0, delta_e=delta)["davies"].value)
+            assert bounds[-1] > davies
+        assert bounds == sorted(bounds)
+
 
 class TestKossakowski:
     def test_positive_semidefinite(self, benchmark_jd, toy_bath):
@@ -334,30 +372,97 @@ class TestKossakowski:
                 ref = oracles.cgme_gamma_reduced(freqs[i], -freqs[j], 1.12, toy_bath.correlation)
                 assert abs(K[i, j] - ref) < 1e-6 * max(1.0, abs(ref))
 
-    def test_one_gamma_call_matches_per_frequency_loop(self, benchmark_jd, toy_bath):
-        # gamma is evaluated once on the eps-grid and shared by every Bohr
-        # frequency's filter column; the result is bit for bit the loop that
-        # evaluates the filter f(eps, w) one frequency at a time
-        calls = []
+    @pytest.mark.parametrize("t_a", [0.5, 1.12, 12.24])
+    def test_every_pair_matches_reduced_oracle(self, benchmark_jd, toy_bath, t_a):
+        # K[i, j] = gamma_{w_i, -w_j}, the double time integral reduced to
+        # one dimension and integrated adaptively
+        K = kossakowski_matrix(benchmark_jd, toy_bath, t_a)
+        freqs = benchmark_jd.frequencies
+        ref = np.array([[oracles.cgme_gamma_reduced(w, -wp, t_a, toy_bath.correlation)
+                         for wp in freqs] for w in freqs])
+        assert K.dtype == float and K.flags.owndata
+        assert np.max(np.abs(K - ref)) < 1e-11
+
+    @pytest.mark.parametrize("t_a", [0.5, 1.12, 12.24])
+    def test_equals_filter_form(self, benchmark_jd, toy_bath, t_a):
+        # the filter overlap on the eps-grid equals the time-domain K
+        K = kossakowski_matrix(benchmark_jd, toy_bath, t_a)
+        freqs = benchmark_jd.frequencies
+        ref = np.array([[cgme_gamma(w, -wp, t_a, toy_bath) for wp in freqs] for w in freqs])
+        assert np.max(np.abs(K - ref)) < 1e-12
+
+    def test_near_degenerate_pairs_continuous(self, toy_bath):
+        # d T_a = 0, 1e-7, and just below and above the cut between the
+        # sinc form and the transform form: each against the reduced oracle
+        # (except at 1e-7, where the oracle's own inner integral cancels),
+        # and K continuous across the cut
+        t_a = 1.12
+        K = []
+        for phase in (0.0, 1e-7, LAMB_PHASE_CUT * (1 - 1e-9), LAMB_PHASE_CUT * (1 + 1e-9)):
+            w, wp = 2.0, 2.0 + phase / t_a
+            assert (abs(wp - w) * t_a < LAMB_PHASE_CUT) == (phase < LAMB_PHASE_CUT)
+            K.append(_cgme_coefficients(w, wp, t_a, toy_bath, lamb=False)[0][0, 0])
+            if phase != 1e-7:
+                ref = oracles.cgme_gamma_reduced(w, -wp, t_a, toy_bath.correlation)
+                assert abs(K[-1] - ref) < 1e-11
+        # K moves to first order in d (unlike F at w+ = 0, where the pair
+        # mirrors about the removable point): by at most the phase itself
+        assert abs(K[1] - K[0]) < 1e-7
+        assert abs(K[3] - K[2]) < 1e-12 * abs(K[3])
+
+    def test_one_correlation_call_per_level(self, benchmark_jd, toy_bath):
+        # K and F share one refined grid: the generator evaluates C once per
+        # level, on the grids of the Lamb shift alone, and never gamma
+        calls = {"correlation": [], "gamma": []}
 
         class CountingBath:
             def __getattr__(self, name):
                 return getattr(toy_bath, name)
 
+            def correlation(self, t):
+                calls["correlation"].append(np.size(t))
+                return toy_bath.correlation(t)
+
             def gamma(self, w):
-                calls.append(np.shape(w))
+                calls["gamma"].append(np.size(w))
                 return toy_bath.gamma(w)
 
-        t_a = 1.12
-        freqs = benchmark_jd.frequencies
-        K = kossakowski_matrix(benchmark_jd, CountingBath(), t_a)
-        nodes, wt = _epsilon_grid(toy_bath, t_a, tuple(freqs))
-        assert calls == [nodes.shape]
-        F = np.empty((len(nodes), len(freqs)))
-        for j, w in enumerate(freqs):
-            g = np.maximum(np.asarray(toy_bath.gamma(nodes), dtype=float), 0.0)
-            F[:, j] = np.sqrt(g * t_a / (2 * np.pi)) * np.sinc(t_a * (nodes - w) / (2 * np.pi))
-        assert np.array_equal(K, (F * wt[:, None]).T @ F)
+        bath = CountingBath()
+        cgme_generator(benchmark_jd, bath, GeneratorConfig("cgme_frequency", T_a=12.24))
+        sizes = list(calls["correlation"])
+        assert len(sizes) >= 2 and calls["gamma"] == []
+        assert sizes == [sizes[0] * 2 ** k for k in range(len(sizes))]
+        calls["correlation"].clear()
+        cgme_lamb_shift(benchmark_jd, bath, 12.24)
+        assert calls["correlation"] == sizes
+
+    def test_error_estimates_and_clipped_eigenvalue_recorded(self, benchmark_jd, toy_bath):
+        for lambless in (False, True):
+            gen = cgme_generator(benchmark_jd, toy_bath, GeneratorConfig(
+                "cgme_frequency", T_a=1.12, lambless=lambless))
+            err = gen.meta["kossakowski_quad_error"]
+            assert 0.0 <= err <= max(quadrature.EPSABS, quadrature.EPSREL)
+            K = gen.meta["kossakowski"]
+            assert abs(gen.meta["kossakowski_min_eigenvalue"] - np.linalg.eigvalsh(K)[0]) < 1e-15
+            assert gen.meta["kossakowski_min_eigenvalue"] > -WEIGHT_CLIP_TOL
+        disc = cgme_generator(benchmark_jd, toy_bath, GeneratorConfig(
+            "cgme_discrete", T_a=1.12, lambless=True,
+            discretization=DiscretizationParams(delta_epsilon=0.05, k_star=800, T_a=1.12)))
+        assert disc.meta["kossakowski_quad_error"] is None
+        assert disc.meta["lamb_quad_error"] is None
+
+    @pytest.mark.parametrize("kind", ["cgme_frequency", "cgme_discrete"])
+    def test_rejects_bath_that_is_not_cp_admissible(self, benchmark_jd, rectangle_bath, kind):
+        # gamma < 0 somewhere: the filter form would clip it to 0 and so
+        # compute another equation
+        disc = DiscretizationParams(delta_epsilon=0.05, k_star=80, T_a=1.5)
+        cfg = GeneratorConfig(kind, T_a=1.5, discretization=disc)
+        message = re.escape(rectangle_bath.not_cp_message)
+        with pytest.raises(ValueError, match=message):
+            cgme_generator(benchmark_jd, rectangle_bath, cfg)
+        with pytest.raises(ValueError, match=message):
+            kossakowski_matrix(benchmark_jd, rectangle_bath, 1.5, cfg.discretization
+                               if kind == "cgme_discrete" else None)
 
     def test_dissipator_from_weights_matches_matrix_form(self, benchmark_jd, toy_bath):
         # diagonalized Lindblad form reproduces sum_{ww'} K A X A^dag - ...
@@ -399,7 +504,7 @@ class TestLindbladFromKossakowski:
     ])
     def test_matches_loop(self, eigenvalues):
         ops, K = self._case(eigenvalues)
-        got = _lindblad_from_kossakowski(ops, K)
+        got, _ = _lindblad_from_kossakowski(ops, K)
         ref = oracles.lindblad_from_kossakowski_loop(ops, K, WEIGHT_CLIP_TOL)
         assert [w for w, _ in got] == [w for w, _ in ref]
         tol = 8 * len(ops) * np.finfo(float).eps * max(np.max(np.abs(a)) for a in ops)
@@ -408,7 +513,7 @@ class TestLindbladFromKossakowski:
 
     def test_matches_loop_on_benchmark(self, benchmark_jd, toy_bath):
         K = kossakowski_matrix(benchmark_jd, toy_bath, 1.12)
-        got = _lindblad_from_kossakowski(benchmark_jd.operators, K)
+        got, _ = _lindblad_from_kossakowski(benchmark_jd.operators, K)
         ref = oracles.lindblad_from_kossakowski_loop(benchmark_jd.operators, K, WEIGHT_CLIP_TOL)
         assert [w for w, _ in got] == [w for w, _ in ref]
         for (_, a), (_, b) in zip(got, ref):

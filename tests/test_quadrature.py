@@ -141,3 +141,23 @@ class TestInterpolantEvaluator:
         G(np.random.default_rng(5).uniform(0.0, 3.0, 5000))
         assert sum(sizes) == 5000 and len(sizes) > 1
         assert max(sizes) * quadrature.ORDER * 2 <= quadrature.CHUNK_ELEMENTS
+
+
+class TestRefineFinish:
+    def test_finish_combines_each_level(self):
+        # the term returns two transforms int_0^2 e^{i f x} dx; the linear
+        # finish combines them into the entries that refine tests
+        f = np.array([1.0, 3.0])
+
+        def term(x, w, _):
+            return np.exp(1j * np.outer(f, x)) @ w
+
+        def finish(total):
+            return np.array([total[0].real, (total[0] - total[1]).imag])
+
+        value, err = quadrature.refine(term, lambda x: x, [0.0, 2.0], finish=finish)
+        exact = (np.exp(2j * f) - 1.0) / (1j * f)
+        assert np.max(np.abs(value - finish(exact))) < 1e-14
+        assert 0.0 <= err <= max(EPSABS, EPSREL * np.max(np.abs(value)))
+        plain, _ = quadrature.refine(term, lambda x: x, [0.0, 2.0])
+        assert np.max(np.abs(finish(plain) - value)) < 1e-14
