@@ -256,24 +256,21 @@ def _trigamma(z):
     The recurrence psi_1(z) = psi_1(z + 1) + 1/z^2 pushes each argument up by
     its own K to |z + K| >= 12, where the asymptotic series
     psi_1(z) ~ 1/z + 1/(2 z^2) + sum_{k=1}^{9} B_2k / z^(2k+1), truncated
-    after B_18, is accurate to ~1e-19 relative.  The entries are sorted by
-    descending K, so step k of the recurrence runs on the prefix with K > k.
+    after B_18, is accurate to ~1e-19 relative.  Step k of the recurrence
+    runs only on the entries with K > k.
     """
     z = np.asarray(z, dtype=complex)
     K = np.maximum(0.0, np.ceil(12.0 - np.abs(z))).astype(int)
-    order = np.argsort(-K, axis=None, kind="stable")
-    z_sorted, K_sorted = z.ravel()[order], K.ravel()[order]
-    partial = np.zeros_like(z_sorted)
-    for k, n in enumerate(np.searchsorted(-K_sorted, -np.arange(K.max(initial=0)), "left")):
-        partial[:n] += 1.0 / (z_sorted[:n] + k) ** 2
-    acc = np.empty_like(partial)
-    acc[order] = partial
+    acc = np.zeros_like(z)
+    for k in range(K.max(initial=0)):
+        live = K > k
+        acc[live] += 1.0 / (z[live] + k) ** 2
     inv = 1.0 / (z + K)
     inv2 = inv * inv
     tail = _BERNOULLI_2K[-1]
     for b in _BERNOULLI_2K[-2::-1]:
         tail = b + inv2 * tail
-    return acc.reshape(z.shape) + inv * (1.0 + inv * (0.5 + inv * tail))
+    return acc + inv * (1.0 + inv * (0.5 + inv * tail))
 
 
 class OhmicBath(Bath):

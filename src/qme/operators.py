@@ -247,10 +247,15 @@ def vectorize_generator(H_eff, lindblad_ops) -> Superoperator:
     # sum_k w_k conj(L_k)[a, b] L_k[i, j] is the (a i),(b j) entry of
     # sum_k w_k conj(L_k) kron L_k, i.e. of the sandwich L rho L^+
     sandwich = wLc.reshape(len(w), d * d).T @ L.reshape(len(w), d * d)
-    sandwich = sandwich.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    mat = sandwich.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     # sum_k w_k L_k^+ L_k
     LdL = wLc.reshape(-1, d).T @ L.reshape(-1, d)
-    mat = hamiltonian_superop(H) + sandwich - 0.5 * (_left(LdL) + _right(LdL))
+    # -i[H, rho] - 1/2 {LdL, rho} = X rho + rho Y with X = -iH - LdL/2 and
+    # Y = iH - LdL/2, i.e. _left(X) + _right(Y): added in place on their
+    # block diagonals, so no other (d^2 x d^2) array is built
+    blocks, k = mat.reshape(d, d, d, d), np.arange(d)
+    blocks[k, :, k, :] += -1j * H - 0.5 * LdL
+    blocks[:, k, :, k] += (1j * H - 0.5 * LdL).T
     return Superoperator(mat, d)
 
 
