@@ -257,12 +257,15 @@ def _trigamma(z):
     its own K to |z + K| >= 12, where the asymptotic series
     psi_1(z) ~ 1/z + 1/(2 z^2) + sum_{k=1}^{9} B_2k / z^(2k+1), truncated
     after B_18, is accurate to ~1e-19 relative.  Step k of the recurrence
-    runs only on the entries with K > k.
+    runs on every entry while all need it, then only on those with K > k.
     """
     z = np.asarray(z, dtype=complex)
     K = np.maximum(0.0, np.ceil(12.0 - np.abs(z))).astype(int)
     acc = np.zeros_like(z)
-    for k in range(K.max(initial=0)):
+    shared, longest = K.min(initial=12), K.max(initial=0)      # K <= 12
+    for k in range(shared):
+        acc += 1.0 / (z + k) ** 2
+    for k in range(shared, longest):
         live = K > k
         acc[live] += 1.0 / (z[live] + k) ** 2
     inv = 1.0 / (z + K)

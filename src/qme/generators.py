@@ -304,17 +304,16 @@ def _cgme_coefficients(w, wp, T_a, bath, lamb=True):
         F_{w wp} = Re[e^{-i T_a w+} C^(w) - e^{i T_a w+} C^(-wp)] / (2 T_a w+).
 
     A chunk of nodes costs one exponential row per distinct |f| (C^(-|f|)
-    from the same row, conjugated) and matrix-vector products; the O(n^2)
-    combination runs once per grid, as ``refine``'s ``finish``.  Pairs with
-    |d| T_a (K) or |w+| T_a (F) below LAMB_PHASE_CUT would lose their two
-    near-equal terms to cancellation and take, with y = T_a - th and
-    sinc(x) = sin(x)/x, the cancellation-free forms
+    from the same row, conjugated); the O(n^2) combination runs once per
+    grid, as ``refine``'s ``finish``.  Pairs with |d| T_a (K) or |w+| T_a
+    (F) below LAMB_PHASE_CUT, whose two terms cancel, take the forms
 
         K_{w wp} = (2/T_a) Re int_0^{T_a} e^{i w+ th} C(th) y sinc(d y/2) dth,
         F_{w wp} = (1/T_a) Im int_0^{T_a} e^{i w- th} C(th) y sinc(w+ y) dth:
 
-    a transform of y C where the sinc is 1 (every diagonal K entry, the
-    w+ = 0 pairs of every +-w), else a contraction over the chunk's nodes.
+    with y = T_a - th and sinc(x) = sin(x)/x: a transform of y C where the
+    sinc is 1 (every diagonal K entry, the w+ = 0 pairs of every +-w), else
+    a contraction over the chunk's nodes.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     wp = np.atleast_1d(np.asarray(wp, dtype=float))
@@ -349,9 +348,11 @@ def _cgme_coefficients(w, wp, T_a, bath, lamb=True):
         vectors = (weighted, weighted.conj(), y_weighted, y_weighted.conj())
         sinc = np.sinc(np.outer(rates[moving], T_a - theta)) * rows[near_rows[moving]]
         # sum_k e^{-i|f| th_k} v_k = conj(sum_k e^{i|f| th_k} conj(v_k)); one
-        # matrix-vector product per vector rounds alike for nearby |f|, so
-        # the pairs just above the cut lose less than in one matrix product
-        return np.concatenate([rows @ v for v in vectors] + [sinc @ v for v in vectors[2:]])
+        # contraction per vector rounds alike for nearby |f|, so the pairs
+        # just above the cut lose little; einsum, as a threaded BLAS
+        # matrix-vector product of this shape can run many times slower
+        return np.concatenate([np.einsum("fk,k->f", a, v) for a, vs in (
+            (rows, vectors), (sinc, vectors[2:])) for v in vs])
 
     def finish(total):
         pos, neg, y_pos, y_neg, s_pos, s_neg = np.split(
@@ -491,9 +492,8 @@ def cgme_generator(jd: JumpDecomposition, bath, config: GeneratorConfig) -> Gene
         raise ValueError("cgme_discrete requires discretization parameters")
     _require_cp_admissible(bath)
     lamb = not config.lambless
-    K = F = err = None
-    if disc is None or lamb:
-        K, F, err = _cgme_coefficients(jd.frequencies, jd.frequencies, config.T_a, bath, lamb)
+    K, F, err = (_cgme_coefficients(jd.frequencies, jd.frequencies, config.T_a, bath, lamb)
+                 if disc is None or lamb else (None, None, None))
     K, k_err = (K, err) if disc is None else (kossakowski_matrix(jd, bath, config.T_a, disc), None)
     ops, k_min = _lindblad_from_kossakowski(jd.operators, K)
     H_LS = _lamb_operator(jd, F) if lamb else np.zeros((jd.dim, jd.dim), dtype=complex)
