@@ -13,7 +13,7 @@ The coarse-grained coefficients are double time integrals of C over the
 averaging window (Majenz et al., PRA 88, 012103 (2013)): the Kossakowski
 matrix K_ij = gamma_{w_i, -w_j} with
 
-    gamma_{w w'} = (1/T_a) int int_{[0, T_a]^2} C(s' - s) e^{i(w s - w' s')} ds ds',
+    gamma_{w w'} = (1/T_a) int int_{[-T_a/2, T_a/2]^2} C(s' - s) e^{-i(w s + w' s')} ds ds',
 
 and the Lamb coefficients F_{w w'} of H_LS = sum F_{w w'} A_{w'} A_w.  Both
 come from one composite Gauss-Legendre grid on [0, T_a]: C(theta) is

@@ -3,10 +3,9 @@ fixed-grid integral runs on: ``refine`` for a definite integral (the
 coarse-grained Kossakowski and Lamb coefficients, the dispersive part
 S(omega), the DD suppression ratio and the bath timescale integrals) and
 ``cumulative`` for a running one (the filter of the time-local reference).
-A running integral
-keeps its integrand's values on the converged grid and answers every query
-from them: the partial panel up to t is the integral of the polynomial that
-interpolates those values on the panel's Gauss nodes."""
+A running integral keeps its integrand's values on the converged grid and
+answers every query from them: the partial panel up to t is the integral of
+the polynomial that interpolates those values on the panel's Gauss nodes."""
 
 from __future__ import annotations
 
