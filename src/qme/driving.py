@@ -1,9 +1,9 @@
 """Time-dependent machinery.
 
 Propagators for piecewise-constant Hamiltonians interrupted by instantaneous
-pulses, the time-dependent coarse-grained Lindblad operators and Lamb shift
-(coarse-graining window sliding with t), the time-dependent Redfield filter,
-and the dynamical-decoupling suppression-ratio analysis.
+pulses, the window coefficients of the time-dependent coarse-grained
+generator (Kossakowski matrix, Lamb shift, A_eps; window sliding with t),
+the time-dependent Redfield filter, and the DD suppression-ratio analysis.
 
 A ``DriveSchedule`` diagonalizes each segment Hamiltonian once,
 H = V diag(Lambda) V^+, and every propagation reads that eigensystem:
@@ -17,13 +17,14 @@ no pulse lies strictly inside one, and each panel is split further until it
 carries at most ~2 radians of the fastest Bohr oscillation.  Per panel, one
 propagator call to its midpoint m and the segment's eigensystem give
 U(t + tau, t) = V e^{-i Lambda (tau - m)} V^+ U(t + m, t) for all its Gauss
-nodes at once, and the (n, d, d) stack A(t + tau, t) follows.  A_eps(t) for every eps is then
-one (eps x node) phase-matrix contraction with the stack, the Lamb shift is a
-contraction with the correlation on node differences, and the Redfield
-filter one weighted sum over the stack.  ``heisenberg_A`` and ``propagator``
-stay as the per-point API.  The DD suppression ratios integrate over
-frequency on the refined Gauss grid of ``quadrature.refine``, one grid for
-every dt of a call.
+nodes at once, and the (n, d, d) stack A(t + tau, t) follows.  One
+correlation call on the node differences serves the driven generator's
+Kossakowski matrix and its Lamb shift (``evolve.td_cgme_superoperator``).
+A_eps(t) for every eps is one (eps x node) phase-matrix contraction with
+the stack, and the Redfield filter one weighted sum over it.
+``heisenberg_A`` and ``propagator`` stay as the per-point API.  The DD
+suppression ratios integrate over frequency on the refined Gauss grid of
+``quadrature.refine``, one grid for every dt of a call.
 """
 
 from __future__ import annotations
@@ -281,14 +282,25 @@ def _heisenberg_stack(basis, A: np.ndarray, taus) -> np.ndarray:
 @dataclass(frozen=True)
 class _Window:
     """Gauss nodes (offsets from t) and weights on a window's panels, each
-    node's panel index, the (n, d, d) stack A(t + tau, t) and the per-panel
-    bases that extend the stack to further offsets."""
+    node's panel index, the (n, d, d) stack A(t + tau, t), the per-panel
+    bases that extend the stack to further offsets, and the panel edges."""
 
     nodes: np.ndarray
     weights: np.ndarray
     panel: np.ndarray
     stack: np.ndarray
     bases: list
+    edges: np.ndarray
+
+    def correlation(self, bath) -> np.ndarray:
+        """Cm[i, j] = C(tau_j - tau_i) on the nodes, in one vectorised call."""
+        return np.asarray(bath.correlation(self.nodes - self.nodes[:, None]))
+
+    def kossakowski(self, Cm, T_a: float) -> np.ndarray:
+        """G = S K S^+ on the matrix units, K_jk = w_j w_k Cm_jk / T_a and S the
+        (d^2 x n) stack of vec A_j; PSD for gamma >= 0 (Bochner)."""
+        S = self.stack.reshape(len(self.nodes), -1)
+        return S.T @ (np.outer(self.weights, self.weights) * Cm / T_a) @ S.conj()
 
 
 def _window(sched: DriveSchedule, A: np.ndarray, t: float, edges, order: int) -> _Window:
@@ -301,7 +313,7 @@ def _window(sched: DriveSchedule, A: np.ndarray, t: float, edges, order: int) ->
     by_panel = nodes.reshape(len(bases), order)
     stack = np.concatenate([_heisenberg_stack(b, A, x) for b, x in zip(bases, by_panel)])
     panel = np.repeat(np.arange(len(bases)), order)
-    return _Window(nodes, weights, panel, stack, bases)
+    return _Window(nodes, weights, panel, stack, bases, edges)
 
 
 def _check_window_args(T_a: float, quadrature_order: int):
@@ -309,6 +321,12 @@ def _check_window_args(T_a: float, quadrature_order: int):
         raise ValueError("quadrature order must be >= 2")
     if T_a <= 0:
         raise ValueError("T_a must be > 0")
+
+
+def _sliding_window(sched, A: np.ndarray, t: float, T_a: float, order: int) -> _Window:
+    """The window [t - T_a/2, t + T_a/2] at ``order`` Gauss nodes per panel."""
+    _check_window_args(T_a, order)
+    return _window(sched, A, t, _panels(sched, t, -T_a / 2.0, T_a / 2.0, (), np.inf), order)
 
 
 def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps, T_a: float,
@@ -324,11 +342,8 @@ def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps, T_a: float,
     of the (eps x node) phase matrix contracted with it, so the result has
     shape eps.shape + (d, d).
     """
-    _check_window_args(T_a, quadrature_order)
-    A = _as_matrix(A)
     eps = np.asarray(eps, dtype=float)
-    edges = _panels(sched, t, -T_a / 2.0, T_a / 2.0, (), np.inf)
-    win = _window(sched, A, t, edges, quadrature_order)
+    win = _sliding_window(sched, _as_matrix(A), t, T_a, quadrature_order)
     phase = win.weights * np.exp(1j * np.multiply.outer(eps, win.nodes))
     g = np.maximum(np.real(np.asarray(bath.gamma(eps))), 0.0)
     scale = np.sqrt(g / (2.0 * math.pi * T_a))
@@ -342,34 +357,32 @@ def td_lamb(sched: DriveSchedule, A, bath, t: float, T_a: float,
         H_LS(t) = (i / 2 T_a) * int int sgn(t1 - t2) C(t2 - t1)
                                   A(t + t2, t) A(t + t1, t) dt1 dt2
 
+    at ``quadrature_order`` Gauss nodes per panel (``_lamb_shift``).
+    """
+    A = _as_matrix(A)
+    win = _sliding_window(sched, A, t, T_a, quadrature_order)
+    return HermitianOperator(_lamb_shift(win, A, bath, T_a, win.correlation(bath)))
+
+
+def _lamb_shift(win: _Window, A: np.ndarray, bath, T_a: float, Cm) -> np.ndarray:
+    """``td_lamb`` on a window, with Cm = ``win.correlation(bath)``.
+
     The sgn kernel makes the double integral equal M - M^dagger with M the
     t1 > t2 triangle, so the result is Hermitian by construction.  For an
     outer node t1 the inner range [-T_a/2, t1) is the outer panels before
-    t1's own plus the partial panel [edge, t1):
-
-    - full earlier panels reuse the outer nodes: with
-      W_ij = w_i w_j C(t_j - t_i) for node j in a panel before node i's,
-      B_i = sum_j W_ij A_j;
-    - each partial panel takes its own Gauss rule of the same order, whose
-      Heisenberg operators come from the basis of the panel holding t1, and
-      adds its weighted operators to B_i;
-
-    then M = sum_i B_i A_i.  C is evaluated in one vectorised call per part.
+    t1's own, B_i = sum_j w_i w_j Cm_ij A_j over their nodes j, plus the
+    partial panel [edge, t1), whose Gauss rule of the window's order takes
+    its Heisenberg operators from the basis of t1's panel and its C from one
+    more vectorised call; then M = sum_i B_i A_i.
     """
-    _check_window_args(T_a, quadrature_order)
-    A = _as_matrix(A)
-    edges = _panels(sched, t, -T_a / 2.0, T_a / 2.0, (), np.inf)
-    win = _window(sched, A, t, edges, quadrature_order)
-    nodes, weights, panel = win.nodes, win.weights, win.panel
+    nodes, weights, panel, edges = win.nodes, win.weights, win.panel, win.edges
 
     # full earlier panels
-    i, j = np.nonzero(panel[None, :] < panel[:, None])
-    W = np.zeros((len(nodes), len(nodes)), dtype=complex)
-    W[i, j] = weights[i] * weights[j] * np.asarray(bath.correlation(nodes[j] - nodes[i]))
+    W = np.where(panel[None, :] < panel[:, None], np.outer(weights, weights) * Cm, 0.0)
     B = np.tensordot(W, win.stack, axes=1)
 
     # the partial panel [edge, t1) of every outer node t1
-    x, wx = gauss_panels((-1.0, 1.0), quadrature_order)
+    x, wx = gauss_panels((-1.0, 1.0), len(nodes) // len(win.bases))
     mid, half = 0.5 * (edges[panel] + nodes), 0.5 * (nodes - edges[panel])
     inner = mid[:, None] + half[:, None] * x
     c = np.asarray(bath.correlation((inner - nodes[:, None]).ravel())).reshape(inner.shape)
@@ -384,7 +397,7 @@ def td_lamb(sched: DriveSchedule, A, bath, t: float, T_a: float,
     residual = float(np.max(np.abs(H - H.conj().T)))
     if residual > 1e-9 * max(1.0, float(np.max(np.abs(H)))):
         raise ArithmeticError(f"Lamb-shift Hermiticity residual {residual:.3e}")
-    return HermitianOperator(H)
+    return H
 
 
 def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,

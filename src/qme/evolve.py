@@ -31,6 +31,7 @@ propagator and forms the kernel on a stacked identity.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,8 @@ from .operators import (
     vectorize_generator,
     _trace_norms,
 )
-from .generators import GeneratorSet, JumpDecomposition
+from .generators import (
+    GeneratorSet, JumpDecomposition, _lindblad_from_kossakowski, _require_cp_admissible)
 from .quadrature import CHUNK_ELEMENTS, MAX_PANELS, PANEL_PHASE, cumulative
 from . import driving as drv
 
@@ -584,29 +586,34 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
 
 def td_cgme_superoperator(sched: "drv.DriveSchedule", A, bath, t: float, T_a: float,
                           lambless: bool = False, quadrature_order: int = 32,
-                          grid_order: int = 24) -> Superoperator:
+                          grid_order: int | None = None) -> Superoperator:
     """Assemble the time-dependent coarse-grained generator at time t:
 
         L(t) rho = -i[H(t) + H_LS(t), rho]
-                   + int d_eps (A_eps(t) rho A_eps(t)^+ - 1/2 {A_eps^+ A_eps, rho})
+                   + sum_jk K_jk (A_j rho A_k - 1/2 {A_k A_j, rho}),
+        K_jk = w_j w_k C(tau_k - tau_j) / T_a,
 
-    with the frequency integral discretized on a composite Gauss grid of
-    order ``grid_order``.  The window's Heisenberg stack A(t + t1, t) is built
-    once at ``quadrature_order`` nodes per panel; every A_eps is one row of
-    the (eps x node) phase contraction with it, and ``vectorize_generator``
-    sums the dissipator over eps with one matrix product.  The Lamb shift
-    uses ``td_lamb`` at its own default order 16; ``quadrature_order`` does
-    not reach it.
+    the double window integral of Majenz et al., PRA 88, 012103 (2013), on
+    the window's Gauss nodes tau_j and weights w_j at ``quadrature_order``
+    per panel, A_j = A(t + tau_j, t).  C is evaluated once on the node
+    differences; that matrix gives the Kossakowski matrix on the matrix
+    units, diagonalized into Lindblad terms as in the stationary CGME, and
+    the Lamb shift of ``td_lamb``, so ``quadrature_order`` reaches H_LS.
+    ``grid_order`` is ignored and deprecated.  A bath that is not
+    CP-admissible raises ValueError.
     """
-    from .generators import _epsilon_grid
-
-    A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
-    eps_nodes, eps_weights = _epsilon_grid(bath, T_a, order=grid_order)
-    L = drv.td_a_epsilon(sched, A.entries, bath, t, eps_nodes, T_a, quadrature_order)
+    if grid_order is not None:
+        warnings.warn("grid_order is ignored", DeprecationWarning, stacklevel=2)
+    _require_cp_admissible(bath)
+    A = (A if isinstance(A, HermitianOperator) else HermitianOperator(A)).entries
+    win = drv._sliding_window(sched, A, t, T_a, quadrature_order)
+    Cm = win.correlation(bath)
+    units = np.eye(A.size).reshape(-1, *A.shape)
+    ops, _ = _lindblad_from_kossakowski(units, win.kossakowski(Cm, T_a))
     H_eff = np.asarray(sched.hamiltonian_at(t), dtype=complex)
     if not lambless:
-        H_eff = H_eff + drv.td_lamb(sched, A.entries, bath, t, T_a).entries
-    return vectorize_generator(H_eff, zip(eps_weights, L))
+        H_eff = H_eff + drv._lamb_shift(win, A, bath, T_a, Cm)
+    return vectorize_generator(H_eff, ops)
 
 
 # ---------------------------------------------------------------------------

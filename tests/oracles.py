@@ -322,21 +322,6 @@ def _window_panels_direct(sched, t, lo, hi):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def td_a_epsilon_direct(sched, a, bath, t, eps, t_a, order):
-    """A_eps(t) = sqrt(gamma(eps) / (2 pi T_a)) int e^{i eps t1} A(t + t1, t) dt1
-    over [-T_a/2, T_a/2], node by node with one propagator product per node,
-    for every eps of the 1-d array ``eps`` (shape (n_eps, d, d))."""
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    acc = np.zeros((len(eps),) + a.shape, dtype=complex)
-    for lo, hi in _window_panels_direct(sched, t, -t_a / 2.0, t_a / 2.0):
-        nodes, weights = _gauss_nodes(order, lo, hi)
-        for t1, w in zip(nodes, weights):
-            a1 = heisenberg_direct(sched, a, t + t1, t)
-            acc += (w * np.exp(1j * eps * t1))[:, None, None] * a1
-    g = np.array([max(float(np.real(bath.gamma(e))), 0.0) for e in eps])
-    return np.sqrt(g / (2.0 * math.pi * t_a))[:, None, None] * acc
-
-
 def td_lamb_direct(sched, a, bath, t, t_a, order):
     """H_LS(t) = (i / 2 T_a)(M - M^+), M = int_{t2 < t1} C(t2 - t1)
     A(t + t2, t) A(t + t1, t), by a double loop over the outer nodes and the
@@ -355,22 +340,31 @@ def td_lamb_direct(sched, a, bath, t, t_a, order):
     return (1j / (2.0 * t_a)) * (m - m.conj().T)
 
 
-def td_cgme_direct(sched, a, bath, t, t_a, eps_nodes, eps_weights, order):
-    """Column-stacked time-dependent coarse-grained generator: one Kronecker
-    dissipator term per eps node, plus -i[H(t) + H_LS(t), .] with the Lamb
-    shift at order 16."""
+def td_cgme_nodes_direct(sched, a, bath, t, t_a, order):
+    """Column-stacked time-dependent coarse-grained generator on the window's
+    Gauss nodes t_j and weights w_j: sum_jk K_jk (A_j . A_k - 1/2 {A_k A_j, .})
+    with K_jk = w_j w_k C(t_k - t_j) / T_a, one scalar C call and one
+    Kronecker sum per node pair, plus -i[H(t) + H_LS(t), .] with the Lamb
+    shift of ``td_lamb_direct`` at the same order."""
     d = a.shape[0]
     eye = np.eye(d)
-    ls = td_a_epsilon_direct(sched, a, bath, t, eps_nodes, t_a, order)
+    nodes, weights = [], []
+    for lo, hi in _window_panels_direct(sched, t, -t_a / 2.0, t_a / 2.0):
+        x, w = _gauss_nodes(order, lo, hi)
+        nodes, weights = nodes + list(x), weights + list(w)
+    ops = [heisenberg_direct(sched, a, t + x, t) for x in nodes]
     mat = np.zeros((d * d, d * d), dtype=complex)
-    for w, l in zip(eps_weights, ls):
-        ldl = l.conj().T @ l
-        mat += w * (np.kron(l.conj(), l) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye))
+    for tj, wj, aj in zip(nodes, weights, ops):
+        for tk, wk, ak in zip(nodes, weights, ops):
+            kjk = wj * wk * bath.correlation(tk - tj) / t_a
+            akaj = ak @ aj
+            mat += kjk * (np.kron(ak.T, aj) - 0.5 * np.kron(eye, akaj)
+                          - 0.5 * np.kron(akaj.T, eye))
     h = sched.segments[0][2] if t < sched.segments[0][1] else sched.segments[-1][2]
     for t0, t1, hs in sched.segments:
         if t0 <= t < t1:
             h = hs
-    h = h + td_lamb_direct(sched, a, bath, t, t_a, 16)
+    h = h + td_lamb_direct(sched, a, bath, t, t_a, order)
     return mat - 1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 

@@ -17,6 +17,7 @@ from qme.driving import (
     dd_suppression_xi_general,
     dd_window_filter,
     heisenberg_A,
+    _sliding_window,
     propagator,
     td_a_epsilon,
     td_lamb,
@@ -32,7 +33,7 @@ from qme.generators import (
     cgme_lamb_shift,
     redfield_filtered,
 )
-from qme.operators import Superoperator, choi_matrix
+from qme.operators import Superoperator, choi_matrix, vectorize_generator
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 import oracles
@@ -238,30 +239,83 @@ PIECEWISE_A = PAULI_X + 0.5 * PAULI_Y + 0.3 * PAULI_Z
 CONSTANT = DriveSchedule(segments=((0.0, 5.0, 0.7 * PAULI_Z + 0.2 * PAULI_X),))
 
 
-class TestDrivenGenerator:
-    """The time-dependent CGME built from one Heisenberg stack per window
-    against the node-by-node loops, and its invariants."""
+# the benchmark's Ohmic DD point at its orders 6/6, then ToyBath, whose
+# scalar C calls in the oracle's pair loops are ~10x cheaper than the Ohmic
+# trigamma; the last entry is the window order
+DRIVEN_CASES = [
+    ("ohmic", DD_SCHEDULE, PAULI_Z, 1.1, 4 * DD_DT, 6),
+    ("toy", DD_SCHEDULE, PAULI_Z, 1.35, 4 * DD_DT, 32),
+    ("toy", PIECEWISE, PIECEWISE_A, 1.0, 1.6, 8),
+    ("toy", PIECEWISE, PIECEWISE_A, 1.1, 1.6, 8),   # t at a pulse instant
+    ("toy", PIECEWISE, PIECEWISE_A, 0.3, 1.6, 8),   # window starts before 0
+    ("toy", PIECEWISE, PIECEWISE_A, 2.0, 1.6, 8),   # window ends after 2.2
+    ("ohmic", CONSTANT, PAULI_X, 2.0, 1.0, 8),      # one panel
+]
+DRIVEN_IDS = ["dd-6-6", "dd-default", "piecewise", "at-pulse", "before-0", "after-end",
+              "one-panel"]
 
-    # the benchmark's Ohmic DD point, then ToyBath, whose scalar C calls in
-    # the oracle's pair loop are ~10x cheaper than the Ohmic trigamma
-    @pytest.mark.parametrize("bath, sched, A, t, t_a, orders", [
-        ("ohmic", DD_SCHEDULE, PAULI_Z, 1.1, 4 * DD_DT, (6, 6)),
-        ("toy", DD_SCHEDULE, PAULI_Z, 1.35, 4 * DD_DT, (32, 24)),
-        ("toy", PIECEWISE, PIECEWISE_A, 1.0, 1.6, (8, 8)),
-        ("toy", PIECEWISE, PIECEWISE_A, 1.1, 1.6, (8, 8)),   # t at a pulse instant
-        ("toy", PIECEWISE, PIECEWISE_A, 0.3, 1.6, (8, 8)),   # window starts before 0
-        ("toy", PIECEWISE, PIECEWISE_A, 2.0, 1.6, (8, 8)),   # window ends after 2.2
-        ("ohmic", CONSTANT, PAULI_X, 2.0, 1.0, (8, 8)),      # one panel
-    ], ids=["dd-6-6", "dd-default", "piecewise", "at-pulse", "before-0", "after-end",
-            "one-panel"])
-    def test_matches_loop_oracle(self, toy_bath, bath, sched, A, t, t_a, orders):
+
+def epsilon_form(sched, A, bath, t, t_a, q, eps_order):
+    """The driven generator as int d_eps (A_eps rho A_eps^+ - 1/2 {A_eps^+ A_eps, rho})
+    on the composite Gauss eps grid of order ``eps_order``, with the window
+    at q nodes per panel and the Lamb shift of ``td_lamb`` at q."""
+    eps, w = _epsilon_grid(bath, t_a, order=eps_order)
+    L = td_a_epsilon(sched, A, bath, t, eps, t_a, q)
+    H = sched.hamiltonian_at(t) + td_lamb(sched, A, bath, t, t_a, q).entries
+    return vectorize_generator(H, zip(w, L)).matrix
+
+
+def dephasing_rate(sched, bath, t, t_a, **kw):
+    """Decay rate of the coherence rho_01 under the lambless driven CGME of
+    A = Z: its diagonal entry of the column-stacked generator."""
+    M = td_cgme_superoperator(sched, PAULI_Z, bath, t, t_a, lambless=True, **kw).matrix
+    return -M[2, 2].real
+
+
+class TestDrivenGenerator:
+    """The time-dependent CGME built from one Heisenberg stack and one
+    correlation matrix per window against the node-pair loops, its eps-grid
+    form, and its invariants."""
+
+    @pytest.mark.parametrize("bath, sched, A, t, t_a, q", DRIVEN_CASES, ids=DRIVEN_IDS)
+    def test_matches_loop_oracle(self, toy_bath, bath, sched, A, t, t_a, q):
         bath = DD_BATH if bath == "ohmic" else toy_bath
-        q, g = orders
-        got = td_cgme_superoperator(sched, A, bath, t, t_a,
-                                    quadrature_order=q, grid_order=g).matrix
-        eps, w = _epsilon_grid(bath, t_a, order=g)
-        ref = oracles.td_cgme_direct(sched, A, bath, t, t_a, eps, w, q)
+        got = td_cgme_superoperator(sched, A, bath, t, t_a, quadrature_order=q).matrix
+        ref = oracles.td_cgme_nodes_direct(sched, A, bath, t, t_a, q)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("q", [8, 16])
+    @pytest.mark.parametrize("bath, sched, A, t, t_a, _", DRIVEN_CASES, ids=DRIVEN_IDS)
+    def test_epsilon_limit(self, toy_bath, bath, sched, A, t, t_a, _, q):
+        # the node form is the fine-eps-grid limit of the eps form at equal
+        # window order
+        bath = DD_BATH if bath == "ohmic" else toy_bath
+        got = td_cgme_superoperator(sched, A, bath, t, t_a, quadrature_order=q).matrix
+        ref = epsilon_form(sched, A, bath, t, t_a, q, 64)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("sched, A, t, t_a", [
+        (DD_SCHEDULE, PAULI_Z, 1.1, 4 * DD_DT),
+        (PIECEWISE, PIECEWISE_A, 1.0, 1.6),
+        (CONSTANT, PAULI_X, 2.0, 1.0),
+    ], ids=["dd", "piecewise", "one-panel"])
+    def test_kossakowski_psd(self, sched, A, t, t_a):
+        win = _sliding_window(sched, A, t, t_a, 32)
+        G = win.kossakowski(win.correlation(DD_BATH), t_a)
+        assert np.linalg.eigvalsh(G)[0] >= -1e-12 * np.max(np.abs(G))
+
+    @pytest.mark.parametrize("kappa, omega_c, beta, dt, kw", [
+        (0.01, 0.5, 0.2, 0.2, {"quadrature_order": 16}),   # hot
+        (0.01, math.pi / 2, 5.0, 0.5, {}),                  # cold, default order
+    ], ids=["hot", "cold"])
+    def test_pulse_instant_rate_is_xi(self, kappa, omega_c, beta, dt, kw):
+        # dd_suppression_xi(dt) describes pulses every 2 dt with T_a = 4 dt
+        bath = OhmicBath(kappa=kappa, omega_c=omega_c, beta=beta)
+        t_a, t = 4 * dt, 10 * dt
+        pulsed = dd_schedule(DDSequence(2 * dt), 20 * dt)
+        free = DriveSchedule(segments=((0.0, 20 * dt, np.zeros((2, 2))),))
+        ratio = dephasing_rate(pulsed, bath, t, t_a, **kw) / dephasing_rate(free, bath, t, t_a, **kw)
+        assert abs(ratio - dd_suppression_xi(bath, dt)) <= 1e-12
 
     @pytest.mark.parametrize("t_a", [0.5, 1.12, 5.25, 12.0])
     def test_pulse_free_equals_stationary(self, toy_bath, benchmark_hamiltonian,
@@ -290,7 +344,19 @@ class TestDrivenGenerator:
     def test_rejects_bad_window(self, t_a, order):
         with pytest.raises(ValueError):
             td_cgme_superoperator(DD_SCHEDULE, PAULI_Z, DD_BATH, 1.1, t_a,
-                                  quadrature_order=order, grid_order=8)
+                                  quadrature_order=order)
+
+    def test_rejects_bath_with_negative_gamma(self, rectangle_bath):
+        with pytest.raises(ValueError, match="gamma >= 0"):
+            td_cgme_superoperator(DD_SCHEDULE, PAULI_Z, rectangle_bath, 1.1, 4 * DD_DT)
+
+    def test_grid_order_is_a_deprecated_no_op(self):
+        ref = td_cgme_superoperator(DD_SCHEDULE, PAULI_Z, DD_BATH, 1.1, 4 * DD_DT,
+                                    quadrature_order=6).matrix
+        with pytest.warns(DeprecationWarning, match="grid_order"):
+            got = td_cgme_superoperator(DD_SCHEDULE, PAULI_Z, DD_BATH, 1.1, 4 * DD_DT,
+                                        quadrature_order=6, grid_order=6).matrix
+        assert np.array_equal(got, ref)
 
 
 class TestPulseParity:

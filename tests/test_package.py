@@ -133,8 +133,7 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 sched = DriveSchedule(segments=((0.0, 1.0, Z), (1.0, 2.0, 0.3 * X + Z)),
                       pulses=((0.5, -1j * X),))
 propagator(sched, 0.2, 1.7)
-td_cgme_superoperator(sched, X, OhmicBath(0.1, 1.0, 2.0), 1.0, 0.8,
-                      quadrature_order=6, grid_order=6)
+td_cgme_superoperator(sched, X, OhmicBath(0.1, 1.0, 2.0), 1.0, 0.8, quadrature_order=6)
 """) == "[]"
 
 
