@@ -25,8 +25,8 @@ tolerances; the last change is the error estimate ``GeneratorSet.meta``
 reports.  For gamma >= 0, K equals the filter overlap int f(eps, w_i)
 f(eps, w_j) d eps, f(eps, w) = sqrt(gamma(eps) T_a / 2 pi) sinc[T_a (eps - w)/2],
 a Gram matrix, so positive semidefinite up to that error; a bath with
-gamma < 0 somewhere is refused.  The filter form serves the discretized and
-the driven generators.
+gamma < 0 somewhere is refused.  The filter form serves the discretized
+generator; the driven one takes the double integral on its window's nodes.
 Davies and Redfield generators take S(w) for every Bohr frequency from one
 call on the bath's refined grid and report its error the same way.
 """
