@@ -76,13 +76,19 @@ class Bath:
         return self._support_radius_cache[key]
 
     def _search_radius(self, tol):
-        gm = self.gamma_scale()
-        W = self._initial_radius()
-        while W < 1e7:
-            if max(abs(float(self.gamma(W))), abs(float(self.gamma(-W)))) < tol * gm:
-                return W
-            W *= 2.0
-        raise ValueError("spectral density does not decay: no finite support radius")
+        """The first W = r 2^k below 1e7, r = ``_initial_radius()``, with
+        max(|gamma(W)|, |gamma(-W)|) < tol * ``gamma_scale()``: every
+        candidate is evaluated at +-W in one gamma call."""
+        r = self._initial_radius()
+        W = r * 2.0 ** np.arange(max(int(np.ceil(np.log2(1e7 / r))), 0) + 1)
+        W = W[W < 1e7]
+        g = np.abs(np.asarray(self.gamma(np.concatenate([W, -W])), dtype=float))
+        g_pos, g_neg = g[:W.size], g[W.size:]
+        # max(g_pos, g_neg) as Python's max takes it: a NaN g_neg loses
+        passed = np.where(g_neg > g_pos, g_neg, g_pos) < tol * self.gamma_scale()
+        if not passed.any():
+            raise ValueError("spectral density does not decay: no finite support radius")
+        return float(W[np.argmax(passed)])
 
     def _initial_radius(self):
         return 1.0

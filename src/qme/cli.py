@@ -1,7 +1,10 @@
 """Batch experiment runner: declarative configs in, CSV tables out.
 
-Subcommands
------------
+Usage: ``qme COMMAND --config PATH [--out DIR] [--seed N] [--samples N] [-v]``.
+One parser serves every command; each command reads the options it needs.
+
+Commands
+--------
 bath-info    characterize the configured bath (spectral density grid,
              timescales, detailed-balance report, peak location)
 evolve       integrate each configured master equation and export trajectories
@@ -11,18 +14,21 @@ dd           pulse-sequence suppression-factor table over (beta, omega_c, dt)
 bounds       a-priori error bounds next to the measured coarse-grained error
 optimize-ta  averaging-time optimization report (formula, measured adjustment)
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
-All outputs are deterministic for a fixed config and seed.
+Exit codes: 0 success, 2 configuration error or unknown command or option,
+3 numeric failure.  Every CSV table is written from its columns, each float
+as ``%.12g``.  All outputs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import logging
 import math
 import os
 import sys
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -53,15 +59,29 @@ from .operators import eigensystem
 logger = logging.getLogger(__name__)
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
+def _cells(column):
+    """A float ndarray column as its ``%.12g`` texts; any other iterable
+    (texts, ``repeat``) as it is."""
+    if isinstance(column, np.ndarray):
+        return [f"{v:.12g}" for v in column.tolist()]
+    return column
+
+
+@contextlib.contextmanager
+def _table(path: str, header: Sequence[str]):
+    """Open a CSV table and yield ``write(*columns)``, which appends the rows
+    of one block of columns."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [f"{v:.12g}" if isinstance(v, float) else v for v in row]
-            )
+        yield lambda *columns: writer.writerows(zip(*map(_cells, columns)))
+
+
+def _write_csv(path: str, header: Sequence[str], columns) -> None:
+    """Write a table given column by column (see ``_cells``)."""
+    with _table(path, header) as write:
+        write(*columns)
 
 
 def _write_gnuplot(path: str, csv_name: str, ylabel: str, columns: str) -> None:
@@ -162,9 +182,7 @@ def cmd_bath_info(cfg: ExperimentConfig, out_dir: str, args) -> int:
     w = np.linspace(-radius, radius, 1201)
     g = np.asarray(bath.gamma(w), dtype=float)
     _write_csv(
-        os.path.join(out_dir, "gamma.csv"),
-        ["omega[1/time]", "gamma[1/time]"],
-        zip(w.tolist(), g.tolist()),
+        os.path.join(out_dir, "gamma.csv"), ["omega[1/time]", "gamma[1/time]"], [w, g]
     )
     peak = float(w[np.argmax(g)])
     lines = [
@@ -201,20 +219,16 @@ def cmd_bath_info(cfg: ExperimentConfig, out_dir: str, args) -> int:
     return 0
 
 
-def _trajectory_rows(res: EvolutionResult, projectors) -> "object":
-    dim = res.states.shape[1]
-    for i, t in enumerate(res.times):
-        rho = res.states[i]
-        pops = [float(np.real(np.trace(p @ rho))) for p in projectors]
-        row: List = [float(t)]
-        row.extend(float(p) for p in pops)
-        row.append(float(res.trace_deviation[i]))
-        row.append(float(res.min_eigenvalue[i]))
-        for a in range(dim):
-            for b in range(dim):
-                row.append(float(rho[a, b].real))
-                row.append(float(rho[a, b].imag))
-        yield row
+def _trajectory_columns(res: EvolutionResult, projectors) -> List[np.ndarray]:
+    """The columns of ``_trajectory_header``: t, the populations Tr(P rho),
+    the monitors, then Re and Im of every rho entry in row-major order."""
+    states = res.states
+    # one (time, projector) stack of P @ rho products, traced: the same
+    # products and sums as one Tr(P @ rho) per row
+    pops = np.trace(np.asarray(projectors)[None] @ states[:, None], axis1=-2, axis2=-1).real
+    flat = states.reshape(len(states), -1)
+    parts = np.stack([flat.real, flat.imag], axis=-1).reshape(len(states), -1)
+    return [np.asarray(res.times), *pops.T, res.trace_deviation, res.min_eigenvalue, *parts.T]
 
 
 def _trajectory_header(dim: int, n_levels: int) -> List[str]:
@@ -266,7 +280,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir: str, args) -> int:
         _write_csv(
             path,
             _trajectory_header(H.dim, len(projectors)),
-            _trajectory_rows(res, projectors),
+            _trajectory_columns(res, projectors),
         )
         if cfg.outputs.gnuplot:
             _write_gnuplot(
@@ -289,23 +303,19 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
     results = [_run_equation(eq, H, A, bath, rho0, grid) for eq in equations]
 
     tags = [_equation_tag(eq) for eq in equations]
-    rows = []
     averages = {}
-    for i in range(len(equations)):
-        for j in range(i + 1, len(equations)):
-            series, average = trace_distance_series(results[i], results[j])
-            averages[i, j] = average
-            for t, v in zip(grid, series):
-                rows.append((float(t), tags[i], tags[j], float(v)))
-    _write_csv(
-        os.path.join(out_dir, "compare.csv"),
-        ["t[abs]", "equation_a", "equation_b", "trace_distance"],
-        rows,
-    )
+    t_cells = _cells(grid)
+    with _table(os.path.join(out_dir, "compare.csv"),
+                ["t[abs]", "equation_a", "equation_b", "trace_distance"]) as write:
+        for i in range(len(equations)):
+            for j in range(i + 1, len(equations)):
+                series, averages[i, j] = trace_distance_series(results[i], results[j])
+                write(t_cells, repeat(tags[i]), repeat(tags[j]), series)
     _write_csv(
         os.path.join(out_dir, "compare_averages.csv"),
         ["equation_a", "equation_b", "time_average_trace_distance"],
-        [(tags[i], tags[j], average) for (i, j), average in averages.items()],
+        [[tags[i] for i, _ in averages], [tags[j] for _, j in averages],
+         np.array(list(averages.values()))],
     )
     if cfg.sweep is not None and cfg.sweep.parameter == "t_a":
         # score against the time-local reference when listed, else against
@@ -315,7 +325,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
         candidates.sort(key=lambda k: equations[k].equation_kind != "ore")
         reference = candidates[0] if candidates else None
         if reference is not None:
-            sweep_rows = []
+            t_as, sweep_averages = [], []
             best = None
             for k, eq in enumerate(equations):
                 if not eq.equation_kind.startswith("cgme"):
@@ -323,13 +333,14 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
                 # the pair's own entry: a trace norm does not depend on
                 # the difference's sign
                 average = averages[min(k, reference), max(k, reference)]
-                sweep_rows.append((float(eq.T_a), average))
+                t_as.append(float(eq.T_a))
+                sweep_averages.append(average)
                 if best is None or average < best[1]:
                     best = (float(eq.T_a), average)
             _write_csv(
                 os.path.join(out_dir, "ta_sweep.csv"),
                 ["T_a[abs]", "time_average_trace_distance"],
-                sweep_rows,
+                [np.array(t_as), np.array(sweep_averages)],
             )
             if best is not None:
                 print(f"argmin T_a = {best[0]:.6g} (average error {best[1]:.6g})")
@@ -339,17 +350,17 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
 def cmd_dd(cfg: ExperimentConfig, out_dir: str, args) -> int:
     if cfg.dd is None:
         raise ConfigError("dd requires a 'dd' section")
-    rows = []
-    for beta in cfg.dd.beta:
-        for omega_c in cfg.dd.omega_c:
-            bath = OhmicBath(kappa=cfg.dd.kappa, omega_c=omega_c, beta=beta)
-            xis = dd_suppression_xi(bath, np.asarray(cfg.dd.dt), cfg.dd.k_prime)
-            rows.extend((float(beta), float(omega_c), float(dt), float(xi))
-                        for dt, xi in zip(cfg.dd.dt, xis))
+    dt = np.asarray(cfg.dd.dt, dtype=float)
+    # one bath and one row per dt for each (beta, omega_c)
+    groups = np.reshape([(b, w) for b in cfg.dd.beta for w in cfg.dd.omega_c], (-1, 2))
+    xis = np.array([
+        dd_suppression_xi(OhmicBath(kappa=cfg.dd.kappa, omega_c=w, beta=b), dt, cfg.dd.k_prime)
+        for b, w in groups.tolist()
+    ])
     _write_csv(
         os.path.join(out_dir, "dd.csv"),
         ["beta[time]", "omega_c[1/time]", "dt[time]", "xi[dimensionless]"],
-        rows,
+        [*np.repeat(groups, dt.size, axis=0).T, np.tile(dt, len(groups)), xis.ravel()],
     )
     if cfg.outputs.gnuplot:
         _write_gnuplot(os.path.join(out_dir, "dd.gp"), "dd.csv", "xi", "3:4")
@@ -374,22 +385,17 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: str, args) -> int:
     bp = BoundParams(
         tau_b=ts.tau_B, tau_sb=ts.tau_SB, t_a=eq_c.T_a, epsilon_t=ts.epsilon_T
     )
-    rows = []
-    for t, m in zip(grid, measured):
-        summary = bound_summary(bp, float(t))
-        rows.append(
-            (
-                float(t),
-                float(m),
-                strongest_bound(bp, float(t)),
-                summary["cgme_simple"].value,
-                summary["redfield_log"].value,
-            )
-        )
+    summaries = [bound_summary(bp, t) for t in grid.tolist()]
     _write_csv(
         os.path.join(out_dir, "bounds.csv"),
         ["t[abs]", "measured_trace_distance", "strongest_bound", "cgme_simple", "redfield_log"],
-        rows,
+        [
+            grid,
+            measured,
+            np.array([strongest_bound(bp, t) for t in grid.tolist()]),
+            np.array([s["cgme_simple"].value for s in summaries]),
+            np.array([s["redfield_log"].value for s in summaries]),
+        ],
     )
     if cfg.outputs.gnuplot:
         _write_gnuplot(os.path.join(out_dir, "bounds.gp"), "bounds.csv", "error", "1:2")
@@ -460,14 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
         "baths; tabulate pulse-sequence suppression and error bounds.",
     )
     parser.add_argument("--version", action="version", version=f"qme {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--out", default=None, help="output directory (default: config outputs.directory)")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled quantities")
-        p.add_argument("--samples", type=int, default=2000, help="sample count for norm estimation")
-        p.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument("command", choices=_COMMANDS, help="the table or report to produce")
+    parser.add_argument("--config", required=True, help="path to a JSON experiment config")
+    parser.add_argument("--out", default=None, help="output directory (default: config outputs.directory)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for sampled quantities")
+    parser.add_argument("--samples", type=int, default=2000, help="sample count for norm estimation")
+    parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
 

@@ -115,12 +115,19 @@ class BathSection:
     kind: str
     params: Tuple[Tuple[str, float], ...] = ()
     t_cutoff: Optional[float] = None
+    # the bath of the first build(); not part of the section's value
+    _bath: Optional[Bath] = field(default=None, init=False, repr=False, compare=False)
 
     def build(self) -> Bath:
-        try:
-            return make_bath(self.kind, **dict(self.params))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bath section: {exc}") from exc
+        """The configured bath, built and validated on the first call (which
+        parsing makes) and returned by every later one."""
+        if self._bath is None:
+            try:
+                bath = make_bath(self.kind, **dict(self.params))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bath section: {exc}") from exc
+            object.__setattr__(self, "_bath", bath)
+        return self._bath
 
 
 @dataclass(frozen=True)
@@ -233,7 +240,7 @@ def _parse_bath(section: Mapping) -> BathSection:
         params=params,
         t_cutoff=None if t_cutoff is None else _number(t_cutoff, "bath.t_cutoff"),
     )
-    bs.build()  # validate eagerly so errors carry config context
+    bs.build()  # validate eagerly so errors carry config context; kept for build()
     return bs
 
 

@@ -173,12 +173,16 @@ def _ginibre_draws(rng, n_samples: int, dim: int, t_lo: float, t_hi: float):
     z = np.empty((n_samples, 2, dim, dim))
     ts = np.zeros(n_samples)
     live = np.ones(n_samples, dtype=bool)
-    for k in range(n_samples):
-        a, b = rng.standard_normal(out=z[k])
+    normal, uniform = rng.standard_normal, rng.uniform
+    for k, zk in enumerate(z):
+        normal(out=zk)
         # a_00 != 0 already makes a + a^T nonzero
-        live[k] = z[k, 0, 0, 0] != 0.0 or (a + a.T).any() or (b - b.T).any()
-        if live[k]:
-            ts[k] = rng.uniform(t_lo, t_hi)
+        if zk[0, 0, 0] == 0.0:
+            a, b = zk
+            if not ((a + a.T).any() or (b - b.T).any()):
+                live[k] = False
+                continue
+        ts[k] = uniform(t_lo, t_hi)
     a, b = z[:, 0], z[:, 1]
     xs = np.empty((n_samples, dim, dim), dtype=complex)
     xs.real = a + a.transpose(0, 2, 1)

@@ -11,6 +11,7 @@ make tests pass.
 from __future__ import annotations
 
 import cmath
+import csv
 import math
 
 import numpy as np
@@ -62,6 +63,18 @@ def ohmic_gamma_reference(w, kappa, omega_c, beta):
     if w == 0.0:
         return 2.0 * math.pi * kappa / beta
     return 2.0 * math.pi * kappa * w * math.exp(-abs(w) / omega_c) / (1.0 - math.exp(-beta * w))
+
+
+def support_radius_loop(gamma, gamma_scale, r, tol):
+    """The support-radius search as first written: double W from r while
+    W < 1e7 until max(|gamma(W)|, |gamma(-W)|) < tol * gamma_scale, one
+    scalar gamma call per sign; ValueError when no W passes."""
+    W = r
+    while W < 1e7:
+        if max(abs(float(gamma(W))), abs(float(gamma(-W)))) < tol * gamma_scale:
+            return W
+        W *= 2.0
+    raise ValueError("spectral density does not decay: no finite support radius")
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +338,12 @@ def _window_panels_direct(sched, t, lo, hi):
 def td_lamb_direct(sched, a, bath, t, t_a, order):
     """H_LS(t) = (i / 2 T_a)(M - M^+), M = int_{t2 < t1} C(t2 - t1)
     A(t + t2, t) A(t + t1, t), by a double loop over the outer nodes and the
-    inner nodes on [-T_a/2, t1), one scalar C call per pair."""
+    inner nodes on [-T_a/2, t1), one scalar C call per pair.  Each distinct
+    inner node's Heisenberg operator is computed once: the full earlier
+    panels repeat their nodes for every outer node."""
     m = np.zeros(a.shape, dtype=complex)
     lo0 = -t_a / 2.0
+    inner = {}
     for lo, hi in _window_panels_direct(sched, t, lo0, t_a / 2.0):
         n1, w1 = _gauss_nodes(order, lo, hi)
         for t1, wa in zip(n1, w1):
@@ -336,7 +352,9 @@ def td_lamb_direct(sched, a, bath, t, t_a, order):
                 n2, w2 = _gauss_nodes(order, ilo, ihi)
                 for t2, wb in zip(n2, w2):
                     c = bath.correlation(t2 - t1)
-                    m += (wa * wb * c) * (heisenberg_direct(sched, a, t + t2, t) @ a1)
+                    if t2 not in inner:
+                        inner[t2] = heisenberg_direct(sched, a, t + t2, t)
+                    m += (wa * wb * c) * (inner[t2] @ a1)
     return (1j / (2.0 * t_a)) * (m - m.conj().T)
 
 
@@ -620,3 +638,93 @@ def b2_ode_numeric(t, lam, t_a, c_bm, steps=40_000):
         b += h * drive
         s += h
     return b
+
+
+# ---------------------------------------------------------------------------
+# qme CLI tables, built and written row by row as the CLI first wrote them
+
+
+def write_csv_rows(path, header, rows):
+    """One csv row per tuple: a Python float as %.12g, anything else as the
+    csv module writes it."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+
+
+def write_gamma_table(out_dir, w, g):
+    """bath-info's gamma.csv."""
+    write_csv_rows(f"{out_dir}/gamma.csv", ["omega[1/time]", "gamma[1/time]"],
+                   zip(w.tolist(), g.tolist()))
+
+
+def write_trajectory_table(path, res, projectors):
+    """evolve's trajectory_<tag>.csv: t, Tr(P rho) per projector, the two
+    monitors, then Re and Im of every rho entry."""
+    dim = res.states.shape[1]
+    header = ["t[abs]"] + [f"pop_E{n}[prob]" for n in range(len(projectors))]
+    header += ["trace_deviation", "min_eigenvalue"]
+    header += [f"{part}_rho_{a}{b}" for a in range(dim) for b in range(dim)
+               for part in ("re", "im")]
+    rows = []
+    for i, t in enumerate(res.times):
+        rho = res.states[i]
+        row = [float(t)]
+        row.extend(float(np.real(np.trace(p @ rho))) for p in projectors)
+        row.append(float(res.trace_deviation[i]))
+        row.append(float(res.min_eigenvalue[i]))
+        for a in range(dim):
+            for b in range(dim):
+                row.append(float(rho[a, b].real))
+                row.append(float(rho[a, b].imag))
+        rows.append(row)
+    write_csv_rows(path, header, rows)
+
+
+def write_compare_tables(out_dir, grid, equations, tags, results, distance):
+    """compare.csv, compare_averages.csv and ta_sweep.csv.  ``equations``
+    are (kind, T_a) pairs; distance(a, b) -> (series, average).  The sweep
+    is scored against ore, else the first non-CGME equation."""
+    rows, averages = [], {}
+    for i in range(len(equations)):
+        for j in range(i + 1, len(equations)):
+            series, average = distance(results[i], results[j])
+            averages[i, j] = average
+            for t, v in zip(grid, series):
+                rows.append((float(t), tags[i], tags[j], float(v)))
+    write_csv_rows(f"{out_dir}/compare.csv",
+                   ["t[abs]", "equation_a", "equation_b", "trace_distance"], rows)
+    write_csv_rows(f"{out_dir}/compare_averages.csv",
+                   ["equation_a", "equation_b", "time_average_trace_distance"],
+                   [(tags[i], tags[j], v) for (i, j), v in averages.items()])
+    others = [k for k, (kind, _) in enumerate(equations) if not kind.startswith("cgme")]
+    others.sort(key=lambda k: equations[k][0] != "ore")
+    ref = others[0]
+    write_csv_rows(f"{out_dir}/ta_sweep.csv", ["T_a[abs]", "time_average_trace_distance"],
+                   [(float(t_a), averages[min(k, ref), max(k, ref)])
+                    for k, (kind, t_a) in enumerate(equations) if kind.startswith("cgme")])
+
+
+def write_bounds_table(out_dir, grid, measured, summary, strongest):
+    """bounds.csv; summary(t) is the bound map, strongest(t) a float."""
+    rows = []
+    for t, m in zip(grid, measured):
+        s = summary(float(t))
+        rows.append((float(t), float(m), strongest(float(t)),
+                     s["cgme_simple"].value, s["redfield_log"].value))
+    write_csv_rows(f"{out_dir}/bounds.csv", ["t[abs]", "measured_trace_distance",
+                                             "strongest_bound", "cgme_simple", "redfield_log"],
+                   rows)
+
+
+def write_dd_table(out_dir, betas, omegas, dts, xi):
+    """dd.csv; xi(beta, omega_c) gives xi for every dt."""
+    rows = []
+    for beta in betas:
+        for omega_c in omegas:
+            rows.extend((float(beta), float(omega_c), float(dt), float(v))
+                        for dt, v in zip(dts, xi(beta, omega_c)))
+    write_csv_rows(f"{out_dir}/dd.csv",
+                   ["beta[time]", "omega_c[1/time]", "dt[time]", "xi[dimensionless]"], rows)

@@ -106,7 +106,7 @@ def test_criterion_03_reference_positivity_crossing(benchmark_hamiltonian,
     crossing = positivity_crossing(res, tol=1e-8, resolution=1e-3 * TAU_SB)
     assert crossing is not None
     budget.check()
-    # published window; the self-consistent bath gives ~3.47 tau_SB instead
+    # published window; the self-consistent bath gives ~3.486 tau_SB instead
     # (see the decision notes for the amplitude-inconsistency analysis)
     assert 2.4 <= crossing / TAU_SB <= 2.7
 
@@ -119,7 +119,7 @@ def test_criterion_04_sampled_generator_norm(benchmark_hamiltonian,
     # every sample respects the proven cap (quoted as approximately 0.58)
     assert est.max_norm <= 0.58
     budget.check()
-    # published window; the verified implementation gives ~0.267
+    # published window; the verified implementation gives ~0.2636
     # (see the decision notes)
     assert 0.41 <= est.max_norm <= 0.47
 

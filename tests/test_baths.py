@@ -217,6 +217,45 @@ class TestRectangleBath:
         assert np.isclose(ts.tau_B, 0.5)
 
 
+class _MirroredToyBath(ToyBath):
+    """gamma(-omega) of the ToyBath: its omega < 0 side decays last."""
+
+    thermal_flag = False
+
+    def gamma(self, w):
+        return super().gamma(-np.asarray(w, dtype=float))
+
+
+class TestSupportRadius:
+    """The radius from one gamma call on every candidate W = r 2^k is the W
+    of the doubling loop (oracle) on a grid of Ohmic and Toy parameters, and
+    on mirrored Toy baths, where the omega < 0 side decides."""
+
+    @pytest.fixture(scope="class")
+    def baths(self):
+        ohmic = [OhmicBath(kappa, omega_c, beta) for kappa in (0.01, 1.0)
+                 for omega_c in (0.3, 1.0, 5.0) for beta in (0.2, 1.0, 10.0)]
+        toy = [kind(a, b, beta, tau_SB) for kind in (ToyBath, _MirroredToyBath)
+               for a in (1.01, 2.0) for b in (0.6, 1.5)
+               for beta in (0.5, 4.0) for tau_SB in (1.0, 10.0)]
+        return ohmic + toy
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+    def test_matches_doubling_loop(self, baths, tol):
+        for bath in baths:
+            ref = oracles.support_radius_loop(bath.gamma, bath.gamma_scale(),
+                                              bath._initial_radius(), tol)
+            assert bath.support_radius(tol) == ref
+
+    def test_rectangle_has_none(self, rectangle_bath):
+        # sinc decays only like 1/omega: no candidate below 1e7 passes
+        with pytest.raises(ValueError, match="does not decay"):
+            rectangle_bath.support_radius()
+        with pytest.raises(ValueError, match="does not decay"):
+            oracles.support_radius_loop(rectangle_bath.gamma, rectangle_bath.gamma_scale(),
+                                        rectangle_bath._initial_radius(), 1e-12)
+
+
 class TestTimescaleIntegrals:
     """The timescale integrals on the refined Gauss layer against tight
     adaptive quadrature (epsrel 1e-14, no absolute floor), to 1e-12

@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
+import qme.cli
+from qme import __version__
+from qme.baths import OhmicBath, ToyBath
 from qme.cli import main
-from qme.diagnostics import lambda_estimate
+from qme.diagnostics import BoundParams, bound_summary, lambda_estimate, strongest_bound
 from qme.config import (
     ConfigError,
     load_config,
@@ -15,7 +18,11 @@ from qme.config import (
     pauli_string_matrix,
     serialize_config,
 )
+from qme.driving import dd_suppression_xi
+from qme.evolve import trace_distance_series
+from qme.operators import eigensystem
 
+import oracles
 from conftest import IDENT, PAULI_X, PAULI_Y, PAULI_Z
 
 BENCHMARK_CONFIG = os.path.join(
@@ -127,6 +134,60 @@ class TestParsing:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_bath_built_once(self, tmp_path, monkeypatch):
+        # parsing builds and validates the bath; build() hands that one out
+        inits = []
+        init = ToyBath.__init__
+        monkeypatch.setattr(ToyBath, "__init__",
+                            lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
+        cfg = load_config(_write(tmp_path, _base_doc()))
+        bath = cfg.bath.build()
+        assert isinstance(bath, ToyBath) and cfg.bath.build() is bath
+        assert len(inits) == 1
+
+
+class TestParser:
+    """One parser for every command: the command is a positional choice and
+    the five options are shared."""
+
+    COMMANDS = ["bath-info", "evolve", "compare", "dd", "bounds", "optimize-ta"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_options_on_every_command(self, command):
+        args = qme.cli.build_parser().parse_args(
+            [command, "--config", "c.json", "--out", "o", "--seed", "7",
+             "--samples", "300", "-v"])
+        assert (args.command, args.config, args.out, args.seed, args.samples,
+                args.verbose) == (command, "c.json", "o", 7, 300, True)
+        args = qme.cli.build_parser().parse_args(["--config", "c.json", command])
+        assert (args.command, args.out, args.seed, args.samples, args.verbose) == (
+            command, None, 0, 2000, False)
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == f"qme {__version__}"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "c.json"],
+        ["compare"],
+        [],
+    ], ids=["unknown-command", "no-config", "no-command"])
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: qme" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "{" + ",".join(self.COMMANDS) + "}" in text
+        assert list(qme.cli._COMMANDS) == self.COMMANDS
 
 
 class TestCliExitCodes:
@@ -471,3 +532,101 @@ beta[time],omega_c[1/time],dt[time],xi[dimensionless]
         assert rows.shape == (17, 5)
         assert rows[0, 0] == 0.0 and rows[0, 2] == 0.0
         assert np.all(rows[:, 2] >= rows[:, 1])
+
+
+class TestTablesMatchRowWriter:
+    """Every CSV a command writes is byte-identical to the tables the CLI
+    first built and wrote row by row (oracles), from the same results: on the
+    benchmark's T_a sweep (compare, bounds) and DD table, plus evolve and
+    bath-info."""
+
+    SWEEP = {
+        "model": {"qubits": 2,
+                  "hamiltonian": {"ZI": 0.5, "IZ": -0.7, "ZZ": 0.3, "XI": 1.0, "IX": 1.0},
+                  "coupling": ["ZI"], "initial_state": "11"},
+        "bath": {"kind": "toy", "params": {"a": 1.01, "b": 0.6, "beta": 4.0, "tau_SB": 10.0}},
+        "equations": [{"kind": "ore"}, {"kind": "davies"}, {"kind": "redfield"},
+                      {"kind": "cgme_frequency", "t_a": 1.17}],
+        "sweep": {"parameter": "t_a", "values": [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0]},
+        "grid": {"t_max_tau_sb": 2.56, "points": 129},
+    }
+    DD = {"dd": {"beta": [0.5, 5.0], "omega_c": [0.5, 1.0, 2.0],
+                 "dt": [0.2, 0.4, 0.6, 0.8], "k_prime": 1, "kappa": 1.0}}
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        # every equation's result, in the order the command ran them
+        runs = []
+        run = qme.cli._run_equation
+        monkeypatch.setattr(qme.cli, "_run_equation",
+                            lambda *args: runs.append(run(*args)) or runs[-1])
+        return runs
+
+    @staticmethod
+    def run(tmp_path, command, doc):
+        path = _write(tmp_path, doc, f"{command}.json")
+        out, ref = tmp_path / command, tmp_path / "rows"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        ref.mkdir()
+        return load_config(path), out, ref
+
+    @staticmethod
+    def assert_same_tables(out, ref):
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names and names == sorted(p.name for p in ref.glob("*.csv"))
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_compare(self, tmp_path, runs):
+        cfg, out, ref = self.run(tmp_path, "compare", self.SWEEP)
+        equations = qme.cli._sweep_equations(cfg)
+        assert len(runs) == len(equations) == 10
+        grid = cfg.grid.times(cfg.bath.build().timescales().tau_SB)
+        oracles.write_compare_tables(
+            ref, grid, [(eq.equation_kind, eq.T_a) for eq in equations],
+            [qme.cli._equation_tag(eq) for eq in equations], runs, trace_distance_series)
+        self.assert_same_tables(out, ref)
+
+    def test_bounds(self, tmp_path, runs):
+        cfg, out, ref = self.run(tmp_path, "bounds", self.SWEEP)
+        ts = cfg.bath.build().timescales()
+        bp = BoundParams(tau_b=ts.tau_B, tau_sb=ts.tau_SB, t_a=1.17, epsilon_t=ts.epsilon_T)
+        measured, _ = trace_distance_series(*runs)
+        oracles.write_bounds_table(ref, cfg.grid.times(ts.tau_SB), measured,
+                                   lambda t: bound_summary(bp, t),
+                                   lambda t: strongest_bound(bp, t))
+        self.assert_same_tables(out, ref)
+
+    def test_dd(self, tmp_path):
+        cfg, out, ref = self.run(tmp_path, "dd", self.DD)
+        dd = cfg.dd
+        oracles.write_dd_table(
+            ref, dd.beta, dd.omega_c, dd.dt,
+            lambda beta, omega_c: dd_suppression_xi(
+                OhmicBath(kappa=dd.kappa, omega_c=omega_c, beta=beta),
+                np.asarray(dd.dt), dd.k_prime))
+        self.assert_same_tables(out, ref)
+
+    def test_evolve(self, tmp_path, runs):
+        with open(BENCHMARK_CONFIG, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["equations"].append({"kind": "redfield", "lambless": True})
+        cfg, out, ref = self.run(tmp_path, "evolve", doc)
+        projectors = eigensystem(cfg.model.hamiltonian_operator()).projectors
+        for eq, res in zip(cfg.equations, runs, strict=True):
+            oracles.write_trajectory_table(
+                ref / f"trajectory_{qme.cli._equation_tag(eq)}.csv", res, projectors)
+        self.assert_same_tables(out, ref)
+
+    @pytest.mark.parametrize("bath", [
+        {"kind": "toy", "params": {}},
+        {"kind": "ohmic", "params": {"kappa": 1.0, "omega_c": 1.0, "beta": 1.0},
+         "t_cutoff": 20.0},
+        {"kind": "rectangle", "params": {"g": 0.5, "tau_c": 1.0}},
+    ], ids=["toy", "ohmic", "rectangle"])
+    def test_bath_info(self, tmp_path, bath):
+        cfg, out, ref = self.run(tmp_path, "bath-info", {"bath": bath})
+        radius = qme.cli._plot_radius(cfg.bath.build())
+        w = np.linspace(-radius, radius, 1201)
+        oracles.write_gamma_table(ref, w, np.asarray(cfg.bath.build().gamma(w), dtype=float))
+        self.assert_same_tables(out, ref)
