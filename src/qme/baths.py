@@ -31,6 +31,7 @@ __all__ = [
     "OhmicBath",
     "ToyBath",
     "RectangleBath",
+    "kinks",
     "make_bath",
 ]
 
@@ -463,3 +464,10 @@ def make_bath(kind, **params):
         raise ValueError(f"unknown bath kind {kind!r}; choose from {sorted(_KINDS)}")
     return _KINDS[kind](**params)
 
+
+def kinks(bath, lo, hi):
+    """The times in (lo, hi) where C(t) is not smooth: +-tau_c for a bath
+    whose correlation function is cut off sharply at |t| = tau_c, none for
+    one that declares no tau_c."""
+    tau_c = getattr(bath, "tau_c", None)
+    return [] if tau_c is None else [k for k in (-tau_c, tau_c) if lo < k < hi]

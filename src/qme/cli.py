@@ -246,8 +246,6 @@ def _sweep_equations(cfg: ExperimentConfig) -> List[GeneratorConfig]:
     eqs = list(cfg.equations)
     if cfg.sweep is None:
         return eqs
-    if cfg.sweep.parameter != "t_a":
-        raise ConfigError(f"unsupported sweep parameter {cfg.sweep.parameter!r}")
     out: List[GeneratorConfig] = []
     for eq in eqs:
         if eq.equation_kind.startswith("cgme"):
@@ -317,7 +315,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
         [[tags[i] for i, _ in averages], [tags[j] for _, j in averages],
          np.array(list(averages.values()))],
     )
-    if cfg.sweep is not None and cfg.sweep.parameter == "t_a":
+    if cfg.sweep is not None:
         # score against the time-local reference when listed, else against
         # the first non-coarse-grained equation
         candidates = [k for k, eq in enumerate(equations)

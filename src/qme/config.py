@@ -291,6 +291,8 @@ def parse_config(document: Mapping) -> ExperimentConfig:
             parameter=str(_require(s, "parameter", "sweep")),
             values=_numbers(_require(s, "values", "sweep"), "sweep.values"),
         )
+        if sweep.parameter != "t_a":
+            raise ConfigError(f"sweep.parameter must be 't_a', got {sweep.parameter!r}")
     dd = None
     if "dd" in document:
         d = document["dd"]
@@ -304,6 +306,9 @@ def parse_config(document: Mapping) -> ExperimentConfig:
         )
         if dd.k_prime < 1:
             raise ConfigError("dd.k_prime must be >= 1")
+        for key in ("beta", "omega_c", "dt", "kappa"):
+            if not np.all(np.asarray(getattr(dd, key)) > 0):
+                raise ConfigError(f"dd.{key} must be > 0, got {getattr(dd, key)!r}")
     outputs = OutputSection()
     if "outputs" in document:
         o = document["outputs"]

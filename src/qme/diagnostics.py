@@ -24,7 +24,7 @@ from .baths import Bath, BathTimescales
 from .evolve import ore_filter
 from .generators import JumpDecomposition, decompose_coupling
 from .operators import HermitianOperator, eigensystem, _trace_norms
-from .quadrature import CHUNK_ELEMENTS
+from .quadrature import chunks
 
 logger = logging.getLogger(__name__)
 
@@ -229,12 +229,10 @@ def lambda_estimate(
                                          dim, t_lo, t_hi)
     xs, ts_sample = xs[live], ts_sample[live]
     xs /= _trace_norms(xs)[:, None, None]
-    # the action in chunks of at most CHUNK_ELEMENTS (sample x frequency x
-    # entry) terms, the size of the filter evaluator's own chunks
+    # the action in chunks of (sample x frequency x entry) terms, the size
+    # of the filter evaluator's own chunks
     found = np.empty(len(xs))
-    step = max(1, CHUNK_ELEMENTS // (max(1, len(jd.frequencies)) * dim * dim))
-    for lo in range(0, len(xs), step):
-        k = slice(lo, lo + step)
+    for k in chunks(len(xs), len(jd.frequencies) * dim * dim):
         found[k] = _trace_norms(action(xs[k], ts_sample[k]))
     norms = np.zeros(n_samples)
     norms[live] = found

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import HermitianOperator
-from .quadrature import PANEL_PHASE, gauss_panels, refine
+from .baths import kinks
+from .quadrature import ORDER, gauss_panels, panel_edges, refine
 
 __all__ = [
     "DriveSchedule",
@@ -243,21 +244,16 @@ def heisenberg_A(sched: DriveSchedule, A, t_prime: float, t: float) -> np.ndarra
     return U.conj().T @ _as_matrix(A) @ U
 
 
-def _panels(sched: DriveSchedule, t: float, lo: float, hi: float, kinks,
-            max_width: float) -> np.ndarray:
-    """Panel edges for the integrand tau -> A(t + tau, t) on [lo, hi]: cut at
-    pulse instants, segment boundaries and the ``kinks`` inside, so H is
-    constant inside each panel and no pulse lies strictly inside one, then
-    split into equal parts at most ``max_width`` wide and carrying at most
-    PANEL_PHASE radians of the fastest oscillation of A(t + tau, t), the
-    spectral spread of the schedule's Hamiltonians."""
+def _panels(sched: DriveSchedule, t: float, lo: float, hi: float, cuts=(),
+            rate: float = 0.0) -> np.ndarray:
+    """Panel edges (``quadrature.panel_edges``) for tau -> A(t + tau, t) on
+    [lo, hi]: cut at pulse instants, segment boundaries and the ``cuts``, so
+    H is constant inside each panel and no pulse lies strictly inside one,
+    at the larger of ``rate`` and the fastest oscillation of A(t + tau, t),
+    the spectral spread of the schedule's Hamiltonians."""
     spread = max(float(np.ptp(lam)) for lam, _ in sched.eigensystems)
-    max_width = min(max_width, PANEL_PHASE / max(spread, 1e-12))
     inner = [x - t for x in sched.breakpoints(t + lo, t + hi)]
-    edges = np.array(sorted({lo, hi, *inner, *(k for k in kinks if lo < k < hi)}))
-    counts = np.maximum(1, np.ceil(np.diff(edges) / max_width)).astype(int)
-    parts = [np.linspace(a, b, n + 1)[:-1] for a, b, n in zip(edges[:-1], edges[1:], counts)]
-    return np.concatenate(parts + [edges[-1:]])
+    return panel_edges([lo, hi, *inner, *cuts], max(spread, rate))
 
 
 def _panel_basis(sched: DriveSchedule, t: float, lo: float, hi: float):
@@ -326,7 +322,7 @@ def _check_window_args(T_a: float, quadrature_order: int):
 def _sliding_window(sched, A: np.ndarray, t: float, T_a: float, order: int) -> _Window:
     """The window [t - T_a/2, t + T_a/2] at ``order`` Gauss nodes per panel."""
     _check_window_args(T_a, order)
-    return _window(sched, A, t, _panels(sched, t, -T_a / 2.0, T_a / 2.0, (), np.inf), order)
+    return _window(sched, A, t, _panels(sched, t, -T_a / 2.0, T_a / 2.0), order)
 
 
 def td_a_epsilon(sched: DriveSchedule, A, bath, t: float, eps, T_a: float,
@@ -408,10 +404,11 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
 
     by pulse-subdivided Gauss quadrature on the same Heisenberg stack as the
     coarse-grained coefficients (offsets tau = -t'), with C evaluated in one
-    vectorised call.  A cutoff that leaves more than ``TRUNCATION_WARN`` of
-    int_0^inf |C| beyond it (the bath's epsilon_T, the term the Redfield
-    bound adds in full) truncates the memory integral; that triggers a
-    warning.
+    vectorised call; the panels also cut at the bath's kinks and resolve its
+    frequency scale, as ``evolve.ore_filter``'s do.  A cutoff that leaves
+    more than ``TRUNCATION_WARN`` of int_0^inf |C| beyond it (the bath's
+    epsilon_T, the term the Redfield bound adds in full) truncates the
+    memory integral; that triggers a warning.
     """
     if history_cutoff <= 0:
         raise ValueError("history_cutoff must be > 0")
@@ -423,12 +420,9 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
             stacklevel=2,
         )
     A = _as_matrix(A)
-    # offsets tau = -t'; a sharp-cutoff correlation function is
-    # discontinuous at t' = tau_c, so that is a panel edge too
-    tau_c = getattr(bath, "tau_c", None)
-    kinks = () if tau_c is None else (-float(tau_c),)
-    edges = _panels(sched, t, -history_cutoff, 0.0, kinks, history_cutoff / 16.0)
-    win = _window(sched, A, t, edges, 16)
+    edges = _panels(sched, t, -history_cutoff, 0.0, kinks(bath, -history_cutoff, 0.0),
+                    bath._initial_radius())
+    win = _window(sched, A, t, edges, ORDER)
     c = np.asarray(bath.correlation(win.nodes))
     return np.tensordot(win.weights * c, win.stack, axes=1)
 

@@ -48,9 +48,10 @@ from .operators import (
     vectorize_generator,
     _trace_norms,
 )
+from .baths import kinks
 from .generators import (
     GeneratorSet, JumpDecomposition, _lindblad_from_kossakowski, _require_cp_admissible)
-from .quadrature import CHUNK_ELEMENTS, MAX_PANELS, PANEL_PHASE, cumulative
+from .quadrature import MAX_PANELS, chunks, cumulative, panel_edges
 from . import driving as drv
 
 __all__ = [
@@ -321,7 +322,7 @@ def _cfm4_substeps(L, n, t, h):
     (len(t), n, n) stack of L's dtype, and the kernel's product count, from
     one ``_expm_taylor`` call on the stacked identity.  The weighted
     exponents replace the L(t) stack and die on return.  On a full chunk
-    (2^16 = CHUNK_ELEMENTS entries of L(t), 4 x 4 states) the
+    (2^16 entries of L(t), 4 x 4 states) the
     ``tracemalloc`` peak of this call, the kernel included, is 2.0 MiB for
     a real callable (the kernel holds the exponents, the partial sums and
     two terms) and 4.75 MiB for a column-stacked
@@ -337,8 +338,8 @@ def _cfm4_substeps(L, n, t, h):
 def _cfm4_propagators(L, n, t0, widths, counts):
     """CFM4 propagator over [t0[i], t0[i] + widths[i]] in counts[i] equal
     substeps, for every i: an (len(t0), n, n) stack, and the exponential
-    kernel's product count.  The substeps run in chunks of at most
-    CHUNK_ELEMENTS matrix entries; each substep's propagator multiplies its
+    kernel's product count.  The substeps run in the quadrature layer's
+    chunks of matrix entries; each substep's propagator multiplies its
     interval's from the left."""
     which = np.repeat(np.arange(len(counts)), counts)
     h = np.repeat(widths / counts, counts)
@@ -346,9 +347,7 @@ def _cfm4_propagators(L, n, t0, widths, counts):
     pos = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)
     t = np.repeat(t0, counts) + pos * h
     props, products = None, 0
-    step = max(1, CHUNK_ELEMENTS // (2 * n * n))
-    for lo in range(0, len(h), step):
-        k = slice(lo, lo + step)
+    for k in chunks(len(h), 2 * n * n):
         P, count = _cfm4_substeps(L, n, t[k], h[k])
         products += count
         if props is None:
@@ -517,18 +516,14 @@ def ore_filter(jd: JumpDecomposition, bath, t_max: float):
     the benchmark model on [0, 25.6]), and integrates its interpolant over
     the partial panel.
 
-    The starting panels carry at most PANEL_PHASE radians of the fastest of
-    e^{i w t'} and of the bath's own frequency scale, with an edge at the
-    kink tau_c of a finite-support correlation function.  g_w(infinity)
-    equals the half-range transform f(-w)* used by the stationary Redfield
-    filter.
+    The starting panels (``quadrature.panel_edges``) are cut at the bath's
+    kinks and resolve the fastest of e^{i w t'} and of the bath's own
+    frequency scale.  g_w(infinity) equals the half-range transform f(-w)*
+    used by the stationary Redfield filter.
     """
     w = np.asarray(jd.frequencies, dtype=float)
-    scale = max(float(np.max(np.abs(w), initial=0.0)), bath._initial_radius())
-    edges = np.linspace(0.0, t_max, max(1, int(np.ceil(t_max * scale / PANEL_PHASE))) + 1)
-    tau_c = getattr(bath, "tau_c", None)
-    if tau_c is not None and 0.0 < tau_c < t_max:
-        edges = np.union1d(edges, [tau_c])
+    rate = max(float(np.max(np.abs(w), initial=0.0)), bath._initial_radius())
+    edges = panel_edges([0.0, t_max, *kinks(bath, 0.0, t_max)], rate)
 
     def integrand(t):
         return (np.asarray(bath.correlation(-t), dtype=complex)[:, None]

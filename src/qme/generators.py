@@ -47,7 +47,8 @@ from .operators import (
     vectorize_generator,
     vectorize_redfield,
 )
-from .quadrature import PANEL_PHASE, gauss_panels, refine
+from .baths import kinks
+from .quadrature import panel_edges, refine
 
 logger = logging.getLogger(__name__)
 
@@ -258,12 +259,9 @@ def davies_generator(jd: JumpDecomposition, bath, lambless=False) -> GeneratorSe
 # ---------------------------------------------------------------------------
 
 def cgme_gamma(w, wp, T_a, bath) -> float:
-    """Square-domain coefficient gamma_{w w'} (always real), by the filter
-    factorization integral f(eps, w) f(eps, -w') d eps on a composite Gauss
-    grid."""
-    nodes, wt = _epsilon_grid(bath, T_a)
-    F = _filter(bath, T_a, nodes, (w, -wp))
-    return float(np.sum(wt * F[:, 0] * F[:, 1]))
+    """Square-domain coefficient gamma_{w w'} (always real), one entry of
+    ``_cgme_coefficients``."""
+    return float(_cgme_coefficients([w], [-wp], T_a, bath, lamb=False)[0][0, 0])
 
 
 def _filter(bath, T_a, eps, freqs):
@@ -280,23 +278,12 @@ def _filter(bath, T_a, eps, freqs):
     return F
 
 
-def _epsilon_grid(bath, T_a, order=24):
-    """Composite Gauss-Legendre filter grid on a window [-W, W] covering the
-    support of gamma(eps), outside which every filter product vanishes.  Its
-    equal panels of width min(pi / T_a, W / 16) resolve the sinc oscillation
-    of period 4 pi / T_a; the panel edges include eps = 0."""
-    W = bath.support_radius()
-    width = min(np.pi / max(T_a, 1e-9), max(W / 16.0, 1e-12))
-    n_half = int(np.ceil(W / width))
-    return gauss_panels(np.linspace(-n_half * width, n_half * width, 2 * n_half + 1), order)
-
-
 def _cgme_coefficients(w, wp, T_a, bath, lamb=True):
     """K[i, j] = gamma_{w_i, -wp_j} and, with ``lamb``, the Lamb coefficients
     F[i, j] = F_{w_i, wp_j} on one refined grid: (K, F or None, the largest
-    change of any of them over the last halving).  The starting grid on
-    [0, T_a] has panels of at most PANEL_PHASE radians at the largest
-    |frequency| and an edge at the kink tau_c of a finite-support C.
+    change of any of them over the last halving).  The starting panels on
+    [0, T_a] (``quadrature.panel_edges``) are cut at the bath's kinks and
+    resolve the largest |frequency|.
 
     With C^(f) = int_0^{T_a} C(th) e^{i f th} dth, d = wp - w, w+- = (w +- wp)/2,
 
@@ -318,11 +305,7 @@ def _cgme_coefficients(w, wp, T_a, bath, lamb=True):
     w = np.atleast_1d(np.asarray(w, dtype=float))
     wp = np.atleast_1d(np.asarray(wp, dtype=float))
     w_max = max(float(np.max(np.abs(w))), float(np.max(np.abs(wp))))
-    n_panels = max(1, int(np.ceil(T_a * w_max / PANEL_PHASE)))
-    edges = np.linspace(0.0, T_a, n_panels + 1)
-    tau_c = getattr(bath, "tau_c", None)
-    if tau_c is not None and 0.0 < tau_c < T_a:
-        edges = np.union1d(edges, [tau_c])
+    edges = panel_edges([0.0, T_a, *kinks(bath, 0.0, T_a)], w_max)
     n, m = len(w), len(wp)
     w_plus = 0.5 * (w[:, None] + wp[None, :])
     delta = wp[None, :] - w[:, None]

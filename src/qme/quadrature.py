@@ -1,11 +1,12 @@
-"""Composite Gauss-Legendre rules and the panel-halving loops every refined
-fixed-grid integral runs on: ``refine`` for a definite integral (the
-coarse-grained Kossakowski and Lamb coefficients, the dispersive part
-S(omega), the DD suppression ratio and the bath timescale integrals) and
-``cumulative`` for a running one (the filter of the time-local reference).
-A running integral keeps its integrand's values on the converged grid and
-answers every query from them: the partial panel up to t is the integral of
-the polynomial that interpolates those values on the panel's Gauss nodes."""
+"""Composite Gauss-Legendre rules, their starting panels (``panel_edges``),
+the chunks of every chunked loop (``chunks``) and the panel-halving loops
+every refined integral runs on: ``refine`` for a definite one (the
+coarse-grained Kossakowski and Lamb coefficients, S(omega), the DD
+suppression ratio and the bath timescales) and ``cumulative`` for a running
+one (the filter of the time-local reference).  A running integral keeps
+its integrand's values on the converged grid and answers every query from
+them: the partial panel up to t is the integral of the polynomial that
+interpolates those values on the panel's Gauss nodes."""
 
 from __future__ import annotations
 
@@ -13,12 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["cumulative", "gauss_panels", "refine"]
+__all__ = ["chunks", "cumulative", "gauss_panels", "panel_edges", "refine"]
 
-# Gauss order per panel, the largest phase one panel carries at the highest
-# frequency of an oscillating integrand, the convergence tolerances of the
-# panel-halving loop, its panel cap, and the entry cap of one chunk of
-# (result entry x node) terms.
+# Gauss order per panel, the largest phase one starting panel carries at the
+# highest frequency of an oscillating integrand, the convergence tolerances
+# of the panel-halving loop, its panel cap, and the entry cap of one chunk of
+# a chunked loop.
 ORDER = 16
 PANEL_PHASE = 2.0
 EPSABS = 1e-12
@@ -47,16 +48,32 @@ def gauss_panels(edges, order: int):
     return nodes, weights
 
 
+def panel_edges(cuts, rate):
+    """Panel edges with one at every cut: each piece between neighbouring
+    cuts is split into the fewest equal panels that carry at most
+    PANEL_PHASE radians at the angular frequency ``rate``."""
+    cuts = np.unique(np.asarray(cuts, dtype=float))
+    counts = np.maximum(1, np.ceil(np.diff(cuts) * rate / PANEL_PHASE)).astype(int)
+    parts = [np.linspace(a, b, n + 1)[:-1] for a, b, n in zip(cuts[:-1], cuts[1:], counts)]
+    return np.concatenate(parts + [cuts[-1:]])
+
+
+def chunks(n, per_item):
+    """Slices that partition range(n) in order into runs of at most
+    max(1, CHUNK_ELEMENTS // per_item) items of ``per_item`` entries each."""
+    step = max(1, CHUNK_ELEMENTS // max(1, per_item))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def _on_grid(term, factor, edges):
     """sum over chunks of term(nodes, weights, factor(nodes)) on the
     order-ORDER rule over ``edges``; ``factor`` is evaluated once."""
     nodes, weights = gauss_panels(edges, ORDER)
     f = factor(nodes)
     total = term(nodes[:1], weights[:1], f[:1])
-    step = max(1, CHUNK_ELEMENTS // max(1, np.size(total)))
-    for lo in range(1, len(nodes), step):
-        k = slice(lo, lo + step)
-        total = total + term(nodes[k], weights[k], f[k])
+    rest = nodes[1:], weights[1:], f[1:]
+    for k in chunks(len(nodes) - 1, np.size(total)):
+        total = total + term(*(a[k] for a in rest))
     return total
 
 
@@ -136,7 +153,6 @@ def _evaluator(edges, sums, values):
     """t -> the running sum to the edge below t plus the partial panel, the
     integral of the ORDER-node interpolant of ``values`` up to t."""
     tail = sums.shape[1:]
-    step = max(1, CHUNK_ELEMENTS // (ORDER * max(1, sums[0].size)))
 
     def running(t):
         t = np.asarray(t, dtype=float)
@@ -144,13 +160,13 @@ def _evaluator(edges, sums, values):
             raise ValueError(f"t outside [{edges[0]:g}, {edges[-1]:g}]")
         flat = t.ravel()
         out = np.empty(flat.shape + tail, dtype=sums.dtype)
-        for lo in range(0, len(flat), step):
-            tc = flat[lo:lo + step]
+        for c in chunks(len(flat), ORDER * sums[0].size):
+            tc = flat[c]
             k = np.clip(np.searchsorted(edges, tc, side="right") - 1, 0, len(edges) - 2)
             half = 0.5 * (edges[k + 1] - edges[k])
             weights = half[:, None] * _basis_integrals((tc - edges[k]) / half - 1.0, ORDER)
             partial = weights[:, None, :] @ values[k].reshape(len(k), ORDER, -1)
-            out[lo:lo + step] = sums[k] + partial.reshape((len(k),) + tail)
+            out[c] = sums[k] + partial.reshape((len(k),) + tail)
         return out.reshape(t.shape + tail)
 
     return running

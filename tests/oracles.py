@@ -131,6 +131,31 @@ def cgme_x_nested(w, wp, t_a, corr):
     return (re + 1j * im) / t_a
 
 
+def epsilon_grid(bath, t_a, order=24):
+    """Composite Gauss-Legendre filter grid (nodes, weights) on a window
+    [-W, W] covering the support of gamma(eps), W = ``bath.support_radius()``,
+    outside which every filter product vanishes.  Its equal panels of width
+    min(pi / T_a, W / 16) resolve the sinc oscillation of period 4 pi / T_a;
+    the panel edges include eps = 0."""
+    W = bath.support_radius()
+    width = min(np.pi / max(t_a, 1e-9), max(W / 16.0, 1e-12))
+    n_half = int(np.ceil(W / width))
+    edges = np.linspace(-n_half * width, n_half * width, 2 * n_half + 1)
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def cgme_gamma_filter(w, wp, t_a, bath):
+    """gamma_{w w'} = int f(eps, w) f(eps, -w') d eps on ``epsilon_grid``,
+    f(eps, w) = sqrt(gamma(eps) T_a / 2 pi) sinc[T_a (eps - w) / 2]: the
+    filter factorization of the square-domain double integral (gamma >= 0)."""
+    eps, wt = epsilon_grid(bath, t_a)
+    amplitude = np.sqrt(np.maximum(bath.gamma(eps), 0.0) * t_a / (2 * np.pi))
+    f, fp = (amplitude * np.sinc(t_a * (eps - x) / (2 * np.pi)) for x in (w, -wp))
+    return float(np.sum(wt * f * fp))
+
+
 def lamb_f_direct(w, wp, t_a, corr):
     """F_{w w'} = (1/(2 T_a w+)) Re int_0^{T_a} (e^{i(w theta - T_a w+)}
     - e^{-i(w' theta - T_a w+)}) C(theta) dtheta.
@@ -335,6 +360,33 @@ def _window_panels_direct(sched, t, lo, hi):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def stationary_edges(span, rate, tau_c=None, phase=2.0):
+    """Starting edges of the stationary coarse-grained grid on [0, T_a] and
+    of the time-local filter on [0, t_max], as each built them itself:
+    ceil(span rate / phase) equal panels, at least one, plus an edge at a
+    kink tau_c inside the span."""
+    n = max(1, int(np.ceil(span * rate / phase)))
+    edges = np.linspace(0.0, span, n + 1)
+    if tau_c is not None and 0.0 < tau_c < span:
+        edges = np.union1d(edges, [tau_c])
+    return edges
+
+
+def window_edges(sched, t, lo, hi, kinks, max_width, phase=2.0):
+    """Starting edges of a window of offsets from t on [lo, hi] of a drive
+    schedule, as the driven coefficients built them: cut at segment
+    boundaries, pulse instants and the ``kinks`` inside, each piece split
+    into equal panels at most min(max_width, phase / spread) wide, spread the
+    largest spectral spread of the segment Hamiltonians."""
+    spread = max(float(np.ptp(np.linalg.eigh(h)[0])) for _, _, h in sched.segments)
+    max_width = min(max_width, phase / max(spread, 1e-12))
+    inner = [x - t for x in schedule_breakpoints_scan(sched, t + lo, t + hi)]
+    edges = np.array(sorted({lo, hi, *inner, *(k for k in kinks if lo < k < hi)}))
+    counts = np.maximum(1, np.ceil(np.diff(edges) / max_width)).astype(int)
+    parts = [np.linspace(a, b, n + 1)[:-1] for a, b, n in zip(edges[:-1], edges[1:], counts)]
+    return np.concatenate(parts + [edges[-1:]])
+
+
 def td_lamb_direct(sched, a, bath, t, t_a, order):
     """H_LS(t) = (i / 2 T_a)(M - M^+), M = int_{t2 < t1} C(t2 - t1)
     A(t + t2, t) A(t + t1, t), by a double loop over the outer nodes and the
@@ -362,8 +414,9 @@ def td_cgme_nodes_direct(sched, a, bath, t, t_a, order):
     """Column-stacked time-dependent coarse-grained generator on the window's
     Gauss nodes t_j and weights w_j: sum_jk K_jk (A_j . A_k - 1/2 {A_k A_j, .})
     with K_jk = w_j w_k C(t_k - t_j) / T_a, one scalar C call and one
-    Kronecker sum per node pair, plus -i[H(t) + H_LS(t), .] with the Lamb
-    shift of ``td_lamb_direct`` at the same order."""
+    Kronecker product per node pair (the anticommutator takes the sum of
+    K_jk A_k A_j once), plus -i[H(t) + H_LS(t), .] with the Lamb shift of
+    ``td_lamb_direct`` at the same order."""
     d = a.shape[0]
     eye = np.eye(d)
     nodes, weights = [], []
@@ -372,12 +425,13 @@ def td_cgme_nodes_direct(sched, a, bath, t, t_a, order):
         nodes, weights = nodes + list(x), weights + list(w)
     ops = [heisenberg_direct(sched, a, t + x, t) for x in nodes]
     mat = np.zeros((d * d, d * d), dtype=complex)
+    kaa = np.zeros((d, d), dtype=complex)
     for tj, wj, aj in zip(nodes, weights, ops):
         for tk, wk, ak in zip(nodes, weights, ops):
             kjk = wj * wk * bath.correlation(tk - tj) / t_a
-            akaj = ak @ aj
-            mat += kjk * (np.kron(ak.T, aj) - 0.5 * np.kron(eye, akaj)
-                          - 0.5 * np.kron(akaj.T, eye))
+            mat += kjk * np.kron(ak.T, aj)
+            kaa += kjk * (ak @ aj)
+    mat -= 0.5 * (np.kron(eye, kaa) + np.kron(kaa.T, eye))
     h = sched.segments[0][2] if t < sched.segments[0][1] else sched.segments[-1][2]
     for t0, t1, hs in sched.segments:
         if t0 <= t < t1:

@@ -302,6 +302,30 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in err and where in err
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("kappa", -1.0, "dd.kappa"),
+        ("beta", [1.0, 0.0], "dd.beta"),
+        ("omega_c", [-2.0], "dd.omega_c"),
+        ("dt", [0.2, -0.1], "dd.dt"),
+    ], ids=["kappa", "beta", "omega_c", "dt"])
+    def test_nonpositive_dd_value_refused(self, tmp_path, capsys, key, value, where):
+        # each of these once escaped from the Ohmic bath or the DD ratio as a
+        # ValueError traceback with exit code 1
+        doc = {"dd": {"beta": [1.0], "omega_c": [1.0], "dt": [0.2], key: value}}
+        code = main(["dd", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and where in err
+
+    def test_unsupported_sweep_parameter_refused(self, tmp_path, capsys):
+        doc = _base_doc()
+        doc["sweep"] = {"parameter": "beta", "values": [1.0, 2.0]}
+        code = main(["compare", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "sweep.parameter" in err
+
     @pytest.mark.parametrize("path, value, where", [
         (("grid",), 5, "grid"),
         (("model", "hamiltonian"), ["ZI"], "model.hamiltonian"),

@@ -172,10 +172,10 @@ class TestLambdaEstimate:
     def test_chunked_action_matches_one_chunk(self, monkeypatch, benchmark_hamiltonian,
                                               benchmark_coupling, toy_bath):
         # the action runs in chunks of samples; their size must not move a norm
-        import qme.diagnostics
+        import qme.quadrature
         whole = lambda_estimate(benchmark_hamiltonian, benchmark_coupling, toy_bath,
                                 n_samples=300, rng_seed=2)
-        monkeypatch.setattr(qme.diagnostics, "CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(qme.quadrature, "CHUNK_ELEMENTS", 1)
         single = lambda_estimate(benchmark_hamiltonian, benchmark_coupling, toy_bath,
                                  n_samples=300, rng_seed=2)
         assert single.max_norm == whole.max_norm

@@ -27,13 +27,13 @@ from qme.baths import OhmicBath
 from qme.evolve import td_cgme_superoperator
 from qme.generators import (
     GeneratorConfig,
-    _epsilon_grid,
     cgme_a_epsilon,
     cgme_generator,
     cgme_lamb_shift,
     redfield_filtered,
 )
 from qme.operators import Superoperator, choi_matrix, vectorize_generator
+from qme.quadrature import PANEL_PHASE
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 import oracles
@@ -255,11 +255,49 @@ DRIVEN_IDS = ["dd-6-6", "dd-default", "piecewise", "at-pulse", "before-0", "afte
               "one-panel"]
 
 
+class TestWindowEdges:
+    """The panel edges of the driven windows, from ``quadrature.panel_edges``,
+    against the rule the driven coefficients built themselves."""
+
+    @pytest.mark.parametrize("bath, sched, A, t, t_a, q", DRIVEN_CASES, ids=DRIVEN_IDS)
+    def test_sliding_window(self, bath, sched, A, t, t_a, q):
+        got = _sliding_window(sched, A, t, t_a, q).edges
+        assert np.array_equal(got, oracles.window_edges(sched, t, -t_a / 2, t_a / 2, (), np.inf))
+
+    @pytest.mark.parametrize("bath, sched, A, t, cutoff", [
+        ("rectangle_bath", PIECEWISE, PIECEWISE_A, 1.9, 1.5),
+        ("rectangle_bath", DD_SCHEDULE, PAULI_Z, 3.1, 2.5),
+        ("toy_bath", DD_SCHEDULE, PAULI_Z, 3.1, 2.5)], ids=["piecewise", "dd", "dd-toy"])
+    def test_redfield_memory_window(self, request, monkeypatch, bath, sched, A, t, cutoff):
+        # a kink at t' = tau_c cuts the memory window, and the panels resolve
+        # the bath's own frequency scale (10 for the ToyBath, above the DD
+        # pulse spacing's 1/0.25) beside the schedule's spread
+        import qme.driving
+
+        bath = request.getfixturevalue(bath)
+        seen = []
+        window = qme.driving._window
+
+        def capture(sched, A, t, edges, order):
+            seen.append(edges)
+            return window(sched, A, t, edges, order)
+
+        monkeypatch.setattr(qme.driving, "_window", capture)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            td_redfield_filter(sched, A, bath, t, history_cutoff=cutoff)
+        kinks = (-bath.tau_c,) if hasattr(bath, "tau_c") else ()
+        ref = oracles.window_edges(sched, t, -cutoff, 0.0, kinks,
+                                   PANEL_PHASE / bath._initial_radius())
+        assert set(kinks) <= set(seen[0])
+        assert np.array_equal(seen[0], ref)
+
+
 def epsilon_form(sched, A, bath, t, t_a, q, eps_order):
     """The driven generator as int d_eps (A_eps rho A_eps^+ - 1/2 {A_eps^+ A_eps, rho})
     on the composite Gauss eps grid of order ``eps_order``, with the window
     at q nodes per panel and the Lamb shift of ``td_lamb`` at q."""
-    eps, w = _epsilon_grid(bath, t_a, order=eps_order)
+    eps, w = oracles.epsilon_grid(bath, t_a, order=eps_order)
     L = td_a_epsilon(sched, A, bath, t, eps, t_a, q)
     H = sched.hamiltonian_at(t) + td_lamb(sched, A, bath, t, t_a, q).entries
     return vectorize_generator(H, zip(w, L)).matrix

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qme import quadrature
+from qme.baths import kinks
 from qme.generators import (
     LAMB_PHASE_CUT,
     WEIGHT_CLIP_TOL,
@@ -184,11 +185,7 @@ def _sinc_lamb_coefficients(w, wp, T_a, bath):
     w = np.atleast_1d(np.asarray(w, dtype=float))
     wp = np.atleast_1d(np.asarray(wp, dtype=float))
     w_max = max(float(np.max(np.abs(w))), float(np.max(np.abs(wp))))
-    n_panels = max(1, int(np.ceil(T_a * w_max / quadrature.PANEL_PHASE)))
-    edges = np.linspace(0.0, T_a, n_panels + 1)
-    tau_c = getattr(bath, "tau_c", None)
-    if tau_c is not None and 0.0 < tau_c < T_a:
-        edges = np.union1d(edges, [tau_c])
+    edges = quadrature.panel_edges([0.0, T_a, *kinks(bath, 0.0, T_a)], w_max)
     w_plus = 0.5 * (w[:, None] + wp[None, :])
 
     def term(theta, wt, scaled_corr):
@@ -388,8 +385,19 @@ class TestKossakowski:
         # the filter overlap on the eps-grid equals the time-domain K
         K = kossakowski_matrix(benchmark_jd, toy_bath, t_a)
         freqs = benchmark_jd.frequencies
-        ref = np.array([[cgme_gamma(w, -wp, t_a, toy_bath) for wp in freqs] for w in freqs])
+        ref = np.array([[oracles.cgme_gamma_filter(w, -wp, t_a, toy_bath) for wp in freqs]
+                        for w in freqs])
         assert np.max(np.abs(K - ref)) < 1e-12
+
+    @pytest.mark.parametrize("bath", ["toy_bath", "ohmic_bath"])
+    @pytest.mark.parametrize("t_a", [0.5, 1.12, 12.24])
+    def test_cgme_gamma_is_kossakowski_entry(self, request, benchmark_jd, bath, t_a):
+        # one pair on its own grid against the matrix on the grid of all pairs
+        bath = request.getfixturevalue(bath)
+        K = kossakowski_matrix(benchmark_jd, bath, t_a)
+        freqs = benchmark_jd.frequencies
+        ref = np.array([[cgme_gamma(w, -wp, t_a, bath) for wp in freqs] for w in freqs])
+        assert np.max(np.abs(K - ref)) <= 1e-12 * max(1.0, np.max(np.abs(K)))
 
     def test_near_degenerate_pairs_continuous(self, toy_bath):
         # d T_a = 0, 1e-7, and just below and above the cut between the

@@ -1,6 +1,7 @@
 """Package surface: every name a module exports exists, every name the
 benchmark's tracer wraps exists, no module imports a name it never uses, no
-module imports scipy, and importing the package and its
+module imports scipy, only ``qme.quadrature`` sizes panels and chunks and
+one function reads a bath's kink, and importing the package and its
 CLI, propagating a drive schedule, evolving a state or sampling the
 generator norm loads no scipy module."""
 
@@ -102,6 +103,43 @@ def test_no_adaptive_quadrature(path):
     # time-dependent generator on CFM4 steps and every exponential on the
     # Taylor kernel of qme.evolve; scipy is a test dependency only
     assert scipy_imports(path) == []
+
+
+QUADRATURE_KNOBS = {"PANEL_PHASE", "CHUNK_ELEMENTS"}
+
+
+def names_used(tree) -> set:
+    """Every name a module reads, imports or reads as an attribute."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {a.asname or a.name for n in ast.walk(tree)
+               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names})
+
+
+def reads_tau_c(function) -> bool:
+    """Whether a function reads ``tau_c`` off an object other than ``self``,
+    as an attribute or through ``getattr``."""
+    for n in ast.walk(function):
+        if (isinstance(n, ast.Attribute) and n.attr == "tau_c"
+                and not (isinstance(n.value, ast.Name) and n.value.id == "self")):
+            return True
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "getattr"
+                and any(isinstance(a, ast.Constant) and a.value == "tau_c" for a in n.args)):
+            return True
+    return False
+
+
+def test_one_quadrature_layer():
+    # starting panels and chunk sizes are decided in qme.quadrature alone,
+    # and one duck-typed probe reads a bath's kink
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(ROOT.glob("src/qme/*.py"))}
+    knobs = {name: sorted(QUADRATURE_KNOBS & names_used(tree))
+             for name, tree in trees.items() if name != "quadrature.py"}
+    assert {name: used for name, used in knobs.items() if used} == {}
+    probes = [f"{name}:{f.name}" for name, tree in trees.items() for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and reads_tau_c(f)]
+    assert len(probes) <= 1, probes
 
 
 def scipy_modules_after(code: str) -> str:

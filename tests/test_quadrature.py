@@ -1,5 +1,6 @@
-"""The running integral of the quadrature layer against closed forms and
-against a fresh Gauss rule on every partial panel."""
+"""The quadrature layer: the running integral against closed forms and
+against a fresh Gauss rule on every partial panel, the starting panels
+against the rules each integral once applied itself, and the chunks."""
 
 import importlib
 import weakref
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qme import quadrature
+from qme.driving import DriveSchedule
 from qme.quadrature import EPSABS, EPSREL, cumulative
 
 import oracles
@@ -161,3 +163,63 @@ class TestRefineFinish:
         assert 0.0 <= err <= max(EPSABS, EPSREL * np.max(np.abs(value)))
         plain, _ = quadrature.refine(term, lambda x: x, [0.0, 2.0])
         assert np.max(np.abs(finish(plain) - value)) < 1e-14
+
+
+class TestPanelEdges:
+    """The starting edges the coarse-grained coefficients hand to ``refine``
+    and the time-local filter hands to ``cumulative``, from
+    ``panel_edges``, against the rules each built itself."""
+
+    @staticmethod
+    def _cgme_edges(monkeypatch, w, t_a, bath):
+        generators = importlib.import_module("qme.generators")
+        seen = []
+
+        def capture(term, factor, edges, **kwargs):
+            seen.append(edges)
+            return quadrature.refine(term, factor, edges, **kwargs)
+
+        monkeypatch.setattr(generators, "refine", capture)
+        generators._cgme_coefficients(w, w, t_a, bath)
+        return seen[0]
+
+    @pytest.mark.parametrize("bath", ["toy_bath", "ohmic_bath"])
+    @pytest.mark.parametrize("span", [0.5, 1.12, 2.0, 5.25, 12.24, 25.6])
+    def test_stationary_rules_without_kink(self, request, monkeypatch, benchmark_jd,
+                                           bath, span):
+        bath = request.getfixturevalue(bath)
+        w = benchmark_jd.frequencies
+        w_max = float(np.max(np.abs(w)))
+        assert np.array_equal(self._cgme_edges(monkeypatch, w, span, bath),
+                              oracles.stationary_edges(span, w_max))
+        edges = _captured_filter(monkeypatch, benchmark_jd, bath, span)[3]
+        assert np.array_equal(edges, oracles.stationary_edges(
+            span, max(w_max, bath._initial_radius())))
+
+    @pytest.mark.parametrize("span", [1.5, 2.0, 4.7])
+    def test_rectangle_kink_cuts_the_span(self, monkeypatch, benchmark_jd, rectangle_bath,
+                                          span):
+        # the kink at tau_c = 1 is a cut, as in the driven windows' rule:
+        # equal panels on either side of it (the stationary rules once added
+        # it to the uniform grid)
+        w = benchmark_jd.frequencies
+        w_max = float(np.max(np.abs(w)))
+        flat = DriveSchedule(segments=((0.0, span, np.zeros((2, 2))),))
+        captured = ((self._cgme_edges(monkeypatch, w, span, rectangle_bath), w_max),
+                    (_captured_filter(monkeypatch, benchmark_jd, rectangle_bath, span)[3],
+                     max(w_max, rectangle_bath._initial_radius())))
+        for edges, rate in captured:
+            assert rectangle_bath.tau_c in edges
+            assert np.array_equal(edges, oracles.window_edges(
+                flat, 0.0, 0.0, span, (rectangle_bath.tau_c,), quadrature.PANEL_PHASE / rate))
+
+
+@pytest.mark.parametrize("n, per_item", [(0, 4), (1, 1 << 20), (5, 0), (65_536, 1),
+                                         (70_000, 1), (10_000, 16 * 13), (999, 3 << 14)])
+def test_chunks_partition(n, per_item):
+    parts = list(quadrature.chunks(n, per_item))
+    covered = [i for k in parts for i in range(n)[k]]
+    assert covered == list(range(n))
+    assert all(k.stop > k.start for k in parts)
+    assert all(k.stop - k.start == 1 or (k.stop - k.start) * per_item <= quadrature.CHUNK_ELEMENTS
+               for k in parts)
