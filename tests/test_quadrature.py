@@ -199,9 +199,9 @@ class TestPanelEdges:
     @pytest.mark.parametrize("span", [1.5, 2.0, 4.7])
     def test_rectangle_kink_cuts_the_span(self, monkeypatch, benchmark_jd, rectangle_bath,
                                           span):
-        # the kink at tau_c = 1 is a cut, as in the driven windows' rule:
-        # equal panels on either side of it (the stationary rules once added
-        # it to the uniform grid)
+        # the kink at tau_c = 1 is a cut, as in the driven windows' rule
+        # (``oracles.window_edges``): equal panels on either side of it,
+        # where ``oracles.stationary_edges`` adds it to the uniform grid
         w = benchmark_jd.frequencies
         w_max = float(np.max(np.abs(w)))
         flat = DriveSchedule(segments=((0.0, span, np.zeros((2, 2))),))
