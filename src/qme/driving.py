@@ -78,8 +78,9 @@ class DriveSchedule:
     pulse at t_from belongs to the window and one at t_to does not.  Each
     segment's eigensystem (lam, V), H = V diag(lam) V^+, is computed once
     here and serves every propagation through the segment, as do the sorted
-    ``cut_times`` (every segment boundary and pulse instant) and the
-    ``pulse_at`` map from pulse time to unitary, so a window's cost grows
+    ``cut_times`` (every segment boundary and pulse instant), the
+    ``pulse_at`` map from pulse time to unitary and the ``spread``, the
+    largest max(lam) - min(lam) over the segments, so a window's cost grows
     with the cuts inside it, not with the schedule's length.
     """
 
@@ -89,6 +90,7 @@ class DriveSchedule:
     eigensystems: tuple = field(init=False, default=(), repr=False, compare=False)
     cut_times: tuple = field(init=False, default=(), repr=False, compare=False)
     pulse_at: dict = field(init=False, default=None, repr=False, compare=False)
+    spread: float = field(init=False, default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -134,6 +136,7 @@ class DriveSchedule:
         object.__setattr__(self, "cut_times", tuple(sorted(
             {t for t0, t1, _ in segs for t in (t0, t1)} | {tp for tp, _ in pls})))
         object.__setattr__(self, "pulse_at", dict(pls))
+        object.__setattr__(self, "spread", max(float(np.ptp(lam)) for lam, _ in self.eigensystems))
 
     @property
     def dim(self) -> int:
@@ -250,10 +253,9 @@ def _panels(sched: DriveSchedule, t: float, lo: float, hi: float, cuts=(),
     [lo, hi]: cut at pulse instants, segment boundaries and the ``cuts``, so
     H is constant inside each panel and no pulse lies strictly inside one,
     at the larger of ``rate`` and the fastest oscillation of A(t + tau, t),
-    the spectral spread of the schedule's Hamiltonians."""
-    spread = max(float(np.ptp(lam)) for lam, _ in sched.eigensystems)
+    the schedule's ``spread``."""
     inner = [x - t for x in sched.breakpoints(t + lo, t + hi)]
-    return panel_edges([lo, hi, *inner, *cuts], max(spread, rate))
+    return panel_edges([lo, hi, *inner, *cuts], max(sched.spread, rate))
 
 
 def _panel_basis(sched: DriveSchedule, t: float, lo: float, hi: float):

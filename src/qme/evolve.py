@@ -16,16 +16,16 @@ Hermiticity deviation, and minimum eigenvalue.
 
 Every exponential is one numpy kernel, ``_expm_taylor``: the scaled Taylor
 series exp(X) B = T_m(X/s)^s B of Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 488 (2011), applied either to a state or to the identity, where
-exp(X) = T_m(X/s)^s is formed by squaring, so its cost grows with
-log2 ||X||_1.  Without scaling, its m products cost m n^2 flops on a state
-of n = d^2 coordinates and m n^3 on the identity, so a constant
-generator's step h that recurs u times on the grid would be formed once,
-on the identity, when u >= n, and otherwise applied to the state at each
-of its u uses.  ``_forms_first`` makes that choice with the scaling of
-both sides and numpy's cost per product counted (PRODUCT_OVERHEAD), which
-moves the crossover to u = 2-3 for n <= 64.  CFM4 needs every substep's
-propagator and forms the kernel on a stacked identity.
+33, 488 (2011), applied either to a state, term by term, or to the
+identity, where T_m(X/s) takes the ~2 sqrt(m) products of Paterson &
+Stockmeyer, SIAM J. Comput. 2, 60 (1973), and exp(X) = T_m(X/s)^s is formed
+by squaring, so its cost grows with log2 ||X||_1.  A constant generator's
+step h that recurs u times on the grid is formed once, on the identity,
+when that costs less than applying it to the state at each of its u uses;
+``_forms_first`` prices both sides with numpy's cost per call counted
+(PRODUCT_OVERHEAD), which forms from u = 1-2 for n = d^2 <= 64
+coordinates.  CFM4 needs every substep's propagator and forms the kernel
+on a stacked identity.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,10 +93,10 @@ TAYLOR_THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
-# the cost of one of the kernel's products beyond its own multiply-adds, in
-# multiply-adds: the numpy calls around each Taylor term take ~8 us, and the
-# BLAS runs ~17e9 multiply-adds/s on n = 64 and 256 (2-core x86-64 Xeon,
-# OpenBLAS), so below n ~ 50 a product costs about as much as a matrix-vector one
+# the cost of one of the kernel's products or block sums beyond its own
+# multiply-adds, in multiply-adds: ~8 us at the ~17e9 multiply-adds/s the BLAS
+# runs on n = 64 and 256 (2-core x86-64 Xeon, OpenBLAS); a Taylor term on a
+# vector takes ~2 us at n <= 64 and ~10 us at n = 256, below the BLAS rate
 PRODUCT_OVERHEAD = 1.3e5
 
 
@@ -154,75 +155,91 @@ def _taylor_degree(norm: float, squaring: bool = False):
     return int(m[k]), int(s[k])
 
 
+@lru_cache(maxsize=None)
+def _ps_plan(m: int):
+    """The Paterson-Stockmeyer evaluation of T_m - I = sum_i (Y^p)^i B_i,
+    B_i = sum_(k=1..p) c_(ip+k) Y^k, m >= 1: its block size p, its
+    (p - 1) + ceil(m / p) - 1 matrix products (the powers up to Y^p, then
+    Horner's rule in Y^p), its ceil(m / p) block sums and the read-only
+    coefficients c_j = 1/j!, zero past m.  p is the smallest with the
+    fewest products: m = 16 takes p = 4, 6 products and 4 block sums, where
+    the term-by-term series took 15 products."""
+    p = min(range(1, m + 1), key=lambda p: p - 1 - (-m // p))
+    blocks = -(-m // p)
+    c = np.zeros(blocks * p + 1)
+    c[:m + 1] = [1.0 / math.factorial(j) for j in range(m + 1)]
+    c.setflags(write=False)
+    return p, p + blocks - 2, blocks, c
+
+
+def _diagonal(X):
+    """A writable view of the diagonal of every matrix in the stack X."""
+    return np.einsum("...ii->...i", X)
+
+
 def _forms_first(norm: float, n: int, uses: int, norm_formed: float | None = None) -> bool:
     """Whether exp(X), n x n with ||X - tr(X)/n||_1 = norm, costs less
     formed once on the identity and then multiplied into ``uses`` vectors,
-    m - 1 + log2 s matrix products with (m, s) for squaring and ``uses``
-    matrix-vector ones, than applied to each vector, uses s m matrix-vector
-    products with its own (m, s).  ``norm_formed`` is the 1-norm of the
-    exponent that is formed, when it differs (a reused one is unshifted).
-    A product costs its n^3 or n^2 multiply-adds and PRODUCT_OVERHEAD more.
-    Without scaling and without the overhead this is uses >= n.  With it,
-    on the Davies generators of the 2-, 3- and 4-qubit Pauli ladder
-    (||X||_1 ~ 4) this forms from uses = 2, 3 and ~90 at n = 16, 64 and
-    256; timed, forming wins from uses = 2-3, 3 and ~40 (a matrix-vector
-    product at n = 256 runs well below the BLAS rate of a matrix
-    product)."""
+    the products and block sums of ``_ps_plan`` and log2 s squarings with
+    (m, s) for squaring and ``uses`` matrix-vector products, than applied
+    to each vector, uses s m matrix-vector products with its own (m, s).
+    ``norm_formed`` is the 1-norm of the exponent that is formed, when it
+    differs (a reused one is unshifted).  A product costs its n^3 or n^2
+    multiply-adds, a block sum its p n^2, and each PRODUCT_OVERHEAD
+    more.  On the Davies generators of the 2-, 3- and 4-qubit Pauli ladder
+    (||X||_1 ~ 4) this forms from uses = 1, 2 and ~26 at n = 16, 64 and
+    256; timed, forming wins from uses = 1, 2 and 20-27."""
     m, s = _taylor_degree(norm)
     m_id, s_id = _taylor_degree(norm if norm_formed is None else norm_formed, squaring=True)
+    p, products, blocks, _ = _ps_plan(max(m_id, 1))
     product, matvec = n ** 3 + PRODUCT_OVERHEAD, n ** 2 + PRODUCT_OVERHEAD
-    formed = (max(m_id - 1, 0) + math.log2(s_id)) * product + uses * matvec
+    block = p * n ** 2 + PRODUCT_OVERHEAD
+    formed = (products + math.log2(s_id)) * product + blocks * block + uses * matvec
     return formed <= uses * m * s * matvec
 
 
-def _smallest_max_abs(F):
-    """The smallest max-abs entry of a vector or of any matrix in a stack."""
-    size = F.shape[-1] * (F.shape[-2] if F.ndim > 1 else 1)
-    return float(np.abs(F).reshape(-1, size).max(axis=1).min())
-
-
-def _taylor_series(X, B, m, s, compensated=False):
-    """T_m(X/s) B, for B None the identity, and the number of matrix
-    products it took.  The series stops once two consecutive terms fall
-    below TAYLOR_TOL of the partial sum, in max-abs entries, in every
-    matrix of the stack.  The terms' largest entry over the whole stack
-    bounds every matrix's, so the partial sums' entries are only read once
-    that bound passes the test against the sums' running bound.
-    ``compensated`` adds the terms to the identity by Kahan's compensated
-    summation, whose carry starts with the rounding of I + X/s."""
-    carry = None
-    if B is None:
-        # the first term, X/s, takes no product
-        identity = np.eye(X.shape[-1])
-        term = X / s
-        F = term + identity
-        if compensated:
-            carry = (F - identity) - term
-        c1 = float(np.abs(term).max())
-        bound, first = 1.0 + c1, 2
-    else:
-        term, F = B, B.astype(np.result_type(X, B))
-        c1 = bound = float(np.abs(B).max())
-        first = 1
-    per_product, products = X[..., 0, 0].size, 0
-    for j in range(first, m + 1):
+def _taylor_series(X, B, m, s):
+    """T_m(X/s) B for a vector B, term by term, and the number of
+    matrix-vector products it took.  The series stops once two consecutive
+    terms fall below TAYLOR_TOL of the partial sum, in max-abs entries;
+    the terms' running bound is tested first, so the partial sum's entries
+    are only read once that bound passes."""
+    term, F = B, B.astype(np.result_type(X, B))
+    c1 = bound = float(np.abs(B).max())
+    products = 0
+    for j in range(1, m + 1):
         term = X @ term
         term /= s * j
-        products += per_product
-        if carry is None:
-            F += term
-        else:
-            y = term - carry
-            total = F + y
-            carry = (total - F) - y
-            F = total
+        products += 1
+        F += term
         c2 = float(np.abs(term).max())
         bound += c2
         if (c1 + c2 <= TAYLOR_TOL * bound
-                and c1 + c2 <= TAYLOR_TOL * _smallest_max_abs(F)):
+                and c1 + c2 <= TAYLOR_TOL * float(np.abs(F).max())):
             break
         c1 = c2
     return F, products
+
+
+def _taylor_polynomial(X, m, s):
+    """T_m(X/s) for an (..., n, n) stack X, m >= 1, and the number of
+    matrix products it took, by ``_ps_plan``: the powers Y ... Y^p of
+    Y = X/s in one (p, ..., n, n) array, and each block one contraction of
+    a coefficient row with it.  The identity is added last, so where the
+    exponent's first row is zero (a trace-preserving one), that row of
+    T_m - I is exactly zero."""
+    p, products, blocks, c = _ps_plan(m)
+    powers = np.empty((p,) + X.shape, dtype=X.dtype)
+    np.divide(X, s, out=powers[0])
+    for k in range(1, p):
+        np.matmul(powers[k - 1], powers[0], out=powers[k])
+    flat = powers.reshape(p, X.size)
+    F = (c[(blocks - 1) * p + 1:] @ flat).reshape(X.shape)
+    for i in range(blocks - 2, -1, -1):
+        F = F @ powers[-1]
+        F += (c[i * p + 1:(i + 1) * p + 1] @ flat).reshape(X.shape)
+    _diagonal(F)[...] += 1.0
+    return F, products * X[..., 0, 0].size
 
 
 def _expm_taylor(X, B=None, reused=False):
@@ -234,23 +251,21 @@ def _expm_taylor(X, B=None, reused=False):
 
     Al-Mohy & Higham (2011): X is shifted by mu = tr X / n, and (m, s) come
     from ``_taylor_degree`` at the largest ||X - mu||_1 of the stack.  On a
-    vector, each of the s steps is B <- e^(mu/s) T_m((X - mu)/s) B, unless
-    ``_forms_first`` finds exp(X) cheaper to form for this one use.  exp(X)
-    itself is (e^(mu/s) T_m((X - mu)/s))^s, s a power of two, by squaring,
-    so its cost grows with log2 ||X - mu||_1.
+    vector, each of the s steps is B <- e^(mu/s) T_m((X - mu)/s) B, summed
+    term by term, unless ``_forms_first`` finds exp(X) cheaper to form for
+    this one use.  exp(X) itself is (e^(mu/s) T_m((X - mu)/s))^s, s a power
+    of two, by ``_taylor_polynomial`` and squaring.
 
     A ``reused`` exp(X), a propagator taken on many steps, is formed
-    unshifted and its series summed with Kahan's compensation.  The
-    shift's factor e^(mu/s) rounds every entry, the plain sum rounds its
-    partial sums, and a trace-preserving trajectory carries both into its
-    trace on each reuse.  Over 45 benchmark-model trajectories (129 to
-    4,001 points), the median (largest) of their largest trace deviation
-    read 2.8e-14 (4.2e-13) shifted, 2.4e-14 (2.7e-13) shifted and
-    compensated, 3.7e-14 (3.4e-13) unshifted, and 1.3e-14 (1.2e-13)
-    unshifted and compensated, as with scipy's Pade approximant."""
+    unshifted: the shift's factor e^(mu/s) rounds every entry, and a
+    trace-preserving trajectory carries that into its trace on each reuse.
+    With the identity added last, its largest trace deviation over the
+    benchmark model's Davies, Redfield and CGME trajectories (129 to 4,001
+    points) reads as it did with the term-by-term series and Kahan's
+    compensated sum, 1.1e-13 at most."""
     n = X.shape[-1]
     mu = np.zeros(X.shape[:-2]) if reused else np.trace(X, axis1=-2, axis2=-1) / n
-    X[..., range(n), range(n)] -= mu[..., None]
+    _diagonal(X)[...] -= mu[..., None]
     norm = float(np.max(np.abs(X).sum(axis=-2)))
     if B is not None and not _forms_first(norm, n, 1):
         m, s = _taylor_degree(norm)
@@ -261,7 +276,7 @@ def _expm_taylor(X, B=None, reused=False):
             products += count
         return B, products
     m, s = _taylor_degree(norm, squaring=True)
-    F, products = _taylor_series(X, None, m, s, compensated=reused)
+    F, products = _taylor_polynomial(X, max(m, 1), s)
     F *= np.exp(mu / s)[..., None, None]
     for _ in range(s.bit_length() - 1):
         F = F @ F
@@ -322,12 +337,12 @@ def _cfm4_substeps(L, n, t, h):
     (len(t), n, n) stack of L's dtype, and the kernel's product count, from
     one ``_expm_taylor`` call on the stacked identity.  The weighted
     exponents replace the L(t) stack and die on return.  On a full chunk
-    (2^16 entries of L(t), 4 x 4 states) the
-    ``tracemalloc`` peak of this call, the kernel included, is 2.0 MiB for
-    a real callable (the kernel holds the exponents, the partial sums and
-    two terms) and 4.75 MiB for a column-stacked
-    callable that ``evolve`` wraps in ``to_real_superop``: its complex
-    stack (1 MiB) and the transform's gathers live beside the real one."""
+    of ``_cfm4_propagators`` (2^15 entries of L(t), 4 x 4 states) the
+    ``tracemalloc`` peak of this call, the kernel included, is 1.75 MiB for
+    a real callable (the kernel holds the exponents, their powers, the
+    Horner sum and a block) and 2.38 MiB for a column-stacked callable that
+    ``evolve`` wraps in ``to_real_superop``: its complex stack and the
+    transform's gathers live beside the real one."""
     X = np.asarray(L((t[:, None] + h[:, None] * CFM4_NODES).ravel()))
     X = CFM4_WEIGHTS @ X.reshape(-1, 2, n * n)
     X *= h[:, None, None]
@@ -340,14 +355,15 @@ def _cfm4_propagators(L, n, t0, widths, counts):
     substeps, for every i: an (len(t0), n, n) stack, and the exponential
     kernel's product count.  The substeps run in the quadrature layer's
     chunks of matrix entries; each substep's propagator multiplies its
-    interval's from the left."""
+    interval's from the left; a chunk holds 4 n^2 entries per substep, room
+    for the kernel's powers."""
     which = np.repeat(np.arange(len(counts)), counts)
     h = np.repeat(widths / counts, counts)
     # the position of every substep within its interval
     pos = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)
     t = np.repeat(t0, counts) + pos * h
     props, products = None, 0
-    for k in chunks(len(h), 2 * n * n):
+    for k in chunks(len(h), 4 * n * n):
         P, count = _cfm4_substeps(L, n, t[k], h[k])
         products += count
         if props is None:
@@ -564,7 +580,7 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
     # of which preserve Hermiticity.  With M'_w = Q M_w Q^+, N_w becomes
     # conj(M'_w): the rows of ``stack`` are every 2 Re M'_w, then every
     # -2 Im M'_w
-    M, N = np.moveaxis(np.array([redfield_halves(A.entries, Aw) for Aw in jd.operators]), 1, 0)
+    M, N = redfield_halves(A.entries, np.asarray(jd.operators))
     stack = to_real_superop(np.concatenate((M + N, 1j * (M - N)))).reshape(-1, n * n)
 
     def generator(t):

@@ -199,19 +199,20 @@ class Superoperator:
         return v.reshape(self.dim, self.dim, order="F")
 
 
+def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """np.kron(P, Q) over the last two axes of stacks that broadcast, by
+    np.kron's own product, so bit-identical to it (einsum's is not)."""
+    d = P.shape[-1]
+    out = P[..., :, None, :, None] * Q[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (d * d, d * d))
+
+
 def _left(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    return np.kron(np.eye(d), mat)
+    return _kron(np.eye(mat.shape[-1]), mat)
 
 
 def _right(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    return np.kron(mat.T, np.eye(d))
-
-
-def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> left @ rho @ right (column stacking)."""
-    return np.kron(right.T, left)
+    return _kron(np.swapaxes(mat, -1, -2), np.eye(mat.shape[-1]))
 
 
 def hamiltonian_superop(H_eff: np.ndarray) -> np.ndarray:
@@ -223,9 +224,10 @@ def hamiltonian_superop(H_eff: np.ndarray) -> np.ndarray:
 def redfield_halves(A: np.ndarray, X: np.ndarray):
     """Matrices of the two halves of a Redfield dissipator with filtered
     operator X: rho -> A rho X - rho X A and its adjoint
-    rho -> X^+ rho A - A X^+ rho."""
-    Xd = X.conj().T
-    return _sandwich(A, X) - _right(X @ A), _sandwich(Xd, A) - _left(A @ Xd)
+    rho -> X^+ rho A - A X^+ rho.  X may be a (k, d, d) stack; the halves
+    are then (k, d^2, d^2) stacks."""
+    Xd = np.swapaxes(X, -1, -2).conj()
+    return _kron(np.swapaxes(X, -1, -2), A) - _right(X @ A), _kron(A.T, Xd) - _left(A @ Xd)
 
 
 def vectorize_generator(H_eff, lindblad_ops) -> Superoperator:

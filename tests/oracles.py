@@ -496,14 +496,60 @@ def lindblad_superop_kron(h, lindblad_ops):
     return mat
 
 
-def ore_filter_quad(w, corr, t, epsabs=1e-14):
-    """g_w(t) = int_0^t C(-t') e^{iwt'} dt' by two adaptive quad calls (real
-    and imaginary part) on scalar correlation values."""
+def ore_filter_quad(w, corr, t, epsabs=1e-14, lo=0.0):
+    """g_w(t) = int_lo^t C(-t') e^{iwt'} dt' (lo = 0: the filter integral) by
+    two adaptive quad calls (real and imaginary part) on scalar correlation
+    values."""
     def part(f):
-        return integrate.quad(lambda x: f(corr(-x) * cmath.exp(1j * w * x)), 0.0, t,
+        return integrate.quad(lambda x: f(corr(-x) * cmath.exp(1j * w * x)), lo, t,
                               epsabs=epsabs, epsrel=1e-13, limit=800)[0]
 
     return complex(part(lambda z: z.real), part(lambda z: z.imag))
+
+
+def ore_filter_quad_running(w, corr, times):
+    """g_w at every t in ``times`` (any order, t >= 0) as a running sum of
+    ``ore_filter_quad`` over the gaps between the sorted times, so each gap
+    is integrated once whatever the number of times."""
+    t = np.sort(np.asarray(times, dtype=float))
+    gaps = [ore_filter_quad(w, corr, b, lo=a) for a, b in zip(np.r_[0.0, t[:-1]], t)]
+    g = np.cumsum(gaps)
+    return g[np.searchsorted(t, times)]
+
+
+def taylor_terms(X, B, m, s):
+    """T_m(X/s) B, for B None the identity, and the number of matrix
+    products it took, term by term as first written: m - 1 products on the
+    identity (the first term, X/s, takes none), m on a vector.  The series
+    stops once two consecutive terms fall below 2^-53 of the partial sum, in
+    max-abs entries, in every matrix of the stack."""
+    tol = 2.0 ** -53
+
+    def smallest_max_abs(F):
+        size = F.shape[-1] * (F.shape[-2] if F.ndim > 1 else 1)
+        return float(np.abs(F).reshape(-1, size).max(axis=1).min())
+
+    if B is None:
+        term = X / s
+        F = term + np.eye(X.shape[-1])
+        c1 = float(np.abs(term).max())
+        bound, first = 1.0 + c1, 2
+    else:
+        term, F = B, B.astype(np.result_type(X, B))
+        c1 = bound = float(np.abs(B).max())
+        first = 1
+    per_product, products = X[..., 0, 0].size, 0
+    for j in range(first, m + 1):
+        term = X @ term
+        term /= s * j
+        products += per_product
+        F += term
+        c2 = float(np.abs(term).max())
+        bound += c2
+        if c1 + c2 <= tol * bound and c1 + c2 <= tol * smallest_max_abs(F):
+            break
+        c1 = c2
+    return F, products
 
 
 def cumulative_fresh_gauss(integrand, edges, order=16, epsabs=1e-12, epsrel=1e-10):

@@ -241,13 +241,20 @@ class TestLambdaEstimate:
     def test_matches_per_sample_oracle(self, benchmark_jd, benchmark_hamiltonian,
                                        benchmark_coupling, toy_bath):
         # the filter is within ~1e-11 of a tight quad (|g| < 0.1 at EPSREL
-        # 1e-10), and a norm moves by at most sum_w ||A_w|| 4 ||A|| times that
+        # 1e-10), and a norm moves by at most sum_w ||A_w|| 4 ||A|| times that.
+        # A first pass records the sample times; each frequency's filter is
+        # then one adaptive quad per gap between them, summed
         t_hi = 5.0
         est = lambda_estimate(benchmark_hamiltonian, benchmark_coupling, toy_bath,
                               n_samples=100, rng_seed=5, time_interval=(0.0, t_hi))
-        filters = {float(w): (lambda t, w=float(w):
-                              oracles.ore_filter_quad(w, toy_bath.correlation, t))
-                   for w in benchmark_jd.frequencies}
+        freqs = [float(w) for w in benchmark_jd.frequencies]
+        times = set()
+        oracles.generator_norm_samples(benchmark_jd.terms(),
+                                       {w: lambda t: times.add(t) or 0.0 for w in freqs},
+                                       4, 100, 5, 0.0, t_hi)
+        times = sorted(times)
+        filters = {w: dict(zip(times, oracles.ore_filter_quad_running(
+                       w, toy_bath.correlation, times))).__getitem__ for w in freqs}
         norms = oracles.generator_norm_samples(benchmark_jd.terms(), filters, 4, 100,
                                                5, 0.0, t_hi)
         counts, edges = np.histogram(norms, bins=60)

@@ -17,6 +17,7 @@ from qme.driving import (
     dd_suppression_xi_general,
     dd_window_filter,
     heisenberg_A,
+    _panels,
     _sliding_window,
     propagator,
     td_a_epsilon,
@@ -83,6 +84,30 @@ class TestDriveSchedule:
             for t in [*cuts, -2.0, 0.3, 2.7, sched.duration + 2.0]:
                 expected = sum(t >= t1 for _, t1, _ in sched.segments[:-1])
                 assert sched.hamiltonian_at(t) is sched.segments[expected][2]
+
+
+    def test_spread_is_largest_eigenvalue_range(self):
+        for sched in (PIECEWISE, DD_SCHEDULE, CONSTANT):
+            ranges = [np.ptp(np.linalg.eigvalsh(H)) for _, _, H in sched.segments]
+            assert sched.spread == pytest.approx(max(ranges), rel=1e-14, abs=1e-15)
+            assert sched.spread == max(float(np.ptp(lam)) for lam, _ in sched.eigensystems)
+
+    def test_long_schedule_panels_read_no_eigensystem(self):
+        # a window on a 4,000-segment schedule takes the spread computed
+        # with the schedule; it scans no segment's eigenvalues
+        class Unreadable(tuple):
+            def __iter__(self):
+                raise AssertionError("eigensystems read")
+
+        rng = np.random.default_rng(8)
+        coeffs = rng.uniform(-1.0, 1.0, (4000, 2))
+        sched = DriveSchedule(segments=tuple(
+            (0.01 * k, 0.01 * (k + 1), a * PAULI_X + b * PAULI_Z)
+            for k, (a, b) in enumerate(coeffs)))
+        edges = _panels(sched, 20.0, -0.5, 0.5)
+        object.__setattr__(sched, "eigensystems", Unreadable())
+        assert np.array_equal(_panels(sched, 20.0, -0.5, 0.5), edges)
+        assert sched.spread == pytest.approx(2 * np.hypot(*coeffs.T).max(), rel=1e-14)
 
 
 class TestPropagator:

@@ -3,6 +3,8 @@ ODE oracle, the CFM4 integrator for time-dependent generators, monitors, the
 time-local growing-filter equation, and positivity-crossing detection."""
 
 import importlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +12,14 @@ from scipy.linalg import expm
 
 from qme.evolve import (
     CFM4_TOL,
+    TAYLOR_THETA,
     EvolutionResult,
     _cfm4_propagators,
     _expm_taylor,
     _forms_first,
+    _taylor_degree,
+    _taylor_polynomial,
+    _taylor_series,
     evolve,
     evolve_ore,
     ore_filter,
@@ -143,6 +149,23 @@ class TestExactPropagation:
         res = evolve(gen, benchmark_initial, np.linspace(0.0, 4.0, 5))
         for t in (0.3, 1.0, 2.71, 4.0):
             assert np.max(np.abs(res.dense(t) - expm(M * t) @ v0)) < 1e-12
+
+    @pytest.mark.parametrize("points", (129, 1001, 4001))
+    def test_trace_deviation(self, points, benchmark_jd, toy_bath, benchmark_initial):
+        # the propagator is formed once, unshifted, with the identity added
+        # last, and reused at every step: the largest trace deviation over
+        # Davies, Redfield and CGME at T_a 0.5, 1.17, 5.25 and 12 read
+        # 1.07e-13 (4,001 points), as with the term-by-term series and its
+        # Kahan sum; the bound is twice that
+        gens = [davies_generator(benchmark_jd, toy_bath),
+                redfield_generator(benchmark_jd, toy_bath)]
+        gens += [cgme_generator(benchmark_jd, toy_bath,
+                                GeneratorConfig(equation_kind="cgme_frequency", T_a=t_a))
+                 for t_a in (0.5, 1.17, 5.25, 12.0)]
+        grid = np.linspace(0.0, 2.56 * TAU_SB, points)
+        worst = max(evolve(gen, benchmark_initial, grid).metadata["max_trace_deviation"]
+                    for gen in gens)
+        assert worst <= 2.2e-13
 
     def test_redfield_positivity_crossing(self, benchmark_jd, toy_bath, benchmark_initial):
         # Redfield loses positivity at once from the excited state; bisection
@@ -313,13 +336,55 @@ class TestTaylorKernel:
         stack = _expm_taylor(X)[0].reshape(-1, n, n)
         assert max(_relative(a, b) for a, b in zip(stack, ref)) <= tol
 
+    @pytest.mark.parametrize("norm", (1e-3, 0.5, 5.0, 50.0))
+    def test_paterson_stockmeyer_matches_term_by_term(self, norm):
+        # T_m(X/s) on a (2, 2, 16, 16) stack for every degree m, at the
+        # scaling s that brings the norm within theta_m, against the series
+        # summed term by term (measured: <= 3.0e-15 relative)
+        rng = np.random.default_rng(24)
+        X = []
+        for f in (1.0, 0.5, 0.25, 0.125):
+            M = to_real_superop(_random_generator(4, rng))
+            X.append(M * (f * norm / np.abs(M).sum(axis=0).max()))
+        X = np.array(X).reshape(2, 2, 16, 16)
+        for m, theta in TAYLOR_THETA.items():
+            s = max(1, math.ceil(norm / theta))
+            got, _ = _taylor_polynomial(X.copy(), m, s)
+            ref, _ = oracles.taylor_terms(X, None, m, s)
+            assert max(_relative(a, b) for a, b in zip(got.reshape(-1, 16, 16),
+                                                       ref.reshape(-1, 16, 16))) <= 1e-14
+        # the vector path still sums term by term, as before
+        v = rng.standard_normal(16)
+        m, s = _taylor_degree(norm)
+        got, count = _taylor_series(X[0, 0], v, m, s)
+        ref, ref_count = oracles.taylor_terms(X[0, 0], v, m, s)
+        assert np.array_equal(got, ref) and count == ref_count
+
+    @pytest.mark.parametrize("norm", (1e-3, 0.5, 5.0, 50.0, 1e4))
+    def test_product_count(self, norm):
+        # per matrix of the stack: (p - 1) + floor(m / p) - [p | m]
+        # products at the best block size p, and log2 s squarings
+        rng = np.random.default_rng(3)
+        X = np.array([to_real_superop(_random_generator(4, rng)) for _ in range(3)])
+        shifted = X - np.trace(X, axis1=1, axis2=2)[:, None, None] / 16 * np.eye(16)
+        X *= norm / np.abs(shifted).sum(axis=-2).max()
+        m, s = _taylor_degree(norm, squaring=True)
+        ps = min(p - 1 + m // p - (m % p == 0) for p in range(1, m + 1))
+        assert _expm_taylor(X)[1] == 3 * (ps + int(math.log2(s)))
+        if m == 16:
+            assert ps == 6
+
     def test_form_or_apply_rule(self):
         # at ||X||_1 = 4, without scaling, the flops alone would form from
-        # u = n uses; a product's overhead moves that to u = 2 at n = 16
-        # and 3 at n = 64, and to ~90 at n = 256.  A step that needs
-        # scaling is formed for one use, and X = 0 is never formed
-        assert [_forms_first(4.0, 16, u) for u in (1, 2)] == [False, True]
-        assert [_forms_first(4.0, 64, u) for u in (2, 3)] == [False, True]
+        # u = n uses; the Paterson-Stockmeyer form (10 products and 7 block
+        # sums at m = 35, where the series took 34 products) and a numpy
+        # call's overhead move that to u = 1 at n = 16, 2 at n = 64 and ~26
+        # at n = 256.  Timed on the Davies generators of the seed-301 Pauli
+        # ladder (one BLAS thread), forming won from u = 1, 2 and 20-27.
+        # A step that needs scaling is formed for one use, and X = 0 is
+        # never formed
+        assert _forms_first(4.0, 16, 1) and not _forms_first(0.05, 16, 1)
+        assert [_forms_first(4.0, 64, u) for u in (1, 2)] == [False, True]
         assert [_forms_first(4.0, 256, u) for u in (5, 256)] == [False, True]
         assert _forms_first(1e4, 16, 1) and _forms_first(1e4, 256, 1)
         assert not _forms_first(0.0, 16, 100)
@@ -555,9 +620,25 @@ class TestGrowingFilterEquation:
         # per-interval control computes 920 exponentials on this grid;
         # halving every interval alike computed 1,536
         assert ta_sweep_reference.metadata["n_expm"] <= 1000
-        # and the Taylor kernel runs 11,504 matrix products for them, 12.5
-        # per exponential; the first term, X/s, takes none
-        assert ta_sweep_reference.metadata["n_products"] == 11504
+        # and the Taylor kernel runs 5,368 matrix products for them, 5.8 per
+        # exponential, by Paterson-Stockmeyer (11,504 term by term)
+        assert ta_sweep_reference.metadata["n_products"] == 5368
+
+    def test_peak_memory(self, benchmark_hamiltonian, benchmark_coupling, toy_bath,
+                         benchmark_initial):
+        # the CFM4 chunks are sized for the kernel's powers: the traced peak
+        # of a second run on the ta_sweep grid read 3.69 MiB (3.82 MiB with
+        # the term-by-term series; 5.32 MiB with its chunks and the powers)
+        args = (benchmark_hamiltonian, benchmark_coupling, toy_bath, benchmark_initial,
+                np.linspace(0.0, 2.56 * TAU_SB, 129))
+        evolve_ore(*args)
+        tracemalloc.start()
+        try:
+            evolve_ore(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.82 * 2 ** 20
 
     def test_step_control_pinned(self, ta_sweep_reference):
         # the local estimates are taken in matrix entries, not in the real

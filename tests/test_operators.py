@@ -204,6 +204,23 @@ class TestVectorization:
         assert np.allclose(half.apply(rho), expected, atol=1e-12)
         assert np.allclose(adjoint.apply(rho), expected.conj().T, atol=1e-12)
 
+    def test_stacked_redfield_halves_bit_identical(self, benchmark_jd, benchmark_coupling):
+        # the time-local reference's halves for all 13 filtered operators in
+        # one call: the per-frequency loop, and np.kron as first written
+        a = benchmark_coupling.entries
+        stack = np.asarray(benchmark_jd.operators)
+        half, adjoint = redfield_halves(a, stack)
+        loop = [redfield_halves(a, x) for x in stack]
+        eye = np.eye(a.shape[0])
+        kron = [(np.kron(x.T, a) - np.kron((x @ a).T, eye),
+                 np.kron(a.T, x.conj().T) - np.kron(eye, a @ x.conj().T)) for x in stack]
+        for ref in (loop, kron):
+            assert half.tobytes() == np.array([h for h, _ in ref]).tobytes()
+            assert adjoint.tobytes() == np.array([d for _, d in ref]).tobytes()
+        h = benchmark_jd.operators[0] + benchmark_jd.operators[0].conj().T
+        assert hamiltonian_superop(h).tobytes() == (
+            -1j * (np.kron(eye, h) - np.kron(h.T, eye))).tobytes()
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_generator_preserves_trace_and_hermiticity(self, seed):
