@@ -508,13 +508,11 @@ def ore_filter_quad(w, corr, t, epsabs=1e-14, lo=0.0):
 
 
 def ore_filter_quad_running(w, corr, times):
-    """g_w at every t in ``times`` (any order, t >= 0) as a running sum of
-    ``ore_filter_quad`` over the gaps between the sorted times, so each gap
-    is integrated once whatever the number of times."""
-    t = np.sort(np.asarray(times, dtype=float))
-    gaps = [ore_filter_quad(w, corr, b, lo=a) for a, b in zip(np.r_[0.0, t[:-1]], t)]
-    g = np.cumsum(gaps)
-    return g[np.searchsorted(t, times)]
+    """g_w at every t of the increasing ``times`` (t >= 0) as a running sum
+    of ``ore_filter_quad`` over the gaps between them, so each gap is
+    integrated once whatever the number of times."""
+    edges = np.r_[0.0, times]
+    return np.cumsum([ore_filter_quad(w, corr, b, lo=a) for a, b in zip(edges[:-1], edges[1:])])
 
 
 def taylor_terms(X, B, m, s):

@@ -380,7 +380,7 @@ class TestTaylorKernel:
         # sums at m = 35, where the series took 34 products) and a numpy
         # call's overhead move that to u = 1 at n = 16, 2 at n = 64 and ~26
         # at n = 256.  Timed on the Davies generators of the seed-301 Pauli
-        # ladder (one BLAS thread), forming won from u = 1, 2 and 20-27.
+        # ladder (one BLAS thread), forming won from u = 1, 2 and 20-28.
         # A step that needs scaling is formed for one use, and X = 0 is
         # never formed
         assert _forms_first(4.0, 16, 1) and not _forms_first(0.05, 16, 1)
