@@ -16,14 +16,16 @@ optimize-ta  averaging-time optimization report (formula, measured adjustment)
 
 Exit codes: 0 success, 2 configuration error or unknown command or option,
 3 numeric failure.  Every CSV table is written from its columns, each float
-as ``%.12g``.  All outputs are deterministic for a fixed config and seed.
+as ``%.12g``, one text block per block of rows.  No cell is ever quoted:
+every text cell is a fixed header or an equation tag, and a cell holding
+``,``, ``"``, ``\\r`` or ``\\n`` raises ValueError.  All outputs are
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import logging
 import math
 import os
@@ -49,6 +51,7 @@ from .driving import dd_suppression_xi
 from .evolve import EvolutionResult, evolve, evolve_ore, trace_distance_series
 from .generators import (
     GeneratorConfig,
+    JumpDecomposition,
     cgme_generator,
     davies_generator,
     decompose_coupling,
@@ -67,15 +70,31 @@ def _cells(column):
     return column
 
 
+def _csv_text(rows, width: int) -> str:
+    """The CSV lines of ``rows`` of ``width`` text cells, as one string.
+
+    No cell is quoted, so a cell holding ``,``, ``"``, ``\\r`` or ``\\n``
+    raises ValueError: the separators of the whole block are counted once."""
+    lines = [",".join(row) for row in rows]
+    text = "\n".join(lines) + "\n" if lines else ""
+    if (text.count(",") != len(lines) * (width - 1) or text.count("\n") != len(lines)
+            or '"' in text or "\r" in text):
+        bad = next(line for line in lines
+                   if line.count(",") != width - 1 or any(c in line for c in '"\r\n'))
+        raise ValueError(f"a CSV cell holds ',', '\"', '\\r' or '\\n': {bad!r}")
+    return text
+
+
 @contextlib.contextmanager
 def _table(path: str, header: Sequence[str]):
     """Open a CSV table and yield ``write(*columns)``, which appends the rows
-    of one block of columns."""
+    of one block of columns as one text block (``_csv_text``)."""
+    head = _csv_text([header], len(header))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        yield lambda *columns: writer.writerows(zip(*map(_cells, columns)))
+        handle.write(head)
+        yield lambda *columns: handle.write(
+            _csv_text(zip(*map(_cells, columns)), len(columns)))
 
 
 def _write_csv(path: str, header: Sequence[str], columns) -> None:
@@ -126,11 +145,13 @@ def _grid(cfg: ExperimentConfig, tau_sb: float) -> np.ndarray:
 
 
 def _run_equation(
-    eq: GeneratorConfig, H, A, bath, rho0, grid
+    eq: GeneratorConfig, H, A, bath, rho0, grid, jd: JumpDecomposition
 ) -> EvolutionResult:
+    """Evolve one equation on ``grid``.  ``jd`` is the command's one jump
+    decomposition of A, ``decompose_coupling(eigensystem(H), A)``, shared by
+    every equation it runs, the time-local reference included."""
     if eq.equation_kind == "ore":
-        return evolve_ore(H, A, bath, rho0, grid)
-    jd = decompose_coupling(eigensystem(H), A)
+        return evolve_ore(H, A, bath, rho0, grid, jd=jd)
     if eq.equation_kind == "redfield":
         gen = redfield_generator(jd, bath, lambless=eq.lambless)
     elif eq.equation_kind == "davies":
@@ -262,14 +283,16 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir: str, args) -> int:
     bath, ts = _bath_and_timescales(cfg)
     H, A, rho0 = _model(cfg)
     grid = _grid(cfg, ts.tau_SB)
-    projectors = eigensystem(H).projectors
+    eig = eigensystem(H)
+    projectors = eig.projectors
     if not cfg.equations:
         raise ConfigError("evolve requires a non-empty 'equations' list")
+    jd = decompose_coupling(eig, A)
     failures = 0
     for eq in _sweep_equations(cfg):
         tag = _equation_tag(eq)
         try:
-            res = _run_equation(eq, H, A, bath, rho0, grid)
+            res = _run_equation(eq, H, A, bath, rho0, grid, jd)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             logger.error("equation %s failed: %s", tag, exc)
             failures += 1
@@ -298,7 +321,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str, args) -> int:
     if len(equations) < 2:
         raise ConfigError("compare requires at least two equations (after sweeps)")
 
-    results = [_run_equation(eq, H, A, bath, rho0, grid) for eq in equations]
+    jd = decompose_coupling(eigensystem(H), A)
+    results = [_run_equation(eq, H, A, bath, rho0, grid, jd) for eq in equations]
 
     tags = [_equation_tag(eq) for eq in equations]
     averages = {}
@@ -377,8 +401,9 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: str, args) -> int:
     H, A, rho0 = _model(cfg)
     grid = _grid(cfg, ts.tau_SB)
     eq_c = _first_cgme(cfg.equations)
-    res_c = _run_equation(eq_c, H, A, bath, rho0, grid)
-    res_ref = _run_equation(GeneratorConfig("ore"), H, A, bath, rho0, grid)
+    jd = decompose_coupling(eigensystem(H), A)
+    res_c = _run_equation(eq_c, H, A, bath, rho0, grid, jd)
+    res_ref = _run_equation(GeneratorConfig("ore"), H, A, bath, rho0, grid, jd)
     measured, _ = trace_distance_series(res_c, res_ref)
     bp = BoundParams(
         tau_b=ts.tau_B, tau_sb=ts.tau_SB, t_a=eq_c.T_a, epsilon_t=ts.epsilon_T

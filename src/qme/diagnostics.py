@@ -167,13 +167,15 @@ def _ginibre_draws(rng, n_samples: int, dim: int, t_lo: float, t_hi: float):
     The Gaussian scale cancels under trace-norm normalization, so a standard
     complex Ginibre draw G = a + ib symmetrized to (G + G^dagger)/2
     realizes the ensemble.  Draws stay in per-sample order (a and b in one
-    call, then t unless X = 0, i.e. unless a + a^T = 0 and b - b^T = 0);
-    X = 0 leaves t = 0 and ``live`` False.  The symmetrization runs on the
-    whole stack."""
+    call, then one ``rng.random()`` u unless X = 0, i.e. unless a + a^T = 0
+    and b - b^T = 0); X = 0 leaves t = 0 and ``live`` False.  After the loop
+    t = t_lo + (t_hi - t_lo) u on the whole stack, the arithmetic of
+    ``Generator.uniform(t_lo, t_hi)``, so t is the same to the bit.  The
+    symmetrization runs on the whole stack."""
     z = np.empty((n_samples, 2, dim, dim))
-    ts = np.zeros(n_samples)
+    u = np.zeros(n_samples)
     live = np.ones(n_samples, dtype=bool)
-    normal, uniform = rng.standard_normal, rng.uniform
+    normal, random = rng.standard_normal, rng.random
     for k, zk in enumerate(z):
         normal(out=zk)
         # a_00 != 0 already makes a + a^T nonzero
@@ -182,7 +184,8 @@ def _ginibre_draws(rng, n_samples: int, dim: int, t_lo: float, t_hi: float):
             if not ((a + a.T).any() or (b - b.T).any()):
                 live[k] = False
                 continue
-        ts[k] = uniform(t_lo, t_hi)
+        u[k] = random()
+    ts = np.where(live, t_lo + (t_hi - t_lo) * u, 0.0)
     a, b = z[:, 0], z[:, 1]
     xs = np.empty((n_samples, dim, dim), dtype=complex)
     xs.real = a + a.transpose(0, 2, 1)

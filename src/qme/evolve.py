@@ -532,6 +532,12 @@ def ore_filter(jd: JumpDecomposition, bath, t_max: float):
     the benchmark model on [0, 25.6]), and integrates its interpolant over
     the partial panel.
 
+    The integrand takes one exponential column per distinct |w| (7 for the
+    13 frequencies of the benchmark model: 0 and six +-w pairs), as
+    ``generators._cgme_coefficients`` does, and conjugates the columns of
+    w < 0 in place; C(-t') is the first operand of the product, whose
+    rounding depends on the operand order.
+
     The starting panels (``quadrature.panel_edges``) are cut at the bath's
     kinks and resolve the fastest of e^{i w t'} and of the bath's own
     frequency scale.  g_w(infinity) equals the half-range transform f(-w)*
@@ -540,10 +546,16 @@ def ore_filter(jd: JumpDecomposition, bath, t_max: float):
     w = np.asarray(jd.frequencies, dtype=float)
     rate = max(float(np.max(np.abs(w), initial=0.0)), bath._initial_radius())
     edges = panel_edges([0.0, t_max, *kinks(bath, 0.0, t_max)], rate)
+    mags, column = np.unique(np.abs(w), return_inverse=True)
+    negative = np.flatnonzero(w < 0)
 
     def integrand(t):
-        return (np.asarray(bath.correlation(-t), dtype=complex)[:, None]
-                * np.exp(1j * np.multiply.outer(t, w)))
+        # C-ordered columns (a fancy index would give F order, which moves
+        # the last bits of the sums over them); e^{-i|w|t'} = conj(e^{i|w|t'})
+        phase = np.take(np.exp(1j * np.multiply.outer(t, mags)), column, axis=1)
+        phase.imag[:, negative] *= -1.0
+        return np.multiply(np.asarray(bath.correlation(-t), dtype=complex)[:, None],
+                           phase, out=phase)
 
     return cumulative(integrand, edges)
 

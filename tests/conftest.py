@@ -57,3 +57,23 @@ def benchmark_initial():
 @pytest.fixture(scope="session")
 def benchmark_jd(benchmark_hamiltonian, benchmark_coupling):
     return decompose_coupling(eigensystem(benchmark_hamiltonian), benchmark_coupling)
+
+
+@pytest.fixture(scope="session")
+def parity_jd():
+    """A 3-qubit Pauli model whose terms all commute with ZZZ, coupled
+    through ZII: two parity sectors of 4 levels, 25 Bohr frequencies."""
+    paulis = {"I": IDENT, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    terms = {"ZII": 0.768349, "IZI": 1.0218, "IIZ": -0.308396, "XXI": -0.597012,
+             "YYI": -0.438379, "ZZI": -0.227511, "IXX": -0.684532,
+             "IYY": -0.732595, "IZZ": 0.42013, "ZYX": 0.181048}
+
+    def string(label):
+        out = np.ones((1, 1), dtype=complex)
+        for c in label:
+            out = np.kron(out, paulis[c])
+        return out
+
+    H = sum(c * string(label) for label, c in terms.items())
+    return decompose_coupling(eigensystem(HermitianOperator(H)),
+                              HermitianOperator(string("ZII")))

@@ -515,6 +515,24 @@ def ore_filter_quad_running(w, corr, times):
     return np.cumsum([ore_filter_quad(w, corr, b, lo=a) for a, b in zip(edges[:-1], edges[1:])])
 
 
+def ore_filter_direct(jd, bath, t_max):
+    """qme.evolve.ore_filter as first written: the same starting panels and
+    running sum, with an integrand that takes e^{i w t'} for every column
+    w = jd.frequencies[k], negative w included.  Returns (g, error)."""
+    from qme.baths import kinks
+    from qme.quadrature import cumulative, panel_edges
+
+    w = np.asarray(jd.frequencies, dtype=float)
+    rate = max(float(np.max(np.abs(w), initial=0.0)), bath._initial_radius())
+    edges = panel_edges([0.0, t_max, *kinks(bath, 0.0, t_max)], rate)
+
+    def integrand(t):
+        return (np.asarray(bath.correlation(-t), dtype=complex)[:, None]
+                * np.exp(1j * np.multiply.outer(t, w)))
+
+    return cumulative(integrand, edges)
+
+
 def taylor_terms(X, B, m, s):
     """T_m(X/s) B, for B None the identity, and the number of matrix
     products it took, term by term as first written: m - 1 products on the

@@ -2,6 +2,7 @@
 
 import json
 import os
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -487,6 +488,16 @@ beta[time],omega_c[1/time],dt[time],xi[dimensionless]
         assert main(["dd", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
         assert (out / "dd.csv").read_bytes() == self.DD_TABLE_CSV.encode()
 
+    @pytest.mark.parametrize("empty", ["beta", "dt"])
+    def test_dd_table_without_rows_is_its_header(self, tmp_path, empty):
+        # an empty beta or dt list writes the header line and no row
+        doc = {"dd": {"beta": [5.0], "omega_c": [1.0], "dt": [0.5, 1.0], "k_prime": 1}}
+        doc["dd"][empty] = []
+        out = tmp_path / "o"
+        assert main(["dd", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+        header = self.DD_TABLE_CSV.splitlines(keepends=True)[0]
+        assert (out / "dd.csv").read_bytes() == header.encode()
+
     def test_optimize_ta_report(self, tmp_path, capsys):
         doc = _base_doc()
         del doc["model"]  # bath-only variant: formula + discrepancy only
@@ -641,6 +652,32 @@ class TestTablesMatchRowWriter:
             oracles.write_trajectory_table(
                 ref / f"trajectory_{qme.cli._equation_tag(eq)}.csv", res, projectors)
         self.assert_same_tables(out, ref)
+
+    @pytest.mark.parametrize("command", ["compare", "bounds", "evolve"])
+    def test_one_decomposition_per_command(self, tmp_path, monkeypatch, command):
+        # every equation a command runs, the time-local reference included,
+        # shares the command's one jump decomposition
+        import qme.generators
+
+        calls = []
+        decompose = qme.generators.decompose_coupling
+        for module in (qme.cli, qme.generators):
+            monkeypatch.setattr(module, "decompose_coupling",
+                                lambda *args: calls.append(1) or decompose(*args))
+        self.run(tmp_path, command, self.SWEEP)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cell", ["a,b", 'a"b', "a\nb", "a\rb"],
+                             ids=["comma", "quote", "newline", "return"])
+    def test_cell_csv_would_quote_raises(self, tmp_path, cell):
+        # no cell is quoted, so one that csv would quote is refused, in a
+        # block of rows as in the header
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(ValueError):
+            with qme.cli._table(path, ["t[abs]", "equation_a"]) as write:
+                write(np.array([0.0, 1.0]), repeat(cell))
+        with pytest.raises(ValueError):
+            qme.cli._write_csv(path, ["t[abs]", cell], [np.array([0.0]), ["ore"]])
 
     @pytest.mark.parametrize("bath", [
         {"kind": "toy", "params": {}},

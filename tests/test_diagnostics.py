@@ -182,12 +182,19 @@ class TestLambdaEstimate:
         assert single.typical_norm == whole.typical_norm
         assert np.array_equal(single.histogram_counts, whole.histogram_counts)
 
-    @pytest.mark.parametrize("seed, n_samples, dim", [(0, 500, 4), (3, 300, 2), (71, 200, 8)])
-    def test_draws_match_per_sample_loop(self, seed, n_samples, dim):
+    @pytest.mark.parametrize("seed, n_samples, dim, t_lo, t_hi", [
+        # the ids of the (0.5, 25.6) cases name the sample only
+        pytest.param(seed, n, dim, lo, hi, id=f"{seed}-{n}-{dim}" + (
+            "" if (lo, hi) == (0.5, 25.6) else f"-{lo:g}-{hi:g}"))
+        for seed, n, dim in [(0, 500, 4), (3, 300, 2), (71, 200, 8)]
+        for lo, hi in [(0.5, 25.6), (0.0, 25.6), (1.3, 7.7)]])
+    def test_draws_match_per_sample_loop(self, seed, n_samples, dim, t_lo, t_hi):
         # one (2, d, d) draw per sample is the stream of two (d, d) draws,
-        # and the stacked symmetrization is exact: the draws are bit-identical
-        got = _ginibre_draws(np.random.default_rng(seed), n_samples, dim, 0.5, 25.6)
-        ref = oracles.ginibre_draws_loop(seed, n_samples, dim, 0.5, 25.6)
+        # the stacked symmetrization is exact, and t_lo + (t_hi - t_lo) u of
+        # one random() u per live sample is Generator.uniform's arithmetic:
+        # the draws are bit-identical
+        got = _ginibre_draws(np.random.default_rng(seed), n_samples, dim, t_lo, t_hi)
+        ref = oracles.ginibre_draws_loop(seed, n_samples, dim, t_lo, t_hi)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
@@ -209,16 +216,16 @@ class TestLambdaEstimate:
                 out[...] = next(draws)
                 return out
 
-            def uniform(self, lo, hi):
-                calls.append("uniform")
-                return 0.5 * (lo + hi)
+            def random(self):
+                calls.append("random")
+                return 0.5
 
         xs, ts, live = _ginibre_draws(StubRng(), 4, 2, 0.5, 25.6)
         assert live.tolist() == [True, True, False, True]
         assert ts[2] == 0.0 and np.all(ts[[0, 1, 3]] == 13.05)
         assert np.all(xs[2] == 0.0)
-        assert calls == ["normal", "uniform", "normal", "uniform", "normal",
-                         "normal", "uniform"]
+        assert calls == ["normal", "random", "normal", "random", "normal",
+                         "normal", "random"]
 
     def test_requires_enough_samples(self, benchmark_hamiltonian, benchmark_coupling,
                                      toy_bath):

@@ -597,6 +597,19 @@ class TestGrowingFilterEquation:
             ref = [oracles.ore_filter_quad(float(w), toy_bath.correlation, x) for x in t]
             assert np.max(np.abs(got[:, k] - ref)) < max(EPSABS, 0.1 * EPSREL)
 
+    @pytest.mark.parametrize("model, n_w", [("benchmark_jd", 13), ("parity_jd", 25)])
+    def test_filter_matches_all_columns_integrand(self, request, toy_bath, model, n_w):
+        # one exponential column per distinct |w|, conjugated where w < 0,
+        # against the integrand that takes e^{i w t'} for every column, on
+        # the benchmark model (w = 0 and six +-w pairs) and the 3-qubit
+        # parity model
+        jd = request.getfixturevalue(model)
+        assert len(jd.frequencies) == n_w and 0.0 in jd.frequencies
+        g, _ = ore_filter(jd, toy_bath, 25.6)
+        ref, _ = oracles.ore_filter_direct(jd, toy_bath, 25.6)
+        t = np.concatenate(([0.0, 25.6], np.random.default_rng(13).uniform(0.0, 25.6, 500)))
+        assert np.max(np.abs(g(t) - ref(t))) <= 1e-16
+
     def test_reference_matches_ode_oracle(self, benchmark_hamiltonian, benchmark_coupling,
                                           toy_bath, benchmark_initial, benchmark_jd):
         # the ta_sweep model and grid against DOP853 on an order-24 Gauss filter

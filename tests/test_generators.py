@@ -30,7 +30,7 @@ from qme.diagnostics import BoundParams, bound_summary
 from qme.evolve import evolve, evolve_ore, trace_distance_series
 from qme.operators import DensityMatrix, HermitianOperator, eigensystem, operator_norm
 
-from conftest import IDENT, PAULI_X, PAULI_Y, PAULI_Z
+from conftest import IDENT, PAULI_X, PAULI_Z
 import oracles
 
 
@@ -199,25 +199,6 @@ def _sinc_lamb_coefficients(w, wp, T_a, bath):
         bath.correlation(theta), dtype=complex), edges)
 
 
-def _parity_model_jd():
-    """A 3-qubit Pauli model whose terms all commute with ZZZ, coupled
-    through ZII: two parity sectors of 4 levels, 25 Bohr frequencies."""
-    paulis = {"I": IDENT, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-    terms = {"ZII": 0.768349, "IZI": 1.0218, "IIZ": -0.308396, "XXI": -0.597012,
-             "YYI": -0.438379, "ZZI": -0.227511, "IXX": -0.684532,
-             "IYY": -0.732595, "IZZ": 0.42013, "ZYX": 0.181048}
-
-    def string(label):
-        out = np.ones((1, 1), dtype=complex)
-        for c in label:
-            out = np.kron(out, paulis[c])
-        return out
-
-    H = sum(c * string(label) for label, c in terms.items())
-    return decompose_coupling(eigensystem(HermitianOperator(H)),
-                              HermitianOperator(string("ZII")))
-
-
 class TestLambTransform:
     """The transform form of every F_{w w'} against the (pair x node) sinc
     contraction it replaced, on the same grids."""
@@ -231,8 +212,8 @@ class TestLambTransform:
         assert err <= max(quadrature.EPSABS, quadrature.EPSREL * np.max(np.abs(ours)))
 
     @pytest.mark.parametrize("t_a", [1.0, 5.25])
-    def test_matches_sinc_path_parity_model(self, toy_bath, t_a):
-        w = _parity_model_jd().frequencies
+    def test_matches_sinc_path_parity_model(self, parity_jd, toy_bath, t_a):
+        w = parity_jd.frequencies
         assert len(w) == 25
         _, ours, _ = _cgme_coefficients(w, w, t_a, toy_bath)
         ref, _ = _sinc_lamb_coefficients(w, w, t_a, toy_bath)
