@@ -555,8 +555,8 @@ def ore_filter(jd: JumpDecomposition, bath, t_max: float):
         # the last bits of the sums over them); e^{-i|w|t'} = conj(e^{i|w|t'})
         phase = np.take(np.exp(1j * np.multiply.outer(t, mags)), column, axis=1)
         phase.imag[:, negative] *= -1.0
-        # a fresh product, allocated after the phases as before: writing it
-        # into ``phase`` raised the process's peak RSS by ~0.1 MB
+        # a fresh product: writing it into ``phase`` raised the peak RSS of
+        # a ta_sweep_2q benchmark round by ~0.1 MB
         return np.asarray(bath.correlation(-t), dtype=complex)[:, None] * phase
 
     return cumulative(integrand, edges)
