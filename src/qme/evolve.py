@@ -286,6 +286,18 @@ def _expm_taylor(X, B=None, reused=False):
     return F @ B, products + 1
 
 
+def _one_norms(M):
+    """(||M - tr(M)/n||_1, ||M||_1) of an (n, n) matrix: the 1-norms of the
+    exponent the kernel applies (shifted) and of the one it forms for reuse
+    (unshifted), from one pass over |M|.  A shifted column sum differs from
+    an unshifted one on the diagonal only, so it is corrected there; no
+    identity and no shifted copy is built."""
+    diag = _diagonal(M)
+    columns = np.abs(M).sum(axis=0)
+    shifted = columns - np.abs(diag) + np.abs(diag - np.trace(M) / len(diag))
+    return float(shifted.max()), float(columns.max())
+
+
 def _propagate_expm(matrix_fn, v0, grid):
     """Exact propagation of dv/dt = M v for a constant M by exp(M h) for
     every distinct step h (steps within STEP_RTOL of each other share one).
@@ -299,10 +311,7 @@ def _propagate_expm(matrix_fn, v0, grid):
     dense output of a stored result does not hold a d^2 x d^2 matrix."""
     M = matrix_fn()
     n = len(v0)
-    # the 1-norms at h = 1 of the exponent the kernel applies (shifted) and
-    # of the one it forms for reuse (unshifted)
-    norm = float(np.abs(M - np.trace(M) / n * np.eye(n)).sum(axis=0).max())
-    norm_formed = float(np.abs(M).sum(axis=0).max())
+    norm, norm_formed = _one_norms(M)
     steps = np.diff(grid)
     reps, which = [], np.empty(len(steps), dtype=int)
     for k in np.argsort(steps, kind="stable"):

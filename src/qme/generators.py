@@ -242,11 +242,13 @@ def davies_generator(jd: JumpDecomposition, bath, lambless=False) -> GeneratorSe
     """One Lindblad term per Bohr frequency, weight gamma(w);
     H_LS = sum_w S(w) A_w^dag A_w (the secular projection of the Redfield
     drift term, and the large-averaging-time limit of the coarse-grained
-    Lamb shift), with every S(w) from one call on the bath's grid."""
+    Lamb shift), with every S(w) from one call on the bath's grid and the
+    sum as one (d, n d) x (n d, d) product over the n stacked A_w."""
     w, A = jd.frequencies, np.array(jd.operators)
     ops = tuple((float(g), Aw) for g, Aw in zip(bath.gamma(w), jd.operators))
     S, err = (np.zeros(len(w)), None) if lambless else bath.lamb_amplitude_S(w)
-    H_LS = np.einsum("k,kba,kbc->ac", S, A.conj(), A)
+    d = jd.dim
+    H_LS = (S[:, None, None] * A.conj()).reshape(-1, d).T @ A.reshape(-1, d)
     H_LS = 0.5 * (H_LS + H_LS.conj().T)
     return GeneratorSet(H_eff=jd.hamiltonian + H_LS, kind="davies",
                         lindblad_ops=ops,
@@ -370,10 +372,12 @@ def cgme_lamb_F(w, wp, T_a, bath) -> float:
 
 
 def _lamb_operator(jd: JumpDecomposition, F):
-    """The Hermitian H_LS = sum_{w w'} F_{w w'} A_{w'} A_w."""
-    ops = np.array(jd.operators)
-    B = np.tensordot(F, ops, axes=(0, 0))          # B_j = sum_i F_ij A_i
-    H_LS = np.einsum("jab,jbc->ac", ops, B)       # sum_j A_j B_j
+    """The Hermitian H_LS = sum_{w w'} F_{w w'} A_{w'} A_w, with
+    B_j = sum_i F_ij A_i and sum_j A_j B_j as one (d, n d) x (n d, d)
+    product over the n stacked A_j."""
+    ops, d = np.array(jd.operators), jd.dim
+    B = np.tensordot(F, ops, axes=(0, 0))
+    H_LS = ops.transpose(1, 0, 2).reshape(d, -1) @ B.reshape(-1, d)
     sym = 0.5 * (H_LS + H_LS.conj().T)
     if np.max(np.abs(H_LS - sym)) > 1e-9 * max(1.0, np.max(np.abs(sym))):
         raise ArithmeticError("Lamb shift failed to come out Hermitian")

@@ -230,11 +230,32 @@ def redfield_halves(A: np.ndarray, X: np.ndarray):
     return _kron(np.swapaxes(X, -1, -2), A) - _right(X @ A), _kron(A.T, Xd) - _left(A @ Xd)
 
 
+def _superop(P, Q, left, right) -> np.ndarray:
+    """The (d^2 x d^2) matrix of rho -> sum_k Q_k rho P_k^T + left rho +
+    rho right, i.e. sum_k P_k kron Q_k + _left(left) + _right(right), for
+    (K, d, d) stacks P, Q.  sum_k P_k[a, b] Q_k[i, j] is the (a b),(i j)
+    entry of one (d^2, K) x (K, d^2) product, transposed to the (a i),(b j)
+    entry of the Kronecker sum; the left and right terms are added in place
+    on its block diagonals, so no other (d^2 x d^2) array is built
+    (Havel, J. Math. Phys. 44, 534 (2003))."""
+    K, d = P.shape[0], P.shape[-1]
+    # the product is a temporary, freed once transposed
+    mat = (P.reshape(K, d * d).T @ Q.reshape(K, d * d)).reshape(d, d, d, d)
+    mat = mat.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    blocks, k = mat.reshape(d, d, d, d), np.arange(d)
+    blocks[k, :, k, :] += left
+    blocks[:, k, :, k] += right.T
+    return mat
+
+
 def vectorize_generator(H_eff, lindblad_ops) -> Superoperator:
     """Vectorize -i[H_eff, rho] + sum_k w_k (L rho L^+ - 1/2 {L^+L, rho}).
 
     ``lindblad_ops`` is a list of (weight >= 0, L) pairs. Negative weights are
     rejected here; use :func:`vectorize_redfield` for non-Lindblad generators.
+    The sandwiches L rho L^+ are the Kronecker sum sum_k w_k conj(L_k) kron
+    L_k of ``_superop``; -i[H, rho] - 1/2 {L^+L, rho} is its left term
+    -iH - L^+L/2 and right term iH - L^+L/2.
     """
     H = H_eff.entries if isinstance(H_eff, HermitianOperator) else np.asarray(H_eff, complex)
     d = H.shape[0]
@@ -246,26 +267,19 @@ def vectorize_generator(H_eff, lindblad_ops) -> Superoperator:
         raise ValueError("Lindblad operator dimension mismatch")
     L = np.array([L for _, L in ops], dtype=complex).reshape(len(w), d, d)
     wLc = w[:, None, None] * L.conj()
-    # sum_k w_k conj(L_k)[a, b] L_k[i, j] is the (a i),(b j) entry of
-    # sum_k w_k conj(L_k) kron L_k, i.e. of the sandwich L rho L^+
-    sandwich = wLc.reshape(len(w), d * d).T @ L.reshape(len(w), d * d)
-    mat = sandwich.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     # sum_k w_k L_k^+ L_k
     LdL = wLc.reshape(-1, d).T @ L.reshape(-1, d)
-    # -i[H, rho] - 1/2 {LdL, rho} = X rho + rho Y with X = -iH - LdL/2 and
-    # Y = iH - LdL/2, i.e. _left(X) + _right(Y): added in place on their
-    # block diagonals, so no other (d^2 x d^2) array is built
-    blocks, k = mat.reshape(d, d, d, d), np.arange(d)
-    blocks[k, :, k, :] += -1j * H - 0.5 * LdL
-    blocks[:, k, :, k] += (1j * H - 0.5 * LdL).T
-    return Superoperator(mat, d)
+    return Superoperator(_superop(wLc, L, -1j * H - 0.5 * LdL, 1j * H - 0.5 * LdL), d)
 
 
 def vectorize_redfield(H, A, A_f) -> Superoperator:
     """Vectorize -i[H, rho] + (A rho A_f - rho A_f A + h.c.).
 
     The filtered operator ``A_f`` carries arbitrary complex coefficients, so
-    this entry point does not require Lindblad-form weights.
+    this entry point does not require Lindblad-form weights.  The sandwiches
+    A rho A_f and A_f^+ rho A are the Kronecker sum of ``_superop`` with
+    P = [A_f^T, A^T] and Q = [A, A_f^+]; its left term is -iH - A A_f^+ and
+    its right term iH - A_f A.
     """
     H = H.entries if isinstance(H, HermitianOperator) else np.asarray(H, complex)
     A = A.entries if isinstance(A, HermitianOperator) else np.asarray(A, complex)
@@ -273,8 +287,10 @@ def vectorize_redfield(H, A, A_f) -> Superoperator:
     d = H.shape[0]
     if A.shape != (d, d) or A_f.shape != (d, d):
         raise ValueError("dimension mismatch")
-    half, adjoint = redfield_halves(A, A_f)
-    return Superoperator(hamiltonian_superop(H) + half + adjoint, d)
+    A_fd = A_f.conj().T
+    mat = _superop(np.stack([A_f.T, A.T]), np.stack([A, A_fd]),
+                   -1j * H - A @ A_fd, 1j * H - A_f @ A)
+    return Superoperator(mat, d)
 
 
 def choi_matrix(sop: Superoperator) -> np.ndarray:
@@ -326,11 +342,23 @@ def _real_basis(n: int):
 
 
 def _gather(v: np.ndarray, axis: int, phase: complex) -> np.ndarray:
-    """Q (phase 1j) or conj(Q) (phase -1j) applied along ``axis`` of v."""
+    """Q (phase 1j) or conj(Q) (phase -1j) applied along ``axis`` of the
+    complex array v: the diagonal entries, sqrt(1/2) (u + l) and
+    phase sqrt(1/2) (l - u) of the upper and lower entries u, l, written
+    into one output with the lower entries the only temporary.  The
+    indices are in range, and ``mode="clip"`` lets ``np.take`` write into
+    a strided slice unbuffered."""
     d, diag, up, lo = _real_basis(v.shape[axis])
-    u, l = np.take(v, up, axis=axis), np.take(v, lo, axis=axis)
-    return np.concatenate((np.take(v, diag, axis=axis), _SQRT_HALF * (u + l),
-                           (phase * _SQRT_HALF) * (l - u)), axis=axis)
+    out = np.empty(v.shape, dtype=complex)
+    first, sym, anti = np.split(out, [d, d + len(up)], axis=axis)
+    np.take(v, diag, axis=axis, out=first, mode="clip")
+    np.take(v, up, axis=axis, out=sym, mode="clip")
+    l = np.take(v, lo, axis=axis, mode="clip")
+    np.subtract(l, sym, out=anti)
+    sym += l
+    sym *= _SQRT_HALF
+    anti *= phase * _SQRT_HALF
+    return out
 
 
 def _real_part(z: np.ndarray, what: str) -> np.ndarray:

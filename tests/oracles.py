@@ -496,6 +496,61 @@ def lindblad_superop_kron(h, lindblad_ops):
     return mat
 
 
+def redfield_superop_kron(h, a, a_f):
+    """-i[h, .] + (a . a_f - . a_f a + h.c.) in column stacking, one
+    Kronecker product per term."""
+    eye = np.eye(h.shape[0])
+    a_fd = a_f.conj().T
+    return (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
+            + np.kron(a_f.T, a) - np.kron((a_f @ a).T, eye)
+            + np.kron(a.T, a_fd) - np.kron(eye, a @ a_fd))
+
+
+def lindblad_superop_sandwich(h, lindblad_ops):
+    """The Lindblad superoperator of ``lindblad_superop_kron`` as first
+    vectorized without Kronecker products: the sandwiches from one
+    (d^2, K) x (K, d^2) product, transposed, and -i[h, .] - 1/2 {L^+L, .}
+    added on the block diagonals."""
+    d = h.shape[0]
+    w = np.array([wk for wk, _ in lindblad_ops], dtype=float)
+    L = np.array([L for _, L in lindblad_ops], dtype=complex).reshape(len(w), d, d)
+    wLc = w[:, None, None] * L.conj()
+    sandwich = wLc.reshape(len(w), d * d).T @ L.reshape(len(w), d * d)
+    mat = sandwich.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    LdL = wLc.reshape(-1, d).T @ L.reshape(-1, d)
+    blocks, k = mat.reshape(d, d, d, d), np.arange(d)
+    blocks[k, :, k, :] += -1j * h - 0.5 * LdL
+    blocks[:, k, :, k] += (1j * h - 0.5 * LdL).T
+    return mat
+
+
+def davies_lamb_shift_einsum(S, ops):
+    """sum_w S(w) A_w^+ A_w over a (n, d, d) stack of A_w, as one
+    three-operand einsum."""
+    return np.einsum("k,kba,kbc->ac", S, ops.conj(), ops)
+
+
+def lamb_operator_einsum(F, ops):
+    """sum_{w w'} F_{w w'} A_{w'} A_w over a (n, d, d) stack of A_w:
+    B_j = sum_i F_ij A_i, then sum_j A_j B_j by einsum."""
+    B = np.tensordot(F, ops, axes=(0, 0))
+    return np.einsum("jab,jbc->ac", ops, B)
+
+
+def real_basis_gather(v, axis, phase):
+    """Q (phase 1j) or conj(Q) (phase -1j) of the orthonormal Hermitian
+    basis E_ii, (E_ij + E_ji)/sqrt2, i (E_ij - E_ji)/sqrt2 (i < j) applied
+    along ``axis`` of column-stacked entries: three gathers, the block
+    arithmetic on fresh arrays and one concatenate."""
+    d = math.isqrt(v.shape[axis])
+    i, j = np.triu_indices(d, 1)
+    diag, up, lo = np.arange(d) * (d + 1), i + j * d, j + i * d
+    half = math.sqrt(0.5)
+    u, l = np.take(v, up, axis=axis), np.take(v, lo, axis=axis)
+    return np.concatenate((np.take(v, diag, axis=axis), half * (u + l),
+                           (phase * half) * (l - u)), axis=axis)
+
+
 def ore_filter_quad(w, corr, t, epsabs=1e-14, lo=0.0):
     """g_w(t) = int_lo^t C(-t') e^{iwt'} dt' (lo = 0: the filter integral) by
     two adaptive quad calls (real and imaginary part) on scalar correlation

@@ -17,6 +17,7 @@ from qme.evolve import (
     _cfm4_propagators,
     _expm_taylor,
     _forms_first,
+    _one_norms,
     _taylor_degree,
     _taylor_polynomial,
     _taylor_series,
@@ -373,6 +374,33 @@ class TestTaylorKernel:
         assert _expm_taylor(X)[1] == 3 * (ps + int(math.log2(s)))
         if m == 16:
             assert ps == 6
+
+    def test_one_pass_norms(self, ladder_jds, benchmark_jd, toy_bath):
+        # both 1-norms from one pass over |M|, the shifted one corrected on
+        # the diagonal, against the direct formulas
+        for jd in (*ladder_jds.values(), benchmark_jd):
+            for gen in (davies_generator(jd, toy_bath), redfield_generator(jd, toy_bath)):
+                M = to_real_superop(gen.to_superoperator().matrix)
+                n = len(M)
+                shifted, formed = _one_norms(M)
+                direct = np.abs(M - np.trace(M) / n * np.eye(n)).sum(axis=0).max()
+                assert abs(shifted - direct) <= 4 * np.finfo(float).eps * direct
+                assert formed == np.abs(M).sum(axis=0).max()
+
+    def test_products_unchanged_by_one_pass_norms(self, ladder_jds, benchmark_jd, toy_bath,
+                                                 benchmark_initial):
+        # the kernel's product counts as with two passes over M, on the
+        # Davies, Redfield and CGME generators of the ladder (its benchmark
+        # grid) and of the benchmark model (the T_a sweep's grid)
+        cgme = GeneratorConfig("cgme_frequency", T_a=1.0)
+        cases = [(jd, DensityMatrix.from_pure(np.eye(jd.dim)[-1]), np.linspace(0.0, 2.5, 6))
+                 for jd in ladder_jds.values()]
+        cases.append((benchmark_jd, benchmark_initial, np.linspace(0.0, 25.6, 129)))
+        counts = [[evolve(gen, rho0, grid).metadata["n_products"]
+                   for gen in (davies_generator(jd, toy_bath), redfield_generator(jd, toy_bath),
+                               cgme_generator(jd, toy_bath, cgme))]
+                  for jd, rho0, grid in cases]
+        assert counts == [[10] * 3, [12] * 3, [165] * 3, [7] * 3]
 
     def test_form_or_apply_rule(self):
         # at ||X||_1 = 4, without scaling, the flops alone would form from

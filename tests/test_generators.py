@@ -13,6 +13,7 @@ from qme.generators import (
     WEIGHT_CLIP_TOL,
     DiscretizationParams,
     _lindblad_from_kossakowski,
+    _lamb_operator,
     GeneratorConfig,
     _cgme_coefficients,
     cgme_gamma,
@@ -96,6 +97,23 @@ class TestRedfieldAndDavies:
             err = build(benchmark_jd, toy_bath).meta["lamb_quad_error"]
             assert 0.0 <= err <= max(quadrature.EPSABS, quadrature.EPSREL)
             assert build(benchmark_jd, toy_bath, lambless=True).meta["lamb_quad_error"] is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lamb_sums_match_einsum(self, ladder_jds, toy_bath, n):
+        # the Lamb shifts as one (d, n d) x (n d, d) product against the
+        # three-operand einsums they replace, on the many-frequency ladder
+        jd = ladder_jds[n]
+        ops = np.array(jd.operators)
+
+        def close(H_LS, ref):
+            ref = 0.5 * (ref + ref.conj().T)
+            return np.max(np.abs(H_LS - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+        S = toy_bath.lamb_amplitude_S(jd.frequencies)[0]
+        assert close(davies_generator(jd, toy_bath).meta["H_LS"],
+                     oracles.davies_lamb_shift_einsum(S, ops))
+        F = _cgme_coefficients(jd.frequencies, jd.frequencies, 1.0, toy_bath)[1]
+        assert close(_lamb_operator(jd, F), oracles.lamb_operator_einsum(F, ops))
 
     def test_davies_commutes_with_hamiltonian_part(self, benchmark_jd, toy_bath):
         H_LS = davies_generator(benchmark_jd, toy_bath).meta["H_LS"]

@@ -1,5 +1,7 @@
 """Linear-algebra layer: norms, eigensystems, vectorization, Choi checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,11 @@ from qme.operators import (
     trace_norm,
     vectorize_generator,
     vectorize_redfield,
+    _gather,
     _trace_norms,
 )
+from qme.baths import ToyBath
+from qme.generators import cgme_generator, davies_generator, GeneratorConfig, redfield_filtered
 
 from conftest import PAULI_X
 import oracles
@@ -221,6 +226,46 @@ class TestVectorization:
         assert hamiltonian_superop(h).tobytes() == (
             -1j * (np.kron(eye, h) - np.kron(h.T, eye))).tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_redfield_matches_kron(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        h, a = _random_hermitian(rng, dim), _random_hermitian(rng, dim)
+        af = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        ref = oracles.redfield_superop_kron(h, a, af)
+        assert np.max(np.abs(vectorize_redfield(h, a, af).matrix - ref)) < 1e-13
+
+    def test_ladder_redfield_matches_kron(self, ladder_jds):
+        jd = ladder_jds[4]
+        af = redfield_filtered(jd, ToyBath())
+        ref = oracles.redfield_superop_kron(jd.hamiltonian, jd.coupling, af)
+        assert np.max(np.abs(vectorize_redfield(jd.hamiltonian, jd.coupling, af).matrix
+                             - ref)) < 1e-13
+
+    def test_redfield_peak_memory(self, ladder_jds):
+        # d = 16: the (d^2, 2) x (2, d^2) product and its transposed copy,
+        # 1 MiB each, traced at 2.03 MiB; six Kronecker products and their
+        # sums took 5.00 MiB
+        jd = ladder_jds[4]
+        af = redfield_filtered(jd, ToyBath())
+        tracemalloc.start()
+        try:
+            vectorize_redfield(jd.hamiltonian, jd.coupling, af)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lindblad_bytes_on_ladder(self, ladder_jds, n):
+        # the Lindblad superoperators of the ladder's Davies and CGME
+        # generators, byte for byte as vectorized before the Redfield one
+        # shared their builder
+        bath = ToyBath()
+        for gen in (davies_generator(ladder_jds[n], bath),
+                    cgme_generator(ladder_jds[n], bath, GeneratorConfig("cgme_frequency", T_a=1.0))):
+            ref = oracles.lindblad_superop_sandwich(gen.H_eff, gen.lindblad_ops)
+            assert vectorize_generator(gen.H_eff, gen.lindblad_ops).matrix.tobytes() == ref.tobytes()
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_generator_preserves_trace_and_hermiticity(self, seed):
@@ -301,6 +346,30 @@ class TestRealBasis:
         assert R.dtype == np.float64 and R.shape == mats.shape
         assert np.max(np.abs(R - (Q @ mats @ Q.conj().T).real)) < 1e-14 * np.max(np.abs(mats))
         assert np.array_equal(to_real_superop(mats[0]), R[0])
+
+    def test_gather_bytes_unchanged(self, ladder_jds, benchmark_jd, benchmark_coupling,
+                                    benchmark_initial):
+        # the in-place gathers against the three gathers, fresh arithmetic
+        # and concatenate they replace: the 4-qubit Redfield superoperator,
+        # the time-local reference's stacked halves and vectors
+        jd = ladder_jds[4]
+        M = vectorize_redfield(jd.hamiltonian, jd.coupling, redfield_filtered(jd, ToyBath())).matrix
+        half, adjoint = redfield_halves(benchmark_coupling.entries, np.asarray(benchmark_jd.operators))
+        stack = np.concatenate((half + adjoint, 1j * (half - adjoint)))
+        assert stack.shape == (26, 16, 16)
+        rho = benchmark_initial.entries.reshape(-1, order="F")
+        vectors = np.random.default_rng(8).standard_normal((3, 2, 16)) + 0j
+        for v in (M, stack, rho, vectors):
+            for axis, phase in ((-1, 1j), (-1, -1j), (-2, 1j), (-2, -1j)):
+                if v.ndim == 1 and axis == -2 or v is vectors and axis == -2:
+                    continue
+                ref = oracles.real_basis_gather(v, axis, phase)
+                assert _gather(v, axis, phase).tobytes() == ref.tobytes()
+        for v in (M, stack):
+            ref = oracles.real_basis_gather(oracles.real_basis_gather(v, -2, 1j), -1, -1j)
+            assert to_real_superop(v).tobytes() == np.ascontiguousarray(ref.real).tobytes()
+        assert to_real(rho).tobytes() == np.ascontiguousarray(
+            oracles.real_basis_gather(rho, -1, 1j).real).tobytes()
 
     def test_rejects_non_hermitian_state(self):
         v = np.array([[1.0, 1e-9j], [0.0, 0.0]]).reshape(-1, order="F")
