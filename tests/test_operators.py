@@ -26,7 +26,6 @@ from qme.operators import (
     _gather,
     _trace_norms,
 )
-from qme.baths import ToyBath
 from qme.generators import cgme_generator, davies_generator, GeneratorConfig, redfield_filtered
 
 from conftest import PAULI_X
@@ -234,19 +233,19 @@ class TestVectorization:
         ref = oracles.redfield_superop_kron(h, a, af)
         assert np.max(np.abs(vectorize_redfield(h, a, af).matrix - ref)) < 1e-13
 
-    def test_ladder_redfield_matches_kron(self, ladder_jds):
+    def test_ladder_redfield_matches_kron(self, ladder_jds, toy_bath):
         jd = ladder_jds[4]
-        af = redfield_filtered(jd, ToyBath())
+        af = redfield_filtered(jd, toy_bath)
         ref = oracles.redfield_superop_kron(jd.hamiltonian, jd.coupling, af)
         assert np.max(np.abs(vectorize_redfield(jd.hamiltonian, jd.coupling, af).matrix
                              - ref)) < 1e-13
 
-    def test_redfield_peak_memory(self, ladder_jds):
+    def test_redfield_peak_memory(self, ladder_jds, toy_bath):
         # d = 16: the (d^2, 2) x (2, d^2) product and its transposed copy,
         # 1 MiB each, traced at 2.03 MiB; six Kronecker products and their
         # sums took 5.00 MiB
         jd = ladder_jds[4]
-        af = redfield_filtered(jd, ToyBath())
+        af = redfield_filtered(jd, toy_bath)
         tracemalloc.start()
         try:
             vectorize_redfield(jd.hamiltonian, jd.coupling, af)
@@ -256,13 +255,13 @@ class TestVectorization:
         assert peak < 2.25 * 2 ** 20
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_lindblad_bytes_on_ladder(self, ladder_jds, n):
+    def test_lindblad_bytes_on_ladder(self, ladder_jds, toy_bath, n):
         # the Lindblad superoperators of the ladder's Davies and CGME
         # generators, byte for byte as vectorized before the Redfield one
         # shared their builder
-        bath = ToyBath()
-        for gen in (davies_generator(ladder_jds[n], bath),
-                    cgme_generator(ladder_jds[n], bath, GeneratorConfig("cgme_frequency", T_a=1.0))):
+        cgme = GeneratorConfig("cgme_frequency", T_a=1.0)
+        for gen in (davies_generator(ladder_jds[n], toy_bath),
+                    cgme_generator(ladder_jds[n], toy_bath, cgme)):
             ref = oracles.lindblad_superop_sandwich(gen.H_eff, gen.lindblad_ops)
             assert vectorize_generator(gen.H_eff, gen.lindblad_ops).matrix.tobytes() == ref.tobytes()
 
@@ -347,22 +346,20 @@ class TestRealBasis:
         assert np.max(np.abs(R - (Q @ mats @ Q.conj().T).real)) < 1e-14 * np.max(np.abs(mats))
         assert np.array_equal(to_real_superop(mats[0]), R[0])
 
-    def test_gather_bytes_unchanged(self, ladder_jds, benchmark_jd, benchmark_coupling,
-                                    benchmark_initial):
+    def test_gather_bytes_unchanged(self, ladder_jds, toy_bath, benchmark_jd,
+                                    benchmark_coupling, benchmark_initial):
         # the in-place gathers against the three gathers, fresh arithmetic
         # and concatenate they replace: the 4-qubit Redfield superoperator,
         # the time-local reference's stacked halves and vectors
         jd = ladder_jds[4]
-        M = vectorize_redfield(jd.hamiltonian, jd.coupling, redfield_filtered(jd, ToyBath())).matrix
+        M = vectorize_redfield(jd.hamiltonian, jd.coupling, redfield_filtered(jd, toy_bath)).matrix
         half, adjoint = redfield_halves(benchmark_coupling.entries, np.asarray(benchmark_jd.operators))
         stack = np.concatenate((half + adjoint, 1j * (half - adjoint)))
         assert stack.shape == (26, 16, 16)
         rho = benchmark_initial.entries.reshape(-1, order="F")
         vectors = np.random.default_rng(8).standard_normal((3, 2, 16)) + 0j
-        for v in (M, stack, rho, vectors):
-            for axis, phase in ((-1, 1j), (-1, -1j), (-2, 1j), (-2, -1j)):
-                if v.ndim == 1 and axis == -2 or v is vectors and axis == -2:
-                    continue
+        for v, axis in ((M, -2), (M, -1), (stack, -2), (stack, -1), (rho, -1), (vectors, -1)):
+            for phase in (1j, -1j):
                 ref = oracles.real_basis_gather(v, axis, phase)
                 assert _gather(v, axis, phase).tobytes() == ref.tobytes()
         for v in (M, stack):
