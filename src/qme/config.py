@@ -11,6 +11,7 @@ parse`` is idempotent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -202,10 +203,14 @@ def _parse_model(section: Mapping) -> ModelSection:
 
 
 def _number(value, where: str) -> float:
+    """A finite float; ``json`` reads NaN and Infinity, and float(True) is 1."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, where: str) -> int:

@@ -49,7 +49,6 @@ __all__ = [
     "td_a_epsilon",
     "td_lamb",
     "td_redfield_filter",
-    "dd_sign",
     "dd_window_filter",
     "dd_suppression_xi",
     "dd_suppression_xi_general",
@@ -432,19 +431,6 @@ def td_redfield_filter(sched: DriveSchedule, A, bath, t: float,
 # ---------------------------------------------------------------------------
 # dynamical decoupling suppression ratio
 # ---------------------------------------------------------------------------
-
-def dd_sign(t_prime: float, t: float, dt: float) -> int:
-    """Parity sign (-1)^(number of pulse instants in [min, max) of t, t').
-
-    Pulses sit at dt, 2*dt, ... (matching ``dd_schedule``: no pulse at t = 0);
-    the half-open window matches the propagator convention (pulse at the
-    earlier endpoint included, at the later excluded).
-    """
-    lo, hi = (t, t_prime) if t_prime >= t else (t_prime, t)
-    first = max(math.ceil(lo / dt - 1e-9), 1)
-    count = max(0, math.ceil(hi / dt - 1e-9) - first)
-    return -1 if count % 2 else 1
-
 
 def dd_window_filter(eps, dt: float, T_a: float, t: float = 0.0):
     """Exact window integral (1/T_a) int_{-T_a/2}^{T_a/2} e^{i eps t1} s(t1) dt1

@@ -42,11 +42,10 @@ from .operators import (
     HermitianOperator,
     Superoperator,
     from_real,
-    hamiltonian_superop,
-    redfield_halves,
     to_real,
     to_real_superop,
     vectorize_generator,
+    _redfield_matrix,
     _trace_norms,
 )
 from .baths import kinks
@@ -582,6 +581,12 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
     stationary Redfield filter; the generator is not completely positive, so
     the positivity monitor is active but non-fatal.  The filter comes from
     ``ore_filter`` and its error is recorded as ``filter_quad_error``.
+
+    L(t) is ``vectorize_redfield``'s matrix with filter A_f(t), from the same
+    builder, ``operators._redfield_matrix``: the dissipator R(X) rho =
+    A rho X - rho X A + h.c. is real-linear in X, so L(t) = L_H +
+    sum_w Re g_w(t) R(A_w) + Im g_w(t) R(i A_w), with L_H and the 2n
+    matrices R taken to real coordinates once.
     """
     from .operators import eigensystem
     from .generators import decompose_coupling
@@ -596,15 +601,11 @@ def evolve_ore(H, A, bath, rho0: DensityMatrix, grid,
     g, filter_error = ore_filter(jd, bath, grid[-1])
 
     n = H.dim ** 2
-    H_r = to_real_superop(hamiltonian_superop(H.entries))
-    # L(t) = L_H + sum_w g_w(t) M_w + conj(g_w(t)) N_w with
-    # M_w rho = A rho A_w - rho A_w A and N_w rho = A_w^+ rho A - A A_w^+ rho,
-    # i.e. L_H + sum_w Re g_w(t) (M_w + N_w) + Im g_w(t) i (M_w - N_w), both
-    # of which preserve Hermiticity.  With M'_w = Q M_w Q^+, N_w becomes
-    # conj(M'_w): the rows of ``stack`` are every 2 Re M'_w, then every
-    # -2 Im M'_w
-    M, N = redfield_halves(A.entries, np.asarray(jd.operators))
-    stack = to_real_superop(np.concatenate((M + N, 1j * (M - N)))).reshape(-1, n * n)
+    # the rows of ``stack`` are every R(A_w), then every R(i A_w)
+    A_w = np.asarray(jd.operators)
+    H_r = to_real_superop(_redfield_matrix(H.entries, A.entries, np.zeros_like(A.entries)))
+    stack = to_real_superop(_redfield_matrix(0.0, A.entries, np.concatenate((A_w, 1j * A_w))))
+    stack = stack.reshape(-1, n * n)
 
     def generator(t):
         gt = g(t)

@@ -58,11 +58,9 @@ __all__ = [
     "GeneratorSet",
     "DiscretizationParams",
     "decompose_coupling",
-    "redfield_filtered",
     "redfield_generator",
     "davies_generator",
     "cgme_gamma",
-    "cgme_lamb_F",
     "cgme_lamb_shift",
     "cgme_a_epsilon",
     "kossakowski_matrix",
@@ -118,7 +116,8 @@ class JumpDecomposition:
 
 
 def decompose_coupling(eig: EigenSystem, A) -> JumpDecomposition:
-    """A_w = sum over level pairs with E_m - E_n = w of P_n A P_m."""
+    """A_w = sum over level pairs with E_m - E_n = w of P_n A P_m, every
+    P_n A P_m from one batched product over the stacked projectors."""
     A_mat = A.entries if isinstance(A, HermitianOperator) else np.asarray(A, complex)
     H = eig.reconstruct()
     norm_A = operator_norm(A_mat)
@@ -128,23 +127,23 @@ def decompose_coupling(eig: EigenSystem, A) -> JumpDecomposition:
             "formulas assume a normalized coupling", stacklevel=2)
     freq_tol = FREQ_RTOL * operator_norm(H)
 
-    raw = []
-    for n, Pn in enumerate(eig.projectors):
-        for m, Pm in enumerate(eig.projectors):
-            w = eig.energies[m] - eig.energies[n]
-            term = Pn @ A_mat @ Pm
-            if np.max(np.abs(term)) > 1e-14 * max(norm_A, 1.0):
-                raw.append((w, term))
-    raw.sort(key=lambda p: p[0])
+    P = np.array(eig.projectors)
+    # terms[n, m] = P_n A P_m at w[n, m] = E_m - E_n, in (n, m) order
+    terms = ((P[:, None] @ A_mat) @ P[None, :]).reshape(-1, *A_mat.shape)
+    E = eig.energies
+    w = (E[None, :] - E[:, None]).ravel()
+    keep = np.flatnonzero(np.max(np.abs(terms), axis=(1, 2)) > 1e-14 * max(norm_A, 1.0))
+    keep = keep[np.argsort(w[keep], kind="stable")]
 
     freqs, ops = [], []
-    for w, term in raw:
-        if freqs and w - freqs[-1] <= freq_tol:
-            ops[-1] = ops[-1] + term
+    for k in keep:
+        if freqs and w[k] - freqs[-1] <= freq_tol:
+            ops[-1] = ops[-1] + terms[k]
             # keep the cluster representative stable (first value seen)
         else:
-            freqs.append(w)
-            ops.append(term.astype(complex))
+            freqs.append(w[k])
+            # a copy: a view would keep every P_n A P_m alive
+            ops.append(terms[k].copy())
     return JumpDecomposition(
         frequencies=np.array(freqs), operators=tuple(ops),
         coupling=A_mat, hamiltonian=H, freq_tol=freq_tol,
@@ -217,22 +216,14 @@ class GeneratorSet:
 # Redfield and Davies
 # ---------------------------------------------------------------------------
 
-def _filtered_with_error(jd: JumpDecomposition, bath, lambless):
-    """(A_f, error estimate of the S grid or None when Lambless)."""
+def redfield_generator(jd: JumpDecomposition, bath, lambless=False) -> GeneratorSet:
+    """The Redfield pair (A, A_f) with filtered coupling A_f = sum_w f*(-w) A_w,
+    f = gamma/2 + i S (Lambless: (1/2) gamma(-w)), S(w) for every Bohr
+    frequency from one call on the bath's grid; ``meta`` records its error
+    estimate (None when Lambless)."""
     w = -jd.frequencies
     S, err = (np.zeros(len(w)), None) if lambless else bath.lamb_amplitude_S(w)
-    return np.tensordot(0.5 * bath.gamma(w) - 1j * S, np.array(jd.operators), axes=1), err
-
-
-def redfield_filtered(jd: JumpDecomposition, bath, lambless=False) -> np.ndarray:
-    """Filtered coupling A_f = sum_w f*(-w) A_w with f = gamma/2 + i S
-    (Lambless: (1/2) gamma(-w)), S(w) for every Bohr frequency from one call
-    on the bath's grid."""
-    return _filtered_with_error(jd, bath, lambless)[0]
-
-
-def redfield_generator(jd: JumpDecomposition, bath, lambless=False) -> GeneratorSet:
-    A_f, err = _filtered_with_error(jd, bath, lambless)
+    A_f = np.tensordot(0.5 * bath.gamma(w) - 1j * S, np.array(jd.operators), axes=1)
     return GeneratorSet(H_eff=jd.hamiltonian, kind="redfield",
                         redfield_pair=(jd.coupling, A_f),
                         meta={"lambless": lambless, "lamb_quad_error": err})
@@ -362,13 +353,6 @@ def _cgme_coefficients(w, wp, T_a, bath, lamb=True):
     out, err = refine(term, lambda theta: np.asarray(bath.correlation(theta), dtype=complex),
                       edges, finish=finish)
     return (out[0].copy(), out[1], err) if lamb else (out, None, err)
-
-
-def cgme_lamb_F(w, wp, T_a, bath) -> float:
-    """Lamb-shift coefficient F_{w w'} = (1/(2 T_a w+)) Re int_0^{T_a}
-    (exp(i(w th - T_a w+)) - exp(-i(w' th - T_a w+))) C(th) dth, one pair
-    of ``_cgme_coefficients`` (the w+ -> 0 limit is removable)."""
-    return float(_cgme_coefficients(w, wp, T_a, bath)[1][0, 0])
 
 
 def _lamb_operator(jd: JumpDecomposition, F):

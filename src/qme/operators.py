@@ -199,52 +199,30 @@ class Superoperator:
         return v.reshape(self.dim, self.dim, order="F")
 
 
-def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """np.kron(P, Q) over the last two axes of stacks that broadcast, by
-    np.kron's own product, so bit-identical to it (einsum's is not)."""
-    d = P.shape[-1]
-    out = P[..., :, None, :, None] * Q[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (d * d, d * d))
-
-
-def _left(mat: np.ndarray) -> np.ndarray:
-    return _kron(np.eye(mat.shape[-1]), mat)
-
-
-def _right(mat: np.ndarray) -> np.ndarray:
-    return _kron(np.swapaxes(mat, -1, -2), np.eye(mat.shape[-1]))
-
-
 def hamiltonian_superop(H_eff: np.ndarray) -> np.ndarray:
     """Matrix of rho -> -i [H_eff, rho]."""
     H = np.asarray(H_eff, dtype=complex)
-    return -1j * (_left(H) - _right(H))
-
-
-def redfield_halves(A: np.ndarray, X: np.ndarray):
-    """Matrices of the two halves of a Redfield dissipator with filtered
-    operator X: rho -> A rho X - rho X A and its adjoint
-    rho -> X^+ rho A - A X^+ rho.  X may be a (k, d, d) stack; the halves
-    are then (k, d^2, d^2) stacks."""
-    Xd = np.swapaxes(X, -1, -2).conj()
-    return _kron(np.swapaxes(X, -1, -2), A) - _right(X @ A), _kron(A.T, Xd) - _left(A @ Xd)
+    eye = np.eye(H.shape[0])
+    return -1j * (np.kron(eye, H) - np.kron(H.T, eye))
 
 
 def _superop(P, Q, left, right) -> np.ndarray:
-    """The (d^2 x d^2) matrix of rho -> sum_k Q_k rho P_k^T + left rho +
-    rho right, i.e. sum_k P_k kron Q_k + _left(left) + _right(right), for
-    (K, d, d) stacks P, Q.  sum_k P_k[a, b] Q_k[i, j] is the (a b),(i j)
-    entry of one (d^2, K) x (K, d^2) product, transposed to the (a i),(b j)
-    entry of the Kronecker sum; the left and right terms are added in place
-    on its block diagonals, so no other (d^2 x d^2) array is built
-    (Havel, J. Math. Phys. 44, 534 (2003))."""
-    K, d = P.shape[0], P.shape[-1]
+    """The (..., d^2, d^2) matrices of rho -> sum_k Q_k rho P_k^T + left rho +
+    rho right, i.e. sum_k P_k kron Q_k + I kron left + right^T kron I, for
+    (..., K, d, d) stacks P, Q and (..., d, d) left and right terms that
+    broadcast against them.  sum_k P_k[a, b] Q_k[i, j] is the (a b),(i j)
+    entry of one (d^2, K) x (K, d^2) product per leading index, transposed
+    to the (a i),(b j) entry of the Kronecker sum; the left and right terms
+    are added in place on its block diagonals, so no other (d^2 x d^2)
+    array is built (Havel, J. Math. Phys. 44, 534 (2003))."""
+    *batch, K, d, _ = P.shape
     # the product is a temporary, freed once transposed
-    mat = (P.reshape(K, d * d).T @ Q.reshape(K, d * d)).reshape(d, d, d, d)
-    mat = mat.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    blocks, k = mat.reshape(d, d, d, d), np.arange(d)
-    blocks[k, :, k, :] += left
-    blocks[:, k, :, k] += right.T
+    flat = (np.swapaxes(P.reshape(*batch, K, d * d), -1, -2)
+            @ Q.reshape(*batch, K, d * d)).reshape(*batch, d, d, d, d)
+    mat = np.swapaxes(flat, -3, -2).reshape(*batch, d * d, d * d)
+    blocks, k = mat.reshape(*batch, d, d, d, d), np.arange(d)
+    blocks[..., k, :, k, :] += left
+    blocks[..., :, k, :, k] += np.swapaxes(right, -1, -2)
     return mat
 
 
@@ -272,14 +250,23 @@ def vectorize_generator(H_eff, lindblad_ops) -> Superoperator:
     return Superoperator(_superop(wLc, L, -1j * H - 0.5 * LdL, 1j * H - 0.5 * LdL), d)
 
 
+def _redfield_matrix(H, A, A_f) -> np.ndarray:
+    """The column-stacked matrix of rho -> -i[H, rho] + (A rho A_f -
+    rho A_f A + h.c.) for every A_f of a (..., d, d) stack: the Kronecker
+    sum of ``_superop`` with P = [A_f^T, A^T] and Q = [A, A_f^+], left term
+    -iH - A A_f^+ and right term iH - A_f A."""
+    A_fd = np.swapaxes(A_f, -1, -2).conj()
+    P = np.stack(np.broadcast_arrays(np.swapaxes(A_f, -1, -2), A.T), axis=-3)
+    Q = np.stack(np.broadcast_arrays(A, A_fd), axis=-3)
+    return _superop(P, Q, -1j * H - A @ A_fd, 1j * H - A_f @ A)
+
+
 def vectorize_redfield(H, A, A_f) -> Superoperator:
     """Vectorize -i[H, rho] + (A rho A_f - rho A_f A + h.c.).
 
     The filtered operator ``A_f`` carries arbitrary complex coefficients, so
-    this entry point does not require Lindblad-form weights.  The sandwiches
-    A rho A_f and A_f^+ rho A are the Kronecker sum of ``_superop`` with
-    P = [A_f^T, A^T] and Q = [A, A_f^+]; its left term is -iH - A A_f^+ and
-    its right term iH - A_f A.
+    this entry point does not require Lindblad-form weights; the matrix is
+    ``_redfield_matrix``'s.
     """
     H = H.entries if isinstance(H, HermitianOperator) else np.asarray(H, complex)
     A = A.entries if isinstance(A, HermitianOperator) else np.asarray(A, complex)
@@ -287,22 +274,15 @@ def vectorize_redfield(H, A, A_f) -> Superoperator:
     d = H.shape[0]
     if A.shape != (d, d) or A_f.shape != (d, d):
         raise ValueError("dimension mismatch")
-    A_fd = A_f.conj().T
-    mat = _superop(np.stack([A_f.T, A.T]), np.stack([A, A_fd]),
-                   -1j * H - A @ A_fd, 1j * H - A_f @ A)
-    return Superoperator(mat, d)
+    return Superoperator(_redfield_matrix(H, A, A_f), d)
 
 
 def choi_matrix(sop: Superoperator) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) Phi(|i><j|) of the map Phi."""
+    """Choi matrix sum_ij |i><j| (x) Phi(|i><j|) of the map Phi, by
+    realignment: entry (i a),(j b) is Phi(|i><j|)[a, b], entry (a + d b),
+    (i + d j) of the column-stacked matrix."""
     d = sop.dim
-    C = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            C[i * d:(i + 1) * d, j * d:(j + 1) * d] = sop.apply(E)
-    return C
+    return sop.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def choi_min_eigenvalue(sop: Superoperator, dt: float) -> float:

@@ -524,6 +524,42 @@ def lindblad_superop_sandwich(h, lindblad_ops):
     return mat
 
 
+def choi_matrix_loop(sop):
+    """Choi matrix sum_ij |i><j| (x) Phi(|i><j|), one ``apply`` per matrix
+    unit, as first written."""
+    d = sop.dim
+    C = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            E = np.zeros((d, d), dtype=complex)
+            E[i, j] = 1.0
+            C[i * d:(i + 1) * d, j * d:(j + 1) * d] = sop.apply(E)
+    return C
+
+
+def decompose_coupling_loop(eig, a, freq_tol, norm_a):
+    """(frequencies, operators) of A = sum_w A_w by the double loop over
+    level pairs, as first written: P_n A P_m at w = E_m - E_n where it is
+    not ~0, sorted stably by w, with w within ``freq_tol`` of the previous
+    cluster's first value merged into it."""
+    raw = []
+    for n, Pn in enumerate(eig.projectors):
+        for m, Pm in enumerate(eig.projectors):
+            w = eig.energies[m] - eig.energies[n]
+            term = Pn @ a @ Pm
+            if np.max(np.abs(term)) > 1e-14 * max(norm_a, 1.0):
+                raw.append((w, term))
+    raw.sort(key=lambda p: p[0])
+    freqs, ops = [], []
+    for w, term in raw:
+        if freqs and w - freqs[-1] <= freq_tol:
+            ops[-1] = ops[-1] + term
+        else:
+            freqs.append(w)
+            ops.append(term.astype(complex))
+    return np.array(freqs), ops
+
+
 def davies_lamb_shift_einsum(S, ops):
     """sum_w S(w) A_w^+ A_w over a (n, d, d) stack of A_w, as one
     three-operand einsum."""

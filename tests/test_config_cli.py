@@ -285,10 +285,17 @@ class TestCliExitCodes:
         ("equations", "lambless", "false", "equations[0].lambless"),
         ("equations", "t_a", [1.0], "equations[0].t_a"),
         ("outputs", "gnuplot", "false", "outputs.gnuplot"),
+        ("grid", "t_max_tau_sb", float("nan"), "grid.t_max_tau_sb"),
+        ("grid", "t_max_tau_sb", float("inf"), "grid.t_max_tau_sb"),
+        ("bath", "t_cutoff", float("nan"), "bath.t_cutoff"),
+        ("sweep", "values", [float("-inf")], "sweep.values[0]"),
+        ("dd", "kappa", True, "dd.kappa"),
+        ("model", "hamiltonian", {"ZI": False}, "model.hamiltonian.ZI"),
     ], ids=["points-string", "points-fraction", "t_max-null", "qubits-fraction",
             "coefficient-string", "sweep-string", "sweep-scalar", "dd-string",
             "k_prime-fraction", "kappa-string", "lambless-string", "t_a-list",
-            "gnuplot-string"])
+            "gnuplot-string", "t_max-nan", "t_max-infinity", "t_cutoff-nan",
+            "sweep-infinity", "kappa-bool", "coefficient-bool"])
     def test_misread_value_refused(self, tmp_path, capsys, section, key, value, where):
         # each of these once escaped as a traceback or was silently coerced
         doc = _base_doc()

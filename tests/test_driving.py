@@ -12,7 +12,6 @@ from qme.driving import (
     DDSequence,
     DriveSchedule,
     dd_schedule,
-    dd_sign,
     dd_suppression_xi,
     dd_suppression_xi_general,
     dd_window_filter,
@@ -31,7 +30,7 @@ from qme.generators import (
     cgme_a_epsilon,
     cgme_generator,
     cgme_lamb_shift,
-    redfield_filtered,
+    redfield_generator,
 )
 from qme.operators import Superoperator, choi_matrix, vectorize_generator
 from qme.quadrature import PANEL_PHASE
@@ -224,7 +223,7 @@ class TestSlidingWindowCoefficients:
             warnings.simplefilter("ignore")
             td = td_redfield_filter(sched, benchmark_coupling, toy_bath, 250.0,
                                     history_cutoff=200.0)
-        ti = redfield_filtered(benchmark_jd, toy_bath)
+        ti = redfield_generator(benchmark_jd, toy_bath).redfield_pair[1]
         assert np.max(np.abs(td - ti)) < 1e-6 * max(1.0, np.max(np.abs(ti)))
 
     def test_short_cutoff_warns(self, toy_bath, benchmark_hamiltonian,
@@ -423,17 +422,6 @@ class TestDrivenGenerator:
 
 
 class TestPulseParity:
-    def test_sign_matches_bruteforce(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            dt = rng.uniform(0.2, 1.5)
-            t = rng.uniform(0.0, 10.0)
-            tp = rng.uniform(0.0, 10.0)
-            assert dd_sign(tp, t, dt) == oracles.dd_sign_bruteforce(tp, t, dt)
-
-    def test_sign_symmetric(self):
-        assert dd_sign(0.3, 2.7, 0.5) == dd_sign(2.7, 0.3, 0.5)
-
     def test_window_filter_matches_riemann(self):
         for eps, dt, t_a in ((0.0, 0.5, 4.0), (1.3, 0.5, 4.0), (2.7, 0.8, 6.4)):
             ref = oracles.window_filter_riemann(eps, dt, t_a)

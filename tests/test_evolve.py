@@ -33,7 +33,6 @@ from qme.generators import (
     GeneratorSet,
     cgme_generator,
     davies_generator,
-    redfield_filtered,
     redfield_generator,
 )
 from qme.operators import (
@@ -42,6 +41,7 @@ from qme.operators import (
     hamiltonian_superop,
     to_real_superop,
     vectorize_generator,
+    vectorize_redfield,
 )
 
 from conftest import PAULI_X, PAULI_Z
@@ -603,7 +603,7 @@ class TestGrowingFilterEquation:
 
     def test_filter_tends_to_stationary(self, benchmark_jd, toy_bath):
         g, _ = ore_filter(benchmark_jd, toy_bath, 60.0)
-        A_f_inf = redfield_filtered(benchmark_jd, toy_bath)
+        A_f_inf = redfield_generator(benchmark_jd, toy_bath).redfield_pair[1]
         A_f_late = np.zeros_like(A_f_inf)
         for k, Aw in enumerate(benchmark_jd.operators):
             A_f_late += complex(g(60.0)[k]) * Aw
@@ -637,6 +637,26 @@ class TestGrowingFilterEquation:
         ref, _ = oracles.ore_filter_direct(jd, toy_bath, 25.6)
         t = np.concatenate(([0.0, 25.6], np.random.default_rng(13).uniform(0.0, 25.6, 500)))
         assert np.max(np.abs(g(t) - ref(t))) <= 1e-16
+
+    @pytest.mark.parametrize("model", ["benchmark_jd", "parity_jd"])
+    def test_matches_redfield_with_running_filter(self, request, toy_bath, model):
+        # the real-linear stack against vectorize_redfield of the running
+        # filter A_f(t) = sum_w g_w(t) A_w, one matrix per time, through the
+        # callable form of evolve
+        jd = request.getfixturevalue(model)
+        rho0 = DensityMatrix.from_pure(np.arange(1.0, jd.dim + 1))
+        grid = np.linspace(0.0, 2.56 * TAU_SB, 65)
+        g, _ = ore_filter(jd, toy_bath, grid[-1])
+        ops = np.asarray(jd.operators)
+
+        def generator(t):
+            return np.array([vectorize_redfield(jd.hamiltonian, jd.coupling,
+                                                np.tensordot(gt, ops, axes=1)).matrix
+                             for gt in g(t)])
+
+        res = evolve_ore(jd.hamiltonian, jd.coupling, toy_bath, rho0, grid, jd=jd)
+        ref = evolve(generator, rho0, grid)
+        assert np.max(np.abs(res.states - ref.states)) < 1e-12
 
     def test_reference_matches_ode_oracle(self, benchmark_hamiltonian, benchmark_coupling,
                                           toy_bath, benchmark_initial, benchmark_jd):

@@ -18,13 +18,11 @@ from qme.generators import (
     _cgme_coefficients,
     cgme_gamma,
     cgme_generator,
-    cgme_lamb_F,
     cgme_lamb_shift,
     davies_generator,
     decompose_coupling,
     discretization_params,
     kossakowski_matrix,
-    redfield_filtered,
     redfield_generator,
 )
 from qme.diagnostics import BoundParams, bound_summary
@@ -53,6 +51,34 @@ class TestJumpDecomposition:
             Am = benchmark_jd.operator_at(-w)
             assert np.allclose(Aw.conj().T, Am, atol=1e-10)
 
+    @pytest.mark.parametrize("model", ["benchmark", "ladder2", "ladder3", "ladder4",
+                                       "parity", "degenerate", "merged"])
+    def test_matches_pair_loop_bytes(self, request, ladder_jds, model):
+        # the batched product over stacked projectors against the double
+        # loop over level pairs, byte for byte: the benchmark model, the
+        # seed-301 ladder (5, 25 and 113 frequencies), the parity model, a
+        # degenerate spectrum and two frequencies within FREQ_RTOL merged
+        if model.startswith("ladder"):
+            jd = ladder_jds[int(model[-1])]
+            H, A = jd.hamiltonian, jd.coupling
+        elif model in ("benchmark", "parity"):
+            jd = request.getfixturevalue(f"{model}_jd")
+            H, A = jd.hamiltonian, jd.coupling
+        else:
+            # (1 + delta/2) ZI + (1 - delta/2) IZ: at delta = 0 a doubly
+            # degenerate middle level; at 5e-9 four levels whose Bohr
+            # frequencies 2 -+ delta lie within FREQ_RTOL ||H|| and merge
+            delta = 0.0 if model == "degenerate" else 5e-9
+            H = (1 + delta / 2) * np.kron(PAULI_Z, IDENT) + (1 - delta / 2) * np.kron(IDENT, PAULI_Z)
+            A = 0.5 * (np.kron(PAULI_X, IDENT) + np.kron(IDENT, PAULI_X))
+        eig = eigensystem(HermitianOperator(H))
+        jd = decompose_coupling(eig, HermitianOperator(A))
+        freqs, ops = oracles.decompose_coupling_loop(eig, jd.coupling, jd.freq_tol,
+                                                     operator_norm(jd.coupling))
+        assert jd.frequencies.tobytes() == freqs.tobytes()
+        assert len(jd.operators) == len(ops)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(jd.operators, ops))
+
     def test_single_qubit_sigma_z_coupling_x(self):
         jd = decompose_coupling(eigensystem(HermitianOperator(PAULI_Z)),
                                 HermitianOperator(PAULI_X))
@@ -64,14 +90,14 @@ class TestJumpDecomposition:
 
 class TestRedfieldAndDavies:
     def test_filtered_operator_coefficients(self, benchmark_jd, toy_bath):
-        A_f = redfield_filtered(benchmark_jd, toy_bath)
+        A_f = redfield_generator(benchmark_jd, toy_bath).redfield_pair[1]
         expected = np.zeros_like(A_f)
         for w, Aw in benchmark_jd.terms():
             expected += np.conj(oracles.half_fourier_reference(toy_bath.correlation, -w)) * Aw
         assert np.max(np.abs(A_f - expected)) < 1e-6
 
     def test_lambless_uses_half_gamma(self, benchmark_jd, toy_bath):
-        A_f = redfield_filtered(benchmark_jd, toy_bath, lambless=True)
+        A_f = redfield_generator(benchmark_jd, toy_bath, lambless=True).redfield_pair[1]
         expected = sum(0.5 * float(toy_bath.gamma(-w)) * Aw
                        for w, Aw in benchmark_jd.terms())
         assert np.max(np.abs(A_f - expected)) < 1e-10
@@ -85,7 +111,7 @@ class TestRedfieldAndDavies:
     def test_davies_lamb_is_secular_redfield_drift(self, benchmark_jd, toy_bath):
         # the anti-Hermitian part of the Redfield drift, projected on the
         # energy diagonal, must reproduce the Davies Lamb shift
-        A, A_f = benchmark_jd.coupling, redfield_filtered(benchmark_jd, toy_bath)
+        A, A_f = benchmark_jd.coupling, redfield_generator(benchmark_jd, toy_bath).redfield_pair[1]
         drift = (A @ A_f.conj().T - A_f @ A) / 2j
         eig = eigensystem(HermitianOperator(benchmark_jd.hamiltonian))
         secular = sum(p @ drift @ p for p in eig.projectors)
@@ -158,7 +184,7 @@ class TestCoarseGrainedCoefficients:
     def test_lamb_F_matches_direct_oracle(self, toy_bath):
         for w, wp in ((1.0, 2.0), (-1.4, 0.6), (2.0, -2.0)):
             ref = oracles.lamb_f_direct(w, wp, self.T_A, toy_bath.correlation)
-            ours = cgme_lamb_F(w, wp, self.T_A, toy_bath)
+            ours = float(_cgme_coefficients(w, wp, self.T_A, toy_bath)[1][0, 0])
             assert abs(ours - ref) < 1e-5 * max(1.0, abs(ref))
 
     def test_lamb_F_removable_singularity(self, toy_bath):
@@ -170,7 +196,7 @@ class TestCoarseGrainedCoefficients:
         for phase in phases:
             w, wp = 2.0 + phase / self.T_A, -2.0 + phase / self.T_A
             assert (abs(0.5 * (w + wp)) * self.T_A < LAMB_PHASE_CUT) == (phase < LAMB_PHASE_CUT)
-            F.append(cgme_lamb_F(w, wp, self.T_A, toy_bath))
+            F.append(float(_cgme_coefficients(w, wp, self.T_A, toy_bath)[1][0, 0]))
             ref = oracles.lamb_f_direct(w, wp, self.T_A, toy_bath.correlation)
             assert abs(F[-1] - ref) < 1e-8 * max(1.0, abs(ref))
         assert abs(F[1] - F[0]) < 1e-12

@@ -17,16 +17,16 @@ from qme.operators import (
     from_real,
     hamiltonian_superop,
     operator_norm,
-    redfield_halves,
     to_real,
     to_real_superop,
     trace_norm,
     vectorize_generator,
     vectorize_redfield,
     _gather,
+    _redfield_matrix,
     _trace_norms,
 )
-from qme.generators import cgme_generator, davies_generator, GeneratorConfig, redfield_filtered
+from qme.generators import cgme_generator, davies_generator, GeneratorConfig, redfield_generator
 
 from conftest import PAULI_X
 import oracles
@@ -198,32 +198,27 @@ class TestVectorization:
         expected = -1j * (h @ rho - rho @ h) + half + half.conj().T
         assert np.allclose(sop.apply(rho), expected, atol=1e-12)
 
-    def test_redfield_halves_action(self):
-        rng = np.random.default_rng(6)
-        a = _random_hermitian(rng, 3)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rho = _random_state(rng, 3)
-        half, adjoint = (Superoperator(m, 3) for m in redfield_halves(a, x))
-        expected = a @ rho @ x - rho @ x @ a
-        assert np.allclose(half.apply(rho), expected, atol=1e-12)
-        assert np.allclose(adjoint.apply(rho), expected.conj().T, atol=1e-12)
-
-    def test_stacked_redfield_halves_bit_identical(self, benchmark_jd, benchmark_coupling):
-        # the time-local reference's halves for all 13 filtered operators in
-        # one call: the per-frequency loop, and np.kron as first written
-        a = benchmark_coupling.entries
-        stack = np.asarray(benchmark_jd.operators)
-        half, adjoint = redfield_halves(a, stack)
-        loop = [redfield_halves(a, x) for x in stack]
-        eye = np.eye(a.shape[0])
-        kron = [(np.kron(x.T, a) - np.kron((x @ a).T, eye),
-                 np.kron(a.T, x.conj().T) - np.kron(eye, a @ x.conj().T)) for x in stack]
-        for ref in (loop, kron):
-            assert half.tobytes() == np.array([h for h, _ in ref]).tobytes()
-            assert adjoint.tobytes() == np.array([d for _, d in ref]).tobytes()
+    def test_hamiltonian_superop_bytes(self, benchmark_jd):
+        # the commutator as first written, with np.kron
         h = benchmark_jd.operators[0] + benchmark_jd.operators[0].conj().T
+        eye = np.eye(h.shape[0])
         assert hamiltonian_superop(h).tobytes() == (
             -1j * (np.kron(eye, h) - np.kron(h.T, eye))).tobytes()
+
+    @pytest.mark.parametrize("model", ["benchmark_jd", "parity_jd"])
+    def test_batched_redfield_rows_bit_identical(self, request, model):
+        # every row of a stack of filtered operators, as the time-local
+        # reference builds it, is vectorize_redfield of that operator, byte
+        # for byte, with the Hamiltonian as a matrix and as the scalar 0
+        jd = request.getfixturevalue(model)
+        ops = np.asarray(jd.operators)
+        stack = np.concatenate((ops, 1j * ops, ops + 0.3j * ops.conj()))
+        zero = np.zeros_like(jd.hamiltonian)
+        for h, rows in ((jd.hamiltonian, _redfield_matrix(jd.hamiltonian, jd.coupling, stack)),
+                        (zero, _redfield_matrix(0.0, jd.coupling, stack))):
+            assert rows.shape == (len(stack), jd.dim ** 2, jd.dim ** 2)
+            for row, af in zip(rows, stack):
+                assert row.tobytes() == vectorize_redfield(h, jd.coupling, af).matrix.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_redfield_matches_kron(self, dim):
@@ -235,7 +230,7 @@ class TestVectorization:
 
     def test_ladder_redfield_matches_kron(self, ladder_jds, toy_bath):
         jd = ladder_jds[4]
-        af = redfield_filtered(jd, toy_bath)
+        af = redfield_generator(jd, toy_bath).redfield_pair[1]
         ref = oracles.redfield_superop_kron(jd.hamiltonian, jd.coupling, af)
         assert np.max(np.abs(vectorize_redfield(jd.hamiltonian, jd.coupling, af).matrix
                              - ref)) < 1e-13
@@ -245,7 +240,7 @@ class TestVectorization:
         # 1 MiB each, traced at 2.03 MiB; six Kronecker products and their
         # sums took 5.00 MiB
         jd = ladder_jds[4]
-        af = redfield_filtered(jd, toy_bath)
+        af = redfield_generator(jd, toy_bath).redfield_pair[1]
         tracemalloc.start()
         try:
             vectorize_redfield(jd.hamiltonian, jd.coupling, af)
@@ -278,6 +273,13 @@ class TestVectorization:
 
 
 class TestChoi:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_realignment_matches_apply_loop(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        n = dim * dim
+        sop = Superoperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), dim)
+        assert choi_matrix(sop).tobytes() == oracles.choi_matrix_loop(sop).tobytes()
+
     def test_identity_map_choi_psd(self):
         sop = Superoperator(np.eye(4), 2)
         c = choi_matrix(sop)
@@ -306,7 +308,9 @@ class TestChoi:
                 E = np.zeros((d, d))
                 E[i, j] = 1.0
                 mat[:, i + d * j] = E.T.reshape(-1, order="F")
-        c = choi_matrix(Superoperator(mat, 2))
+        sop = Superoperator(mat, 2)
+        c = choi_matrix(sop)
+        assert c.tobytes() == oracles.choi_matrix_loop(sop).tobytes()
         assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() < -0.5
 
 
@@ -350,11 +354,11 @@ class TestRealBasis:
                                     benchmark_coupling, benchmark_initial):
         # the in-place gathers against the three gathers, fresh arithmetic
         # and concatenate they replace: the 4-qubit Redfield superoperator,
-        # the time-local reference's stacked halves and vectors
+        # the time-local reference's stacked dissipators and vectors
         jd = ladder_jds[4]
-        M = vectorize_redfield(jd.hamiltonian, jd.coupling, redfield_filtered(jd, toy_bath)).matrix
-        half, adjoint = redfield_halves(benchmark_coupling.entries, np.asarray(benchmark_jd.operators))
-        stack = np.concatenate((half + adjoint, 1j * (half - adjoint)))
+        M = redfield_generator(jd, toy_bath).to_superoperator().matrix
+        ops = np.asarray(benchmark_jd.operators)
+        stack = _redfield_matrix(0.0, benchmark_coupling.entries, np.concatenate((ops, 1j * ops)))
         assert stack.shape == (26, 16, 16)
         rho = benchmark_initial.entries.reshape(-1, order="F")
         vectors = np.random.default_rng(8).standard_normal((3, 2, 16)) + 0j

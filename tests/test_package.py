@@ -1,10 +1,10 @@
 """Package surface: every name a module exports exists, every name the
 benchmark's tracer wraps exists, no module imports a name it never uses, no
 module imports scipy, only ``qme.quadrature`` sizes panels and chunks and
-one function reads a bath's kink, no ``einsum`` takes three or more
-operands, and importing the package and its CLI, propagating a drive
-schedule, evolving a state or sampling the generator norm loads no scipy
-module."""
+one function reads a bath's kink, no superoperator but the Hamiltonian one
+is built with ``np.kron``, no ``einsum`` takes three or more operands, and
+importing the package and its CLI, propagating a drive schedule, evolving a
+state or sampling the generator norm loads no scipy module."""
 
 import ast
 import importlib
@@ -141,6 +141,37 @@ def test_one_quadrature_layer():
     probes = [f"{name}:{f.name}" for name, tree in trees.items() for f in ast.walk(tree)
               if isinstance(f, ast.FunctionDef) and reads_tau_c(f)]
     assert len(probes) <= 1, probes
+
+
+def kron_callers(tree) -> list:
+    """The function around every ``kron`` a module reads, innermost first,
+    or ``<module>``."""
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "kron"
+                or isinstance(node, ast.Name) and node.id == "kron"):
+            callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_one_superoperator_layout():
+    # the column-stacked layout of every superoperator is decided by
+    # ``operators._superop`` alone: ``hamiltonian_superop`` keeps the
+    # np.kron expression its byte pin compares against, and the Pauli
+    # strings of a config are tensor products of d x d operators, not
+    # superoperators
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(ROOT.glob("src/qme/*.py"))}
+    found = sorted(f"{name}:{where}" for name, tree in trees.items()
+                   for where in kron_callers(tree))
+    assert found == ["config.py:pauli_string_matrix"] + ["operators.py:hamiltonian_superop"] * 2
 
 
 def many_operand_einsums(path: pathlib.Path) -> list:
