@@ -58,19 +58,17 @@ class TestJumpDecomposition:
         # loop over level pairs, byte for byte: the benchmark model, the
         # seed-301 ladder (5, 25 and 113 frequencies), the parity model, a
         # degenerate spectrum and two frequencies within FREQ_RTOL merged
-        if model.startswith("ladder"):
-            jd = ladder_jds[int(model[-1])]
-            H, A = jd.hamiltonian, jd.coupling
-        elif model in ("benchmark", "parity"):
-            jd = request.getfixturevalue(f"{model}_jd")
-            H, A = jd.hamiltonian, jd.coupling
-        else:
+        if model in ("degenerate", "merged"):
             # (1 + delta/2) ZI + (1 - delta/2) IZ: at delta = 0 a doubly
             # degenerate middle level; at 5e-9 four levels whose Bohr
             # frequencies 2 -+ delta lie within FREQ_RTOL ||H|| and merge
             delta = 0.0 if model == "degenerate" else 5e-9
             H = (1 + delta / 2) * np.kron(PAULI_Z, IDENT) + (1 - delta / 2) * np.kron(IDENT, PAULI_Z)
             A = 0.5 * (np.kron(PAULI_X, IDENT) + np.kron(IDENT, PAULI_X))
+        else:
+            jd = (ladder_jds[int(model[-1])] if model.startswith("ladder")
+                  else request.getfixturevalue(f"{model}_jd"))
+            H, A = jd.hamiltonian, jd.coupling
         eig = eigensystem(HermitianOperator(H))
         jd = decompose_coupling(eig, HermitianOperator(A))
         freqs, ops = oracles.decompose_coupling_loop(eig, jd.coupling, jd.freq_tol,
