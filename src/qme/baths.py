@@ -208,19 +208,25 @@ class Bath:
 
     def kms_report(self, w_grid):
         """Per-omega relative deviation from detailed balance, plus the
-        zero-frequency slope identity gamma'(0) = (beta/2) gamma(0)."""
+        zero-frequency slope identity gamma'(0) = (beta/2) gamma(0), from
+        one gamma call on [-w, w, h, -h, 0] with h = 1e-4.  The report
+        carries gamma(w) as ``"gamma"``."""
         if not self.thermal_flag:
             raise ValueError(f"{self.kind} bath is not thermal: no KMS relation to check")
         w = np.asarray(w_grid, dtype=float)
-        lhs = self.gamma(-w)
-        rhs = np.exp(-self.beta * w) * self.gamma(w)
+        h = 1e-4
+        n = w.size
+        g = np.asarray(self.gamma(np.concatenate([-w.ravel(), w.ravel(), [h, -h, 0.0]])))
+        lhs, gamma_w = g[:n].reshape(w.shape), g[n:2 * n].reshape(w.shape)
+        g_plus, g_minus, g_zero = g[2 * n:]
+        rhs = np.exp(-self.beta * w) * gamma_w
         denom = np.maximum(np.abs(rhs), 1e-300)
         deviation = np.abs(lhs - rhs) / denom
-        h = 1e-4
-        slope = float(self.gamma(h) - self.gamma(-h)) / (2 * h)
-        target = 0.5 * self.beta * float(self.gamma(0.0))
+        slope = float(g_plus - g_minus) / (2 * h)
+        target = 0.5 * self.beta * float(g_zero)
         return {
             "omega": w,
+            "gamma": gamma_w,
             "relative_deviation": deviation,
             "max_relative_deviation": float(np.max(deviation)),
             "gamma_prime_0": slope,
@@ -244,7 +250,7 @@ class Bath:
         if self.thermal_flag:
             probe = np.linspace(-min(W, 10.0 / self.beta), min(W, 10.0 / self.beta), 101)
             rep = self.kms_report(probe)
-            mask = np.abs(self.gamma(probe)) > 1e-10 * gmax
+            mask = np.abs(rep["gamma"]) > 1e-10 * gmax
             worst = float(np.max(rep["relative_deviation"][mask])) if mask.any() else 0.0
             if worst > 1e-8:
                 raise ValueError(

@@ -203,12 +203,13 @@ def _parse_model(section: Mapping) -> ModelSection:
 
 
 def _number(value, where: str) -> float:
-    """A finite float; ``json`` reads NaN and Infinity, and float(True) is 1."""
+    """A finite float that is neither a boolean nor a string: ``json`` reads
+    NaN and Infinity, float(True) is 1 and float("5") is 5."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):
+    if isinstance(value, (bool, str)) or not math.isfinite(number):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return number
 

@@ -463,40 +463,50 @@ def dd_window_filter(eps, dt: float, T_a: float, t: float = 0.0):
     return out if out.ndim else complex(out)
 
 
-def _tan_sinc_factor(x, k_prime: int):
-    """Stable evaluation of sinc(2 k' x) * tan(x), elementwise over x.
+def _dd_factors(x, k_prime: int):
+    """sinc(2k'x) tan(x) and sinc(2k'x), elementwise over x, stacked on a new
+    first axis.
 
     tan's poles are removable against sinc's zeros; the identity
-    sin(2k'x)/cos(x) = 2 * sum_{j=1}^{k'} (-1)^(j+1) sin((2(k'-j)+1) x)
-    removes them analytically.
+    sin(2k'x)/cos(x) = 2 s, s = sum_{j=1}^{k'} (-1)^(j+1) sin((2(k'-j)+1) x),
+    removes them analytically: sinc(2k'x) tan(x) = 2 s sin(x) / (2k'x).  So
+    one sin call on the multiples 2k'-1, ..., 3, 1 and 2k' of x serves both
+    rows, and both share 1/(2k'x).  x = 0 gives sinc's limit, as np.sinc
+    takes it.
     """
-    x = np.asarray(x, dtype=float)
-    j = np.arange(1, k_prime + 1)
-    s = np.sum((-1.0) ** (j + 1) * np.sin(np.multiply.outer(x, 2 * (k_prime - j) + 1)), axis=-1)
-    # sinc(2k'x) tan(x) = [sin(2k'x)/cos(x)] * sin(x)/(2k'x)
-    return 2.0 * s * np.sinc(x / math.pi) / (2.0 * k_prime)
+    x = np.where(np.asarray(x, dtype=float) == 0.0, 1e-20, x)
+    multiples = np.append(np.arange(2 * k_prime - 1, 0, -2.0), 2.0 * k_prime)
+    sines = np.sin(np.multiply.outer(multiples, x))
+    s = np.tensordot((-1.0) ** np.arange(k_prime), sines[:-1], axes=1)
+    factors = sines[-2:]
+    factors[0] *= 2.0 * s
+    factors *= 0.5 / (k_prime * x)
+    return factors
 
 
-def _xi_ratio(bath, num_filter, den_filter):
-    """int gamma num_filter / int gamma den_filter over [-W, W], both on one
-    refined Gauss grid (``quadrature.refine``) with an edge at w = 0, where
-    the integrands peak and gamma has a kink.  Each filter maps the nodes w
-    to an array of shape (..., len(w)), one row per ratio, so every ratio
-    shares the grid and its gamma values, and the grid is refined until
-    each numerator and denominator meets the tolerance on its own.  gamma
-    is scaled by its maximum, which leaves the ratios unchanged and keeps
-    the absolute tolerance of the refinement negligible against every
-    integral.  Returns a float for 0-d rows, else an array of their shape."""
+def _tan_sinc_factor(x, k_prime: int):
+    """Stable evaluation of sinc(2 k' x) * tan(x), elementwise over x: the
+    first row of ``_dd_factors``."""
+    return _dd_factors(x, k_prime)[0]
+
+
+def _xi_ratio(bath, filters):
+    """int gamma F_0 / int gamma F_1 over [-W, W], both on one refined Gauss
+    grid (``quadrature.refine``) with an edge at w = 0, where the integrands
+    peak and gamma has a kink.  ``filters`` maps the nodes w to an array of
+    shape (2, ..., len(w)), the numerator filter F_0 and the denominator
+    filter F_1, one row per ratio, and both are contracted with gamma times
+    the weights in one product.  So every ratio shares the grid and its
+    gamma values, and the grid is refined until each numerator and
+    denominator meets the tolerance on its own.  gamma is scaled by its
+    maximum, which leaves the ratios unchanged and keeps the absolute
+    tolerance of the refinement negligible against every integral.  Returns
+    a float for 0-d rows, else an array of their shape."""
     W = bath.support_radius()
     scale = bath.gamma_scale()
-
-    def term(w, wt, g):
-        wg = wt * g
-        return np.stack([num_filter(w) @ wg, den_filter(w) @ wg], axis=-1)
-
-    total, _ = refine(
-        term, lambda w: np.real(np.asarray(bath.gamma(w))) / scale, (-W, 0.0, W))
-    numerator, denominator = total[..., 0], total[..., 1]
+    (numerator, denominator), _ = refine(
+        lambda w, wt, g: filters(w) @ (wt * g),
+        lambda w: np.real(np.asarray(bath.gamma(w))) / scale, (-W, 0.0, W))
     if np.any(denominator <= 0):
         raise ArithmeticError("vanishing reference decoherence rate")
     ratio = numerator / denominator
@@ -513,9 +523,10 @@ def dd_suppression_xi(bath, dt, k_prime: int = 1):
     over the bath's support [-W, W].  ``dt`` may be a scalar, which gives a
     float, or an array, which gives an array of its shape: every xi of one
     call shares one refined composite Gauss grid and one set of gamma
-    values, refined until each integral of each dt has converged.  xi < 1
-    is guaranteed when the bath's high-frequency cutoff satisfies
-    omega_c * dt < pi/4.
+    values, refined until each integral of each dt has converged.  Each
+    grid forms x = dt (x) w once, and both filters from it in one pass: the
+    squares of ``_dd_factors``.  xi < 1 is guaranteed when the bath's
+    high-frequency cutoff satisfies omega_c * dt < pi/4.
 
     dt is half the pulse spacing: xi equals
     ``dd_suppression_xi_general(bath, 2*dt, T_a=4*k_prime*dt)``, pulses
@@ -526,10 +537,9 @@ def dd_suppression_xi(bath, dt, k_prime: int = 1):
         raise ValueError("dt must be > 0")
     if int(k_prime) != k_prime or k_prime < 1:
         raise ValueError("k_prime must be an integer >= 1")
+    k_prime = int(k_prime)
     return _xi_ratio(
-        bath,
-        lambda w: _tan_sinc_factor(np.multiply.outer(dt, w), k_prime) ** 2,
-        lambda w: np.sinc(2 * k_prime * np.multiply.outer(dt, w) / math.pi) ** 2)
+        bath, lambda w: np.square(_dd_factors(np.multiply.outer(dt, w), k_prime)))
 
 
 def dd_suppression_xi_general(bath, dt: float, T_a: float, t: float = 0.0) -> float:
@@ -540,5 +550,5 @@ def dd_suppression_xi_general(bath, dt: float, T_a: float, t: float = 0.0) -> fl
         raise ValueError("dt and T_a must be > 0")
     return _xi_ratio(
         bath,
-        lambda w: np.abs(dd_window_filter(w, dt, T_a, t)) ** 2,
-        lambda w: np.sinc(w * T_a / (2 * math.pi)) ** 2)
+        lambda w: np.stack([np.abs(dd_window_filter(w, dt, T_a, t)) ** 2,
+                            np.sinc(w * T_a / (2 * math.pi)) ** 2]))

@@ -65,15 +65,31 @@ def chunks(n, per_item):
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _on_grid(term, factor, edges):
+def _halved(edges):
+    """``edges`` with the midpoint of every panel interleaved: the array
+    np.sort(np.concatenate([edges, midpoints])), built with no sort."""
+    out = np.empty(2 * len(edges) - 1)
+    out[::2] = edges
+    out[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    return out
+
+
+def _on_grid(term, factor, edges, size=None):
     """sum over chunks of term(nodes, weights, factor(nodes)) on the
-    order-ORDER rule over ``edges``; ``factor`` is evaluated once."""
+    order-ORDER rule over ``edges``; ``factor`` is evaluated once.  ``size``
+    is the number of entries term returns.  When it is None, term first runs
+    on one node to learn it; when it is known, a grid that fits in one chunk
+    costs one term call."""
     nodes, weights = gauss_panels(edges, ORDER)
     f = factor(nodes)
-    total = term(nodes[:1], weights[:1], f[:1])
-    rest = nodes[1:], weights[1:], f[1:]
-    for k in chunks(len(nodes) - 1, np.size(total)):
-        total = total + term(*(a[k] for a in rest))
+    start, total = 0, None
+    if size is None:
+        start, total = 1, term(nodes[:1], weights[:1], f[:1])
+        size = np.size(total)
+    rest = nodes[start:], weights[start:], f[start:]
+    for k in chunks(len(nodes) - start, size):
+        part = term(*(a[k] for a in rest))
+        total = part if total is None else total + part
     return total
 
 
@@ -86,22 +102,25 @@ def refine(term, factor, edges, epsabs=EPSABS, finish=None):
     ``factor(nodes)`` is the per-node function (a bath's gamma or C),
     evaluated once per grid; ``term(nodes, weights, factor_values)`` returns
     the contribution of a chunk of nodes, an array of any fixed shape, and is
-    summed over chunks of at most CHUNK_ELEMENTS (entry x node) terms.
+    summed over chunks of at most CHUNK_ELEMENTS (entry x node) terms.  The
+    first grid runs term on one node to learn that shape.  Each later grid
+    interleaves the midpoints with the last grid's edges and runs term once
+    per chunk, so once when the grid fits in one chunk.
     ``finish``, a linear map, takes each grid's sum to the value whose
     entries are tested, so a term may return a few integrals that many
     entries combine.  Returns the finer value and the largest change of the
     last halving; raises ArithmeticError when the panel count would exceed
     MAX_PANELS.
     """
-    def level(edges):
-        total = _on_grid(term, factor, edges)
-        return total if finish is None else finish(total)
-
     edges = np.asarray(edges, dtype=float)
-    value = level(edges)
+    total = _on_grid(term, factor, edges)
+    size = np.size(total)
+    value = total if finish is None else finish(total)
     while 2 * (len(edges) - 1) <= MAX_PANELS:
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        fine = level(edges)
+        edges = _halved(edges)
+        fine = _on_grid(term, factor, edges, size)
+        if finish is not None:
+            fine = finish(fine)
         change = np.abs(fine - value)
         if np.all(change <= np.maximum(epsabs, EPSREL * np.abs(fine))):
             return fine, float(np.max(change, initial=0.0))
@@ -192,7 +211,7 @@ def cumulative(integrand, edges):
     edges = np.asarray(edges, dtype=float)
     sums = _running_sums(integrand, edges)[0]
     while 2 * (len(edges) - 1) <= MAX_PANELS:
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+        edges = _halved(edges)
         fine, values = _running_sums(integrand, edges)
         change = np.abs(fine[::2] - sums)
         if np.all(change <= np.maximum(EPSABS, EPSREL * np.abs(fine[::2]))):

@@ -301,6 +301,24 @@ def tan_sinc_direct(x, k_prime):
     return abs(s * math.tan(x))
 
 
+def dd_xi_filters(dt, w, k_prime):
+    """The numerator filter [sinc(2k'x) tan x]^2 and the denominator filter
+    sinc^2(2k'x) of the DD suppression ratio at x = dt (x) w, each its own
+    pass, as the ratio took them before one pass formed both: tan's poles
+    removed by sin(2k'x)/cos(x) = 2 sum_{j=1}^{k'} (-1)^(j+1)
+    sin((2(k'-j)+1) x), and every sinc through np.sinc."""
+    def tan_sinc(x):
+        x = np.asarray(x, dtype=float)
+        j = np.arange(1, k_prime + 1)
+        s = np.sum((-1.0) ** (j + 1) * np.sin(np.multiply.outer(x, 2 * (k_prime - j) + 1)),
+                   axis=-1)
+        return 2.0 * s * np.sinc(x / math.pi) / (2.0 * k_prime)
+
+    numerator = tan_sinc(np.multiply.outer(dt, w)) ** 2
+    denominator = np.sinc(2 * k_prime * np.multiply.outer(dt, w) / math.pi) ** 2
+    return numerator, denominator
+
+
 # ---------------------------------------------------------------------------
 # propagators and integration
 

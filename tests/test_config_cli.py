@@ -291,11 +291,16 @@ class TestCliExitCodes:
         ("sweep", "values", [float("-inf")], "sweep.values[0]"),
         ("dd", "kappa", True, "dd.kappa"),
         ("model", "hamiltonian", {"ZI": False}, "model.hamiltonian.ZI"),
+        ("grid", "t_max_tau_sb", "0.05", "grid.t_max_tau_sb"),
+        ("grid", "points", "5", "grid.points"),
+        ("bath", "params", {"beta": "4"}, "bath.params.beta"),
+        ("model", "hamiltonian", {"ZI": "0.5"}, "model.hamiltonian.ZI"),
     ], ids=["points-string", "points-fraction", "t_max-null", "qubits-fraction",
             "coefficient-string", "sweep-string", "sweep-scalar", "dd-string",
             "k_prime-fraction", "kappa-string", "lambless-string", "t_a-list",
             "gnuplot-string", "t_max-nan", "t_max-infinity", "t_cutoff-nan",
-            "sweep-infinity", "kappa-bool", "coefficient-bool"])
+            "sweep-infinity", "kappa-bool", "coefficient-bool", "t_max-numeric-string",
+            "points-numeric-string", "beta-numeric-string", "coefficient-numeric-string"])
     def test_misread_value_refused(self, tmp_path, capsys, section, key, value, where):
         # each of these once escaped as a traceback or was silently coerced
         doc = _base_doc()

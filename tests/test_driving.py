@@ -446,6 +446,45 @@ class TestSuppressionRatio:
             assert np.isclose(abs(_tan_sinc_factor(x, k)),
                               oracles.tan_sinc_direct(x, k), atol=1e-10)
 
+    @pytest.mark.parametrize("k_prime", [1, 2, 3])
+    def test_one_pass_filters_match_two_passes(self, k_prime):
+        # not byte for byte: np.sinc's round trip x -> pi (x / pi) moves its
+        # argument by an ulp of x, so near a zero of sin the two passes'
+        # unsquared factors differ by up to 2 eps absolute, never relative;
+        # their squares, the filters, by at most 4 eps sqrt(filter)
+        from qme.driving import _dd_factors
+        dt = np.array([0.2, 0.4, 0.6, 0.8])
+        m = np.arange(1, 40)
+        w = np.concatenate([[0.0], np.random.default_rng(28).uniform(-60.0, 60.0, 2000),
+                            np.geomspace(1e-12, 1.0, 50), (m - 0.5) * math.pi / 0.2,
+                            m * math.pi / (2 * k_prime * 0.4)])
+        w = np.concatenate([-w, w])
+        two = oracles.dd_xi_filters(dt, w, k_prime)
+        one = np.square(_dd_factors(np.multiply.outer(dt, w), k_prime))
+        for old, new in zip(two, one):
+            assert new.shape == old.shape
+            bound = 4 * np.finfo(float).eps * np.sqrt(np.maximum(old, new))
+            assert np.all(np.abs(new - old) <= bound)
+
+    # xi of the driven_dd benchmark's ``qme dd`` table (kappa 1, k' 1; rows
+    # beta 0.5 then 5, each with omega_c 0.5, 1, 2; columns dt 0.2-0.8) as the
+    # two-pass filters gave it on the probing quadrature layer
+    TWO_PASS_TABLE = [
+        [0.019862902208761947, 0.06911341339479599, 0.13015458928995574, 0.19171920769591774],
+        [0.07547920494249422, 0.20220424439921647, 0.310416656118057, 0.3946842183562186],
+        [0.23740608583509903, 0.42665307366923344, 0.5355956214698655, 0.6068388227468913],
+        [0.04289796234145169, 0.14435493101973787, 0.2586622988925495, 0.35945582685711064],
+        [0.17746740367498628, 0.46792189025134706, 0.678923456385862, 0.8033674192539199],
+        [0.5283457778959574, 0.9850652374980319, 1.1803380360829423, 1.2518174567150038],
+    ]
+
+    def test_benchmark_table_matches_two_pass_values(self):
+        dt = np.array([0.2, 0.4, 0.6, 0.8])
+        xi = np.array([dd_suppression_xi(OhmicBath(kappa=1.0, omega_c=omega_c, beta=beta), dt)
+                       for beta in (0.5, 5.0) for omega_c in (0.5, 1.0, 2.0)])
+        table = np.array(self.TWO_PASS_TABLE)
+        assert np.all(np.abs(xi - table) <= 1e-15 * table)
+
     def test_doubling_identity(self):
         # the closed form's dt is half the pulse spacing: it equals the
         # microscopic parity protocol with spacing 2*dt at the same averaging

@@ -165,6 +165,68 @@ class TestRefineFinish:
         assert np.max(np.abs(finish(plain) - value)) < 1e-14
 
 
+class TestRefineLevels:
+    """One term call per grid that fits in one chunk, after the first grid's
+    one-node probe, and each grid's edges interleaved with no sort."""
+
+    # int_0^L cos(5x) and int_0^L x cos(5x): 60 radians on one starting
+    # panel, so the loop runs several levels
+    L = 12.0
+    EXACT = [np.sin(5.0 * L) / 5.0, L * np.sin(5.0 * L) / 5.0 + (np.cos(5.0 * L) - 1.0) / 25.0]
+
+    @staticmethod
+    def _counted(calls):
+        def factor(x):
+            calls.append(0)
+            return np.cos(5.0 * x)
+
+        def term(x, w, f):
+            calls[-1] += 1
+            return np.stack([w @ f, w @ (x * f)])
+
+        return term, factor
+
+    def test_term_calls_per_level(self):
+        calls = []
+        value, _ = quadrature.refine(*self._counted(calls), [0.0, self.L])
+        assert len(calls) >= 4
+        assert calls == [2] + [1] * (len(calls) - 1)
+        assert np.max(np.abs(value - self.EXACT)) < 1e-12
+
+    def test_one_node_chunks_match_one_chunk(self, monkeypatch):
+        # with CHUNK_ELEMENTS = 1 every chunk is one node: the same levels
+        # and, summed node by node, the same value to roundoff
+        calls = []
+        value, error = quadrature.refine(*self._counted(calls), [0.0, self.L])
+        monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 1)
+        chunked_calls = []
+        chunked, chunked_error = quadrature.refine(*self._counted(chunked_calls),
+                                                   [0.0, self.L])
+        assert len(chunked_calls) == len(calls)
+        nodes = [quadrature.ORDER << k for k in range(len(calls))]
+        assert chunked_calls == nodes
+        assert np.all(np.abs(chunked - value) <= 1e-14 * np.abs(value))
+        assert abs(chunked_error - error) <= 1e-14 * np.max(np.abs(value))
+
+    @pytest.mark.parametrize("edges", [
+        [0.0, 1.0],
+        [-7.5, 0.0, 7.5],
+        np.linspace(-3.0, 11.0, 8),
+        np.sort(np.random.default_rng(28).uniform(-1e3, 1e3, 40)),
+        np.concatenate([[-40.0], -40.0 * 2.0 ** -np.arange(1, 53), [0.0],
+                        40.0 * 2.0 ** -np.arange(52, 0, -1), [40.0]]),
+        [1.0, np.nextafter(1.0, 2.0), 2.0],
+    ], ids=["one-panel", "xi", "uniform", "random", "graded", "adjacent-floats"])
+    def test_halved_edges_bytes(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        for _ in range(4):
+            halved = quadrature._halved(edges)
+            expected = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+            assert halved.dtype == expected.dtype
+            assert halved.tobytes() == expected.tobytes()
+            edges = halved
+
+
 class TestPanelEdges:
     """The starting edges the coarse-grained coefficients hand to ``refine``
     and the time-local filter hands to ``cumulative``, from
