@@ -478,7 +478,7 @@ def _dd_factors(x, k_prime: int):
     multiples = np.append(np.arange(2 * k_prime - 1, 0, -2.0), 2.0 * k_prime)
     sines = np.sin(np.multiply.outer(multiples, x))
     s = np.tensordot((-1.0) ** np.arange(k_prime), sines[:-1], axes=1)
-    factors = sines[-2:]
+    factors = sines[-2:]                # sin(x) and sin(2k'x), in place
     factors[0] *= 2.0 * s
     factors *= 0.5 / (k_prime * x)
     return factors
@@ -537,7 +537,6 @@ def dd_suppression_xi(bath, dt, k_prime: int = 1):
         raise ValueError("dt must be > 0")
     if int(k_prime) != k_prime or k_prime < 1:
         raise ValueError("k_prime must be an integer >= 1")
-    k_prime = int(k_prime)
     return _xi_ratio(
         bath, lambda w: np.square(_dd_factors(np.multiply.outer(dt, w), k_prime)))
 
