@@ -16,14 +16,12 @@ gamma(-omega) = exp(-beta omega) gamma(omega).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .quadrature import refine
-
-logger = logging.getLogger(__name__)
+from .quadrature import doublings, refine
 
 __all__ = [
     "Bath",
@@ -61,32 +59,32 @@ class Bath:
 
     def __init__(self):
         self._timescales_cache = {}
-        self._support_radius_cache = {}
 
     # -- spectral density -------------------------------------------------
 
     def gamma(self, w):
         raise NotImplementedError
 
-    def support_radius(self, tol=1e-12):
-        """Half-width W such that gamma is negligible outside [-W, W],
-        searched once per tol."""
-        key = float(tol)
-        if key not in self._support_radius_cache:
-            self._support_radius_cache[key] = self._search_radius(key)
-        return self._support_radius_cache[key]
-
-    def _search_radius(self, tol):
-        """The first W = r 2^k below 1e7, r = ``_initial_radius()``, with
-        max(|gamma(W)|, |gamma(-W)|) < tol * ``gamma_scale()``: every
-        candidate is evaluated at +-W in one gamma call."""
+    @cached_property
+    def _profile(self):
+        """One gamma call, made once per bath, on the 2049-point grid over
+        [-32 r, 32 r], r = ``_initial_radius()``, and at +-W for every support
+        candidate W = r 2^k below 1e7: the grid's max |gamma| (the scale),
+        the candidates and max(|gamma(W)|, |gamma(-W)|) at each."""
         r = self._initial_radius()
-        W = r * 2.0 ** np.arange(max(int(np.ceil(np.log2(1e7 / r))), 0) + 1)
-        W = W[W < 1e7]
-        g = np.abs(np.asarray(self.gamma(np.concatenate([W, -W])), dtype=float))
-        g_pos, g_neg = g[:W.size], g[W.size:]
+        grid = np.linspace(-r * 32, r * 32, 2049)
+        W = doublings(r, 1e7)
+        g = np.abs(np.asarray(self.gamma(np.concatenate([grid, W, -W])), dtype=float))
+        g_pos, g_neg = g[grid.size:grid.size + W.size], g[grid.size + W.size:]
         # max(g_pos, g_neg) as Python's max takes it: a NaN g_neg loses
-        passed = np.where(g_neg > g_pos, g_neg, g_pos) < tol * self.gamma_scale()
+        return float(np.max(g[:grid.size])), W, np.where(g_neg > g_pos, g_neg, g_pos)
+
+    def support_radius(self, tol=1e-12):
+        """Half-width W such that gamma is negligible outside [-W, W]: the
+        first candidate of ``_profile`` with max(|gamma(W)|, |gamma(-W)|) <
+        tol * ``gamma_scale()``."""
+        scale, W, g = self._profile
+        passed = g < tol * scale
         if not passed.any():
             raise ValueError("spectral density does not decay: no finite support radius")
         return float(W[np.argmax(passed)])
@@ -95,10 +93,7 @@ class Bath:
         return 1.0
 
     def gamma_scale(self):
-        if not hasattr(self, "_gamma_scale"):
-            w = np.linspace(-self._initial_radius() * 32, self._initial_radius() * 32, 2049)
-            self._gamma_scale = float(np.max(np.abs(self.gamma(w))))
-        return self._gamma_scale
+        return self._profile[0]
 
     # -- correlation function --------------------------------------------
 
@@ -151,8 +146,8 @@ class Bath:
         near = a[a > 0.0]
         depth = 0 if near.size == 0 else int(min(
             np.finfo(float).nmant, np.ceil(np.log2(W / near.min()))))
-        graded = W * 2.0 ** -np.arange(1, depth + 1)
-        return np.concatenate([[-W], -graded, [0.0], graded[::-1], [W]])
+        graded = np.append(doublings(np.ldexp(W, -depth), W), W)
+        return np.concatenate([-graded[::-1], [0.0], graded])
 
     def half_fourier_f(self, w):
         """f(w) = integral_0^inf C(t) exp(i w t) dt = gamma(w)/2 + i S(w)."""
@@ -187,8 +182,7 @@ class Bath:
         well below 1, where t keeps its relative precision."""
         s = 1.0 / self._initial_radius()
         top = b - a if np.isfinite(b) else 8.0 * max(a, s)
-        x = s * 2.0 ** np.arange(int(np.ceil(np.log2(top / s))) if top > s else 0)
-        x = np.concatenate([[0.0], x[x < top], [top]])
+        x = np.concatenate([[0.0], doublings(s, top), [top]])
 
         def term(t, wt, absC):
             return wt @ (t ** power * absC)

@@ -58,6 +58,7 @@ from .generators import (
     redfield_generator,
 )
 from .operators import eigensystem
+from .quadrature import doublings
 
 logger = logging.getLogger(__name__)
 
@@ -182,19 +183,16 @@ def _plot_radius(bath) -> float:
 
     Falls back to an envelope search for spectra that decay too slowly for a
     strict support radius (e.g. sinc-shaped ones, which fall off only as
-    1/omega)."""
+    1/omega): 2W for the first window [W, 2W], W = 2^k below 1e4, whose 64
+    points keep |gamma| below 1e-3 of its scale, else for the last window.
+    Every window is evaluated in one gamma call."""
     try:
         return bath.support_radius()
     except ValueError:
-        scale = bath.gamma_scale()
-        W = 1.0
-        while W < 1e4:
-            envelope = float(np.max(np.abs(
-                np.asarray(bath.gamma(np.linspace(W, 2.0 * W, 64))))))
-            if envelope < 1e-3 * scale:
-                return 2.0 * W
-            W *= 2.0
-        return W
+        W = doublings(1.0, 1e4)
+        envelope = np.max(np.abs(np.asarray(bath.gamma(np.linspace(W, 2.0 * W, 64)))), axis=0)
+        passed = np.flatnonzero(envelope < 1e-3 * bath.gamma_scale())
+        return 2.0 * float(W[passed[0] if passed.size else -1])
 
 
 def cmd_bath_info(cfg: ExperimentConfig, out_dir: str, args) -> int:

@@ -13,7 +13,6 @@ added to the value.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
@@ -25,8 +24,6 @@ from .evolve import ore_filter
 from .generators import JumpDecomposition, decompose_coupling
 from .operators import HermitianOperator, eigensystem, _trace_norms
 from .quadrature import chunks
-
-logger = logging.getLogger(__name__)
 
 # histogram bins of the sampled norms; the typical norm is the mode bin's centre
 HISTOGRAM_BINS = 60

@@ -484,12 +484,6 @@ def _dd_factors(x, k_prime: int):
     return factors
 
 
-def _tan_sinc_factor(x, k_prime: int):
-    """Stable evaluation of sinc(2 k' x) * tan(x), elementwise over x: the
-    first row of ``_dd_factors``."""
-    return _dd_factors(x, k_prime)[0]
-
-
 def _xi_ratio(bath, filters):
     """int gamma F_0 / int gamma F_1 over [-W, W], both on one refined Gauss
     grid (``quadrature.refine``) with an edge at w = 0, where the integrands

@@ -33,7 +33,6 @@ call on the bath's refined grid and report its error the same way.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,8 +48,6 @@ from .operators import (
 )
 from .baths import kinks
 from .quadrature import panel_edges, refine
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "JumpDecomposition",

@@ -1,4 +1,5 @@
 """Composite Gauss-Legendre rules, their starting panels (``panel_edges``),
+the doubling ladders of every graded grid and bath search (``doublings``),
 the chunks of every chunked loop (``chunks``) and the panel-halving loops
 every refined integral runs on: ``refine`` for a definite one (the
 coarse-grained Kossakowski and Lamb coefficients, S(omega), the DD
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["chunks", "cumulative", "gauss_panels", "panel_edges", "refine"]
+__all__ = ["chunks", "cumulative", "doublings", "gauss_panels", "panel_edges", "refine"]
 
 # Gauss order per panel, the largest phase one starting panel carries at the
 # highest frequency of an oscillating integrand, the convergence tolerances
@@ -56,6 +57,16 @@ def panel_edges(cuts, rate):
     counts = np.maximum(1, np.ceil(np.diff(cuts) * rate / PANEL_PHASE)).astype(int)
     parts = [np.linspace(a, b, n + 1)[:-1] for a, b, n in zip(cuts[:-1], cuts[1:], counts)]
     return np.concatenate(parts + [cuts[-1:]])
+
+
+def doublings(start, stop):
+    """The ladder start 2^k, k = 0, 1, ..., of every value below ``stop``,
+    ascending; empty when start >= stop.  ``start`` > 0 and ``stop`` finite.
+    Each value is start times an exact power of two."""
+    # one spare rung, since log2 may round the count one short
+    count = int(np.ceil(np.log2(stop / start))) + 1 if stop > start else 0
+    ladder = start * 2.0 ** np.arange(count)
+    return ladder[ladder < stop]
 
 
 def chunks(n, per_item):

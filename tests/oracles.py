@@ -77,6 +77,56 @@ def support_radius_loop(gamma, gamma_scale, r, tol):
     raise ValueError("spectral density does not decay: no finite support radius")
 
 
+def support_candidates(r):
+    """The support search's candidates W = r 2^k below 1e7 as first built,
+    from one power of an arange."""
+    W = r * 2.0 ** np.arange(max(int(np.ceil(np.log2(1e7 / r))), 0) + 1)
+    return W[W < 1e7]
+
+
+def pv_edges_ladder(W, w):
+    """The principal-value grid's starting edges as first built: [-W, W],
+    widened past every |w|, graded W 2^-k toward the kink at 0 down to the
+    smallest nonzero |w|, at most 52 rungs."""
+    a = np.abs(w)
+    if np.max(a) >= W:
+        W = 2.0 * np.max(a) + W
+    near = a[a > 0.0]
+    depth = 0 if near.size == 0 else int(min(
+        np.finfo(float).nmant, np.ceil(np.log2(W / near.min()))))
+    graded = W * 2.0 ** -np.arange(1, depth + 1)
+    return np.concatenate([[-W], -graded, [0.0], graded[::-1], [W]])
+
+
+def abs_moment_ladder(s, a, b):
+    """The starting edges of int_a^b t^p |C(t)| dt as first built: a and
+    a + s 2^k up to b, or, for b = inf, the ladder up to L = 8 max(a, s)
+    carried to u = x/(L + x) in [0, 1]."""
+    top = b - a if np.isfinite(b) else 8.0 * max(a, s)
+    x = s * 2.0 ** np.arange(int(np.ceil(np.log2(top / s))) if top > s else 0)
+    x = np.concatenate([[0.0], x[x < top], [top]])
+    return a + x if np.isfinite(b) else np.append(x / (top + x), 1.0)
+
+
+def plot_radius_loop(bath):
+    """The ``bath-info`` table's half-window as first written: the support
+    radius, or 2W for the first window [W, 2W], W = 1, 2, 4, ... below 1e4,
+    whose 64 points keep |gamma| below 1e-3 of its scale, one gamma call per
+    window; 2^14 when none does."""
+    try:
+        return bath.support_radius()
+    except ValueError:
+        scale = bath.gamma_scale()
+        W = 1.0
+        while W < 1e4:
+            envelope = float(np.max(np.abs(
+                np.asarray(bath.gamma(np.linspace(W, 2.0 * W, 64))))))
+            if envelope < 1e-3 * scale:
+                return 2.0 * W
+            W *= 2.0
+        return W
+
+
 # ---------------------------------------------------------------------------
 # coarse-graining coefficients
 

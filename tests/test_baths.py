@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
+from qme import driving, quadrature
 from qme.baths import Bath, OhmicBath, ToyBath, _trigamma, make_bath
 
 import oracles
@@ -81,19 +82,6 @@ class TestOhmicBath:
         x = beta * w
         ref = 2 * np.pi * kappa * np.exp(-abs(w) / omega_c) * (1 + x / 2 + x * x / 12) / beta
         assert abs(float(bath.gamma(w)) - ref) <= 1e-14 * ref
-
-    def test_support_radius_searched_once_per_tol(self, monkeypatch):
-        bath = OhmicBath(kappa=1.0, omega_c=1.0, beta=1.0)
-        calls = []
-        gamma = bath.gamma
-        monkeypatch.setattr(bath, "gamma", lambda w: calls.append(w) or gamma(w))
-        W = bath.support_radius()
-        assert calls
-        calls.clear()
-        assert bath.support_radius() == W
-        assert bath.support_radius(tol=1e-12) == W
-        assert bath.support_radius(tol=1e-10) > 0
-        assert calls == []
 
     def test_correlation_matches_mpmath(self):
         # C = (kappa/beta^2) (psi_1(x) + psi_1(conj(x) + 1)), x = (1/omega_c + i t)/beta,
@@ -246,6 +234,38 @@ class TestSupportRadius:
             ref = oracles.support_radius_loop(bath.gamma, bath.gamma_scale(),
                                               bath._initial_radius(), tol)
             assert bath.support_radius(tol) == ref
+
+    @pytest.mark.parametrize("kind, params", [(OhmicBath, (1.0, 1.0, 1.0)), (ToyBath, ())],
+                             ids=["ohmic", "toy"])
+    def test_searched_once_per_bath(self, monkeypatch, kind, params):
+        # a build makes three gamma calls: the profile (the scale grid and
+        # every support candidate), validate's grid and the KMS report; every
+        # later radius and scale is read off the profile
+        calls = []
+        gamma = kind.gamma
+        monkeypatch.setattr(kind, "gamma", lambda self, w: calls.append(w) or gamma(self, w))
+        bath = kind(*params)
+        assert len(calls) == 3
+        W = [bath.support_radius(tol) for tol in (1e-10, 1e-12, 1e-14)]
+        assert W == sorted(W) and bath.support_radius() == W[1]
+        assert bath.gamma_scale() > 0
+        assert len(calls) == 3
+
+    def test_dd_xi_runs_no_support_search(self, monkeypatch):
+        # every gamma call of the DD ratio on a new bath is a node grid of
+        # its refinement
+        bath = OhmicBath(kappa=1.0, omega_c=1.0, beta=1.0)
+        calls, factor_calls = [], []
+        gamma = bath.gamma
+        monkeypatch.setattr(bath, "gamma", lambda w: calls.append(w) or gamma(w))
+
+        def refine(term, factor, edges, **kw):
+            return quadrature.refine(
+                term, lambda w: factor_calls.append(w) or factor(w), edges, **kw)
+
+        monkeypatch.setattr(driving, "refine", refine)
+        driving.dd_suppression_xi(bath, np.array([0.2, 0.5]))
+        assert len(calls) == len(factor_calls) > 0
 
     def test_rectangle_has_none(self, rectangle_bath):
         # sinc decays only like 1/omega: no candidate below 1e7 passes

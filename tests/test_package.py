@@ -1,6 +1,7 @@
 """Package surface: every name a module exports exists, every name the
-benchmark's tracer wraps exists, no module imports a name it never uses, no
-module imports scipy, only ``qme.quadrature`` sizes panels and chunks and
+benchmark's tracer wraps exists, no module imports a name it never uses or
+assigns a module-level name it never reads, no module imports scipy, only
+``qme.quadrature`` sizes panels and chunks and builds doubling ladders and
 one function reads a bath's kink, no superoperator but the Hamiltonian one
 is built with ``np.kron``, no ``einsum`` takes three or more operands, and
 importing the package and its CLI, propagating a drive schedule, evolving a
@@ -74,19 +75,47 @@ def unused_imports(path: pathlib.Path) -> list:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(name, node.lineno)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    # a string in __all__ re-exports the name
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
+
+
+def exported(tree) -> set:
+    """The strings of a module's ``__all__``: each re-exports its name."""
+    return {c.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unread_globals(path: pathlib.Path) -> list:
+    """Names a module assigns at module level but never reads and does not
+    list in ``__all__``; the package ``__init__`` is exempt."""
+    if path.name == "__init__.py":
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assigned = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                   else [])
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name):
+                    assigned.setdefault(n.id, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in assigned.items()
+                  if name not in read | exported(tree) | {"__all__"})
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/qme/*.py")), ids=lambda p: p.name)
+def test_no_unread_globals(path):
+    # a module logger nothing logs to, or a constant nothing reads, is dead
+    assert unread_globals(path) == []
 
 
 def scipy_imports(path: pathlib.Path):
@@ -141,6 +170,28 @@ def test_one_quadrature_layer():
     probes = [f"{name}:{f.name}" for name, tree in trees.items() for f in ast.walk(tree)
               if isinstance(f, ast.FunctionDef) and reads_tau_c(f)]
     assert len(probes) <= 1, probes
+
+
+def doubling_ladders(tree) -> list:
+    """The line of every ``2 ** np.arange(...)`` or ``2 ** -np.arange(...)``
+    a module builds."""
+    def arange(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "arange"
+            or isinstance(node.func, ast.Name) and node.func.id == "arange")
+
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+            and isinstance(n.left, ast.Constant) and n.left.value == 2 and arange(n.right)]
+
+
+def test_one_doubling_ladder():
+    # every ladder start 2^k, of a graded grid or a bath search, comes from
+    # ``quadrature.doublings``
+    found = {p.name: doubling_ladders(ast.parse(p.read_text(), filename=str(p)))
+             for p in sorted(ROOT.glob("src/qme/*.py"))}
+    assert [name for name, lines in found.items() if lines] == ["quadrature.py"]
 
 
 def kron_callers(tree) -> list:

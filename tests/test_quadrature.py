@@ -1,6 +1,8 @@
 """The quadrature layer: the running integral against closed forms and
 against a fresh Gauss rule on every partial panel, the starting panels
-against the rules each integral once applied itself, and the chunks."""
+against the rules each integral once applied itself, the doubling ladders
+against the ladders each bath search and graded grid once built itself, and
+the chunks."""
 
 import importlib
 import weakref
@@ -8,7 +10,9 @@ import weakref
 import numpy as np
 import pytest
 
-from qme import quadrature
+from qme import baths, quadrature
+from qme.baths import Bath, RectangleBath
+from qme.cli import _plot_radius
 from qme.driving import DriveSchedule
 from qme.quadrature import EPSABS, EPSREL, cumulative
 
@@ -225,6 +229,77 @@ class TestRefineLevels:
             assert halved.dtype == expected.dtype
             assert halved.tobytes() == expected.tobytes()
             edges = halved
+
+
+class _Candidates(Bath):
+    """A bath built with no validation, for any initial radius r."""
+
+    def __init__(self, r):
+        super().__init__()
+        self.r = r
+
+    def _initial_radius(self):
+        return self.r
+
+    def gamma(self, w):
+        return np.exp(-np.abs(w) / self.r)
+
+
+def _same_bytes(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    return new.dtype == old.dtype and new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+class TestDoublings:
+    """Every ladder start 2^k built on ``quadrature.doublings`` is the
+    ladder its caller once built itself (oracles), byte for byte."""
+
+    @pytest.mark.parametrize("start, stop", [
+        (1.0, 1.0), (1.0, 0.5), (1.0, 8.0), (1.0, np.nextafter(8.0, 9.0)),
+        (1.0, np.nextafter(8.0, 0.0)), (0.3, 1e7), (2.0 ** -40, 3.0), (1e-300, 1e-290)])
+    def test_ladder(self, start, stop):
+        ladder = quadrature.doublings(start, stop)
+        k = np.arange(ladder.size)
+        assert np.all(ladder == np.ldexp(start, k)) and np.all(ladder < stop)
+        assert np.ldexp(start, ladder.size) >= stop
+
+    @pytest.mark.parametrize("r", [1e-3, 0.3, 1.0, 12.5, 5e6, np.nextafter(1e7, 0.0),
+                                   1e7, 3e7])
+    def test_support_candidates(self, r):
+        assert _same_bytes(_Candidates(r)._profile[1], oracles.support_candidates(r))
+
+    @pytest.mark.parametrize("w", [
+        [0.0], [0.0, -0.0], [1e-300], [-1e-300, 2.0], np.linspace(-6.0, 6.0, 61),
+        [0.3], [0.25], np.geomspace(1e-12, 1.0, 7), [-100.0, 3.0]],
+        ids=["zero", "zeros", "cap", "cap-mixed", "S-grid", "one", "power-of-two",
+             "geometric", "past-W"])
+    def test_pv_edges(self, ohmic_bath, w):
+        w = np.asarray(w, dtype=float)
+        expected = oracles.pv_edges_ladder(ohmic_bath.support_radius(), w)
+        assert _same_bytes(ohmic_bath._pv_edges(w), expected)
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (3.0, np.inf), (0.0, 20.0),
+                                      (2.5, 40.0), (0.0, 0.05), (0.0, 0.1), (5.0, 5.05)],
+                             ids=["half-line", "tail", "first-moment", "a>0", "top<s",
+                                  "top=s", "a>0-top<s"])
+    def test_abs_moment_edges(self, monkeypatch, toy_bath, a, b):
+        # s = 1/_initial_radius() = 0.1 for the default toy bath
+        seen = []
+        monkeypatch.setattr(baths, "refine",
+                            lambda term, factor, edges, **kw: seen.append(edges) or (1.0, 0.0))
+        toy_bath._abs_moment(toy_bath.correlation, 0, a, b)
+        s = 1.0 / toy_bath._initial_radius()
+        assert _same_bytes(seen[0], oracles.abs_moment_ladder(s, a, b))
+
+    @pytest.mark.parametrize("g, tau_c", [(0.5, 1.0), (1.0, 0.3), (0.2, 3.0), (2.0, 0.05),
+                                          (1.0, 0.01)])
+    def test_plot_radius(self, g, tau_c):
+        # sinc decays only like 1/omega, so every rectangle takes the window
+        # search; tau_c 0.01 passes no window and takes the 2^14 fallback
+        expected = oracles.plot_radius_loop(RectangleBath(g, tau_c))
+        assert _same_bytes(_plot_radius(RectangleBath(g, tau_c)), expected)
+        if tau_c == 0.01:
+            assert expected == 2.0 ** 14
 
 
 class TestPanelEdges:
